@@ -34,7 +34,6 @@ from .certificates import (
     BoundReport,
     GeometryConstants,
     check_bound,
-    domain_radius_delta2,
     dual_objective,
     duality_gap,
     estimate_r2,
@@ -56,7 +55,7 @@ from .core import (
     as_vector,
     validate_instance,
 )
-from .equivalence import EquivalenceReport, init_primal_from_dual, verify_equivalence
+from .equivalence import EquivalenceReport, verify_equivalence
 from .functions import (
     Box,
     DualNormGauge,

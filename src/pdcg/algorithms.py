@@ -39,7 +39,6 @@ from .core import (
     check_gap_floor,
     validate_instance,
 )
-from .functions import NegativeEntropySimplex, SquaredL2Box
 
 MD = "md"
 GCG = "gcg"
@@ -58,12 +57,18 @@ class FixedTwoOverTPlusOne:
 
     name: ClassVar[str] = "two-over-t-plus-one"
 
+    def rho(self, t: int, gap: Optional[float] = None) -> float:
+        return 2.0 / (t + 1.0)
+
 
 @dataclass(frozen=True)
 class FixedOneOverT:
     """rho_t = 1/t; pairs with plain (uniform) iterate averaging."""
 
     name: ClassVar[str] = "one-over-t"
+
+    def rho(self, t: int, gap: Optional[float] = None) -> float:
+        return 1.0 / t
 
 
 @dataclass(frozen=True)
@@ -78,6 +83,13 @@ class LineSearch:
     r2: float
     name: ClassVar[str] = "line-search"
 
+    def rho(self, t: int, gap: Optional[float] = None) -> float:
+        if gap is None:
+            raise ValueError("line-search schedule requires the current duality gap")
+        if self.r2 <= 0.0:
+            return 1.0
+        return min(self.mu / self.r2 * max(gap, 0.0), 1.0)
+
 
 @dataclass(frozen=True)
 class SqrtDecay:
@@ -87,28 +99,22 @@ class SqrtDecay:
     radius: float
     name: ClassVar[str] = "sqrt-decay"
 
+    def rho(self, t: int, gap: Optional[float] = None) -> float:
+        if self.radius <= 0.0:
+            return 1.0
+        return min(self.delta / (self.radius * np.sqrt(t)), 1.0)
+
 
 StepSchedule = Union[FixedTwoOverTPlusOne, FixedOneOverT, LineSearch, SqrtDecay]
+
 
 def step_size(schedule: StepSchedule, t: int, current_gap: Optional[float] = None) -> float:
     """Step size rho_t in [0, 1] for iteration t >= 1."""
     if t < 1:
         raise ValueError(f"iteration index must be >= 1, got {t}")
-    if isinstance(schedule, FixedTwoOverTPlusOne):
-        return 2.0 / (t + 1.0)
-    if isinstance(schedule, FixedOneOverT):
-        return 1.0 / t
-    if isinstance(schedule, LineSearch):
-        if current_gap is None:
-            raise ValueError("line-search schedule requires the current duality gap")
-        if schedule.r2 <= 0.0:
-            return 1.0
-        return min(schedule.mu / schedule.r2 * max(current_gap, 0.0), 1.0)
-    if isinstance(schedule, SqrtDecay):
-        if schedule.radius <= 0.0:
-            return 1.0
-        return min(schedule.delta / (schedule.radius * np.sqrt(t)), 1.0)
-    raise ConfigurationError(f"unknown schedule {schedule!r}")
+    if not hasattr(schedule, "rho"):
+        raise ConfigurationError(f"unknown schedule {schedule!r}")
+    return schedule.rho(t, current_gap)
 
 
 # ---------------------------------------------------------------------------
@@ -143,21 +149,12 @@ class SolverState:
     psum_ax: Optional[np.ndarray] = None
     psum_ybar: Optional[np.ndarray] = None
     psum_aty: Optional[np.ndarray] = None
-    # largest sup_x D(x, x_u) seen along the trajectory (compact domains)
-    traj_delta2: Optional[float] = None
-
-    def _weight(self) -> float:
-        if self.t == 0:
-            raise ValueError("averages undefined before the first iteration")
-        return 2.0 / (self.t * (self.t + 1.0))
-
-    @property
-    def weighted_x_avg(self) -> np.ndarray:
-        return self._weight() * self.wsum_x
 
     @property
     def weighted_y_avg(self) -> np.ndarray:
-        return self._weight() * self.wsum_ybar
+        if self.t == 0:
+            raise ValueError("averages undefined before the first iteration")
+        return 2.0 / (self.t * (self.t + 1.0)) * self.wsum_ybar
 
     @property
     def plain_x_avg(self) -> np.ndarray:
@@ -218,31 +215,13 @@ def init_state(problem: ProblemInstance, y0) -> SolverState:
     )
 
 
-def _sup_bregman_from(reg, x: np.ndarray) -> float:
-    """sup over the domain of D(., x), in closed form per regularizer kind."""
-    if isinstance(reg, NegativeEntropySimplex):
-        return float(-np.log(np.min(x)))
-    if isinstance(reg, SquaredL2Box):
-        box = reg.domain
-        far = np.maximum((x - box.lower) ** 2, (box.upper - x) ** 2)
-        return 0.5 * reg.mu * float(np.sum(far))
-    raise ConfigurationError("compact-domain recursion supports entropy and box regularizers only")
-
-
 def init_state_compact(problem: ProblemInstance, x0=None) -> SolverState:
     """Start for the compact-domain recursion from an interior point."""
     reg = problem.regularizer
     if x0 is None:
         x0 = reg.interior_point()
     x0 = as_vector(x0, problem.p, "x0")
-    if isinstance(reg, NegativeEntropySimplex):
-        if not reg.domain.interior_contains(x0):
-            raise FeasibilityError("x0 must lie in the interior of the simplex")
-    elif isinstance(reg, SquaredL2Box):
-        if not reg.domain.contains(x0):
-            raise FeasibilityError("x0 must lie in the box domain")
-    else:
-        raise ConfigurationError("compact-domain recursion supports entropy and box regularizers only")
+    reg.check_start(x0)
     ax0 = problem.operator.apply(x0)
     n, p = problem.n, problem.p
     return SolverState(
@@ -254,7 +233,6 @@ def init_state_compact(problem: ProblemInstance, x0=None) -> SolverState:
         psum_ax=np.zeros(n),
         psum_ybar=np.zeros(n),
         psum_aty=np.zeros(p),
-        traj_delta2=_sup_bregman_from(reg, x0),
     )
 
 
@@ -347,18 +325,11 @@ def ns_md_step(problem: ProblemInstance, state: SolverState, rho: float) -> Solv
     oracle outputs are maintained for the averaged-pair certificate.
     """
     rho = _check_rho(rho)
-    op, reg = problem.operator, problem.regularizer
+    op = problem.operator
     t = state.t + 1
     y = problem.loss.subgradient(state.ax)
     aty = op.adjoint_apply(y)
-    if isinstance(reg, NegativeEntropySimplex):
-        logits = np.log(state.x) - rho * aty
-        e = np.exp(logits - np.max(logits))
-        x = e / np.sum(e)
-    elif isinstance(reg, SquaredL2Box):
-        x = reg.domain.clip(state.x - (rho / reg.mu) * aty)
-    else:
-        raise ConfigurationError("compact-domain recursion supports entropy and box regularizers only")
+    x = problem.regularizer.prox_step(state.x, aty, rho)
     ax = op.apply(x)
     return dataclasses.replace(
         state,
@@ -371,7 +342,6 @@ def ns_md_step(problem: ProblemInstance, state: SolverState, rho: float) -> Solv
         psum_ax=state.psum_ax + state.ax,
         psum_ybar=state.psum_ybar + y,
         psum_aty=state.psum_aty + aty,
-        traj_delta2=max(state.traj_delta2, _sup_bregman_from(reg, x)),
     )
 
 
@@ -391,7 +361,7 @@ class RunResult:
     init_dual_derived: bool = True
 
 
-def _values_strongly_convex(problem, state):
+def primal_dual_values(problem: ProblemInstance, state: SolverState) -> tuple[float, float]:
     """Primal/dual objective at the state's (x, y); -A^T y is the carried vector."""
     reg, loss = problem.regularizer, problem.loss
     primal = reg.value(state.x) + loss.value(state.ax)
@@ -433,6 +403,8 @@ def run(
             raise ConfigurationError("sqrt-decay pairs with the compact-domain recursion only")
         state = init_state(problem, resolve_initial_dual(problem, y0=y0, x_init=x_init))
         stepper = md_step if algorithm == MD else gcg_step
+        # the post-step pair of one iteration is the pre-step pair of the next
+        values = primal_dual_values(problem, state)
     else:
         validate_instance(problem, require_compact_domain=True)
         if isinstance(schedule, LineSearch):
@@ -445,16 +417,18 @@ def run(
     weighted = isinstance(schedule, FixedTwoOverTPlusOne)
     for _ in range(max_iters):
         t = state.t + 1
+        dual_subopt = None
+        bregman_ref = None
         if algorithm in (MD, GCG):
-            primal, dual = _values_strongly_convex(problem, state)
+            primal, dual = values
             gap = check_gap_floor(primal - dual)
             rho = step_size(schedule, t, current_gap=gap)
-            prev = state
-            state = stepper(problem, prev, rho)
+            state = stepper(problem, state, rho)
+            values = primal_dual_values(problem, state)
+            post_dual = values[1]
             if weighted:
                 w = 2.0 / (t * (t + 1.0))
                 avg_primal = reg.value(w * state.wsum_x) + loss.value(w * state.wsum_ax)
-                post_dual = -reg.conj_value(state.carried_h_sub) - loss.conj_value(state.y)
                 avg_gap = check_gap_floor(avg_primal - post_dual)
             else:
                 avg_primal = reg.value(state.psum_x / t) + loss.value(state.psum_ax / t)
@@ -465,19 +439,15 @@ def run(
                     avg_gap = check_gap_floor(avg_primal - dual_avg)
                 else:
                     avg_gap = None
-            dual_subopt = None
-            bregman_ref = None
             if reference is not None:
-                post_dual = -reg.conj_value(state.carried_h_sub) - loss.conj_value(state.y)
                 dual_subopt = reference.primal_value - post_dual
                 bregman_ref = reg.bregman(reference.x_star, state.x)
         else:
             rho = step_size(schedule, t)
-            prev = state
-            state = stepper(problem, prev, rho)
             # objective of min_{x in K} f(A x); the dual uses the support
             # function of K in place of the conjugate of h
-            primal = loss.value(prev.ax)
+            primal = loss.value(state.ax)
+            state = stepper(problem, state, rho)
             dual = -reg.domain.support(-state.last_aty) - loss.conj_value(state.y)
             gap = check_gap_floor(primal - dual)
             avg_primal = loss.value(state.psum_ax / t)
@@ -486,8 +456,6 @@ def run(
                 + reg.domain.support(-state.psum_aty / t)
                 + loss.conj_value(state.psum_ybar / t)
             )
-            dual_subopt = None
-            bregman_ref = None
         records.append(
             TraceRecord(
                 t=t,

@@ -47,14 +47,7 @@ from .core import (
     as_vector,
     clamp_gap,
 )
-from .functions import (
-    Box,
-    L1Ball,
-    Loss,
-    NegativeEntropySimplex,
-    Regularizer,
-    SquaredL2Box,
-)
+from .functions import Box, L1Ball, Loss
 
 # Largest dual dimension for which vertex enumeration is exact.
 EXACT_VERTEX_LIMIT = 20
@@ -199,26 +192,6 @@ def estimate_r2(loss: Loss, op: LinearOperator, which: str = "diameter") -> tupl
     raise ConfigurationError(f"unsupported dual domain {type(dom).__name__}")
 
 
-def domain_radius_delta2(reg: Regularizer, x0) -> float:
-    """Upper bound delta^2 on D(x, x0) over the compact domain K.
-
-    Entropy on the simplex: max_x KL(x || x0) is attained at a vertex,
-    giving -log(min_i x0_i) (log p from the barycenter).  Box-constrained
-    squared norm: (mu/2) diam(K)^2, independent of x0.
-    """
-    if isinstance(reg, NegativeEntropySimplex):
-        x0 = as_vector(x0, reg.dim, "x0")
-        if not reg.domain.interior_contains(x0):
-            raise ConfigurationError("x0 must be an interior point of the simplex")
-        return float(-np.log(np.min(x0)))
-    if isinstance(reg, SquaredL2Box):
-        x0 = as_vector(x0, reg.dim, "x0")
-        if not reg.domain.contains(x0):
-            raise ConfigurationError("x0 must lie in the box domain")
-        return 0.5 * reg.mu * reg.domain.diameter2()
-    raise ConfigurationError("delta^2 is defined for compact domains only")
-
-
 def geometry_constants(problem: ProblemInstance, x0=None) -> GeometryConstants:
     """Convenience bundle of both R^2 variants (and delta^2 when compact)."""
     r2_primal, mode_d = estimate_r2(problem.loss, problem.operator, "diameter")
@@ -228,7 +201,7 @@ def geometry_constants(problem: ProblemInstance, x0=None) -> GeometryConstants:
     if problem.regularizer.domain.compact:
         if x0 is None:
             x0 = problem.regularizer.interior_point()
-        delta2 = domain_radius_delta2(problem.regularizer, x0)
+        delta2 = problem.regularizer.delta2(x0)
     return GeometryConstants(r2_primal=r2_primal, r2_origin=r2_origin, mode=mode, delta2=delta2)
 
 
@@ -255,18 +228,8 @@ class BoundReport:
     worst_margin: float
 
 
-BOUND_IDS = (
-    "md-avg-subopt",
-    "md-best-subopt",
-    "md-distance",
-    "gcg-fixed-dual-subopt",
-    "gcg-fixed-min-gap",
-    "gcg-linesearch-dual-subopt",
-    "gcg-linesearch-min-gap",
-    "compact-averaged-gap",
-)
-
-_PAIRING = {
+# bound id -> (algorithm, schedule class, needs a reference solution)
+BOUND_PAIRING = {
     "md-avg-subopt": (MD, FixedTwoOverTPlusOne, True),
     "md-best-subopt": (MD, FixedTwoOverTPlusOne, True),
     "md-distance": (MD, FixedTwoOverTPlusOne, True),
@@ -276,6 +239,8 @@ _PAIRING = {
     "gcg-linesearch-min-gap": (GCG, LineSearch, False),
     "compact-averaged-gap": (NS_MD, SqrtDecay, False),
 }
+
+BOUND_IDS = tuple(BOUND_PAIRING)
 
 
 def _finish_report(bound_id: str, bounds: np.ndarray, observed: np.ndarray) -> BoundReport:
@@ -314,9 +279,9 @@ def check_bound(
     variants need no reference.  The run must have been produced by the
     matching algorithm and schedule.
     """
-    if which not in _PAIRING:
+    if which not in BOUND_PAIRING:
         raise ConfigurationError(f"unknown bound id {which!r}; expected one of {BOUND_IDS}")
-    algo, sched_type, needs_ref = _PAIRING[which]
+    algo, sched_type, needs_ref = BOUND_PAIRING[which]
     if result.algorithm != algo:
         raise ConfigurationError(
             f"{which} applies to algorithm {algo!r}, trace came from {result.algorithm!r}"

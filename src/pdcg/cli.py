@@ -23,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .algorithms import GCG, MD, NS_MD
-from .certificates import BOUND_IDS, check_bound, geometry_constants
+from .algorithms import ALGORITHMS
+from .certificates import BOUND_IDS, BOUND_PAIRING, check_bound, geometry_constants
 from .core import ConfigurationError, FeasibilityError, ValidationError
 from .equivalence import verify_equivalence
 from .harness import (
@@ -42,19 +42,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 
-# Which algorithm/schedule each certified bound applies to.
-_PROP_SETUP = {
-    "md-avg-subopt": (MD, "two-over-t-plus-one", True),
-    "md-best-subopt": (MD, "two-over-t-plus-one", True),
-    "md-distance": (MD, "two-over-t-plus-one", True),
-    "gcg-fixed-dual-subopt": (GCG, "two-over-t-plus-one", True),
-    "gcg-fixed-min-gap": (GCG, "two-over-t-plus-one", False),
-    "gcg-linesearch-dual-subopt": (GCG, "line-search", True),
-    "gcg-linesearch-min-gap": (GCG, "line-search", False),
-    "compact-averaged-gap": (NS_MD, "sqrt-decay", False),
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pdcg",
@@ -69,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("solve", help="run one experiment and write its trace")
     add_config(ps)
-    ps.add_argument("--algorithm", choices=(MD, GCG, NS_MD), default=None)
+    ps.add_argument("--algorithm", choices=ALGORITHMS, default=None)
     ps.add_argument("--schedule", choices=SCHEDULE_NAMES, default=None)
     ps.add_argument("--max-iters", type=int, default=None)
     ps.add_argument("--gap-tol", type=float, default=None)
@@ -114,10 +101,17 @@ def _apply_overrides(config: ExperimentConfig, args, names) -> ExperimentConfig:
 
 
 def _parse_seeds(spec: str):
-    if ":" in spec:
-        start, stop = spec.split(":", 1)
-        return list(range(int(start), int(stop)))
-    return [int(s) for s in spec.split(",") if s != ""]
+    try:
+        if ":" in spec:
+            start, stop = spec.split(":", 1)
+            seeds = list(range(int(start), int(stop)))
+        else:
+            seeds = [int(s) for s in spec.split(",") if s != ""]
+    except ValueError as exc:
+        raise ConfigurationError(f"--seeds {spec!r}: expected comma-separated integers or start:stop") from exc
+    if not seeds:
+        raise ConfigurationError(f"--seeds {spec!r} selects no seeds")
+    return seeds
 
 
 def _cmd_solve(args) -> int:
@@ -175,14 +169,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    config = ExperimentConfig.load(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    algo, sched_name, needs_ref = _PROP_SETUP[args.prop]
-    config = dataclasses.replace(config, algorithm=algo, schedule=sched_name)
-    if args.max_iters is not None:
-        config = dataclasses.replace(config, max_iters=args.max_iters)
-    config.validate()
+    algo, sched_type, needs_ref = BOUND_PAIRING[args.prop]
+    config = dataclasses.replace(ExperimentConfig.load(args.config), algorithm=algo, schedule=sched_type.name)
+    config = _apply_overrides(config, args, {"seed": "seed", "max_iters": "max_iters"})
     problem = generate_problem(config)
     schedule = build_schedule(config, problem)
     reference = None
@@ -232,9 +221,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = ExperimentConfig.load(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+    config = _apply_overrides(ExperimentConfig.load(args.config), args, {"seed": "seed"})
     schedules = [s for s in args.schedules.split(",") if s != ""]
     seeds = _parse_seeds(args.seeds)
     paths = run_sweep(config, schedules, seeds, args.out_dir, workers=args.workers)

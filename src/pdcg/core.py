@@ -58,9 +58,7 @@ def as_vector(x, length: Optional[int] = None, name: str = "vector") -> np.ndarr
 
 def clamp_gap(gap: float) -> float:
     """Zero out round-off negativity of a duality gap; reject real negativity."""
-    if gap < -GAP_CLAMP:
-        raise GapInconsistencyError(f"duality gap {gap} < -{GAP_CLAMP}; oracle inconsistency")
-    return 0.0 if gap < 0.0 else float(gap)
+    return max(check_gap_floor(gap), 0.0)
 
 
 def check_gap_floor(gap: float) -> float:
@@ -110,12 +108,6 @@ class LinearOperator:
     def adjoint_apply(self, y) -> np.ndarray:
         y = as_vector(y, self.n, "y")
         return self.matrix.T @ y
-
-    def row(self, i: int) -> np.ndarray:
-        return self.matrix[i]
-
-    def column(self, j: int) -> np.ndarray:
-        return self.matrix[:, j]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LinearOperator(n={self.n}, p={self.p})"

@@ -25,6 +25,7 @@ from .algorithms import (
     gcg_step,
     init_state,
     md_step,
+    primal_dual_values,
     step_size,
 )
 from .core import ProblemInstance, as_vector, clamp_gap, validate_instance
@@ -39,15 +40,6 @@ class EquivalenceReport:
     max_dual_identity_deviation: float
     tolerance: float
     passed: bool
-
-
-def init_primal_from_dual(problem: ProblemInstance, y0) -> tuple[np.ndarray, np.ndarray]:
-    """Matched primal start (x_0, carried subgradient) from a dual point.
-
-    x_0 = (h*)'(-A^T y_0) and the carried subgradient is -A^T y_0.
-    """
-    state = init_state(problem, y0)
-    return state.x, state.carried_h_sub
 
 
 def verify_equivalence(
@@ -69,13 +61,11 @@ def verify_equivalence(
     y0 = as_vector(y0, problem.n, "y0")
     md_state = init_state(problem, y0)
     cg_state = init_state(problem, y0)
-    reg, loss = problem.regularizer, problem.loss
     max_x = 0.0
     max_dual = 0.0
     for t in range(1, iterations + 1):
         if isinstance(schedule, LineSearch):
-            primal = reg.value(cg_state.x) + loss.value(cg_state.ax)
-            dual = -reg.conj_value(cg_state.carried_h_sub) - loss.conj_value(cg_state.y)
+            primal, dual = primal_dual_values(problem, cg_state)
             rho = step_size(schedule, t, current_gap=clamp_gap(primal - dual))
         else:
             rho = step_size(schedule, t)

@@ -1,11 +1,19 @@
 """Oracle bundles for strongly convex regularizers h and Lipschitz losses f.
 
+This is the only module that knows the regularizer and loss kinds: the
+other modules call the methods below, and a new kind implements them.
+An oracle a kind does not support raises ``ConfigurationError``.
+
 Each regularizer exposes h, its conjugate h*, the conjugate gradient
 (h*)', a deterministic subgradient selection, and the Bregman divergence
-D(x1, x2) = h(x1) - h(x2) - <x1 - x2, h'(x2)>.
+D(x1, x2) = h(x1) - h(x2) - <x1 - x2, h'(x2)>.  Compact domains add the
+closed-form Bregman-proximal step ``prox_step``, the start check
+``check_start`` and the radius bound ``delta2``; a smooth h* adds its
+Hessian ``conj_hess`` for the reference solver's Newton polish.
 
 Each loss exposes f, its conjugate f*, and the argmax-subgradient oracle
-f'(z) = argmax_{y in C} <y, z> - f*(y) over the compact dual domain C.
+f'(z) = argmax_{y in C} <y, z> - f*(y) over the compact dual domain C,
+plus ``conj_grad``/``conj_hess_diag`` of f* inside a box C for the polish.
 Separable losses are scaled as f = s * sum_i l_i, whose conjugate is
 f*(y) = s * sum_i l_i*(y_i / s) with C scaled accordingly.
 
@@ -17,11 +25,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DomainError, ValidationError, as_vector
+from .core import ConfigurationError, DomainError, FeasibilityError, ValidationError, as_vector
 
 # Points this far outside a dual domain are treated as members and the
 # conjugate is evaluated at the clamped point; further out it is +inf.
 MEMBERSHIP_TOL = 1e-9
+
+_COMPACT_ONLY = "compact-domain recursion supports entropy and box regularizers only"
 
 
 def _xlogx(v: np.ndarray) -> np.ndarray:
@@ -120,9 +130,6 @@ class Simplex:
         v = np.asarray(v, dtype=np.float64)
         return bool(np.min(v) > 0.0 and abs(float(np.sum(v)) - 1.0) <= max(tol, tol * self.dim))
 
-    def diameter2(self) -> float:
-        return 2.0
-
     def support(self, z) -> float:
         """Support function max_{v in simplex} <v, z> = max_i z_i."""
         return float(np.max(np.asarray(z, dtype=np.float64)))
@@ -154,6 +161,10 @@ class Regularizer:
     mu: float
     dim: int
 
+    def _require_mu(self) -> None:
+        if self.mu <= 0:
+            raise ValidationError("conjugate oracle undefined for mu = 0")
+
     def value(self, x) -> float:
         """h(x); +inf outside K."""
         raise NotImplementedError
@@ -178,6 +189,22 @@ class Regularizer:
         """A canonical strictly feasible point of K."""
         raise NotImplementedError
 
+    def conj_hess(self, z, x) -> np.ndarray:
+        """Hessian of h* at z, given x = (h*)'(z)."""
+        raise ConfigurationError(f"no smooth dual model for {type(self).__name__}")
+
+    def check_start(self, x0, error=FeasibilityError) -> None:
+        """Raise ``error`` unless the compact-domain recursion may start at x0."""
+        raise ConfigurationError(_COMPACT_ONLY)
+
+    def prox_step(self, x, aty, rho: float) -> np.ndarray:
+        """argmin_{x' in K} (1/rho) D(x', x) + <x' - x, aty>, in closed form."""
+        raise ConfigurationError(_COMPACT_ONLY)
+
+    def delta2(self, x0) -> float:
+        """Upper bound delta^2 on D(x, x0) over the compact domain K."""
+        raise ConfigurationError("delta^2 is defined for compact domains only")
+
 
 class SquaredL2(Regularizer):
     """h(x) = (mu/2) ||x||^2 on all of R^p."""
@@ -188,10 +215,6 @@ class SquaredL2(Regularizer):
         self.mu = float(mu)
         self.dim = int(dim)
         self.domain = RealSpace(self.dim)
-
-    def _require_mu(self) -> None:
-        if self.mu <= 0:
-            raise ValidationError("conjugate oracle undefined for mu = 0")
 
     def value(self, x) -> float:
         x = as_vector(x, self.dim, "x")
@@ -220,6 +243,9 @@ class SquaredL2(Regularizer):
     def interior_point(self) -> np.ndarray:
         return np.zeros(self.dim)
 
+    def conj_hess(self, z, x) -> np.ndarray:
+        return np.eye(self.dim) / self.mu
+
 
 class SquaredL2Box(Regularizer):
     """h(x) = (mu/2) ||x||^2 + indicator of a box K.
@@ -235,10 +261,6 @@ class SquaredL2Box(Regularizer):
         self.mu = float(mu)
         self.domain = Box(lower, upper)
         self.dim = self.domain.dim
-
-    def _require_mu(self) -> None:
-        if self.mu <= 0:
-            raise ValidationError("conjugate oracle undefined for mu = 0")
 
     def value(self, x) -> float:
         x = as_vector(x, self.dim, "x")
@@ -275,6 +297,19 @@ class SquaredL2Box(Regularizer):
 
     def interior_point(self) -> np.ndarray:
         return self.domain.center()
+
+    def check_start(self, x0, error=FeasibilityError) -> None:
+        if not self.domain.contains(x0):
+            raise error("x0 must lie in the box domain")
+
+    def prox_step(self, x, aty, rho: float) -> np.ndarray:
+        # clamped gradient step
+        return self.domain.clip(x - (rho / self.mu) * aty)
+
+    def delta2(self, x0) -> float:
+        """(mu/2) diam(K)^2, independent of x0."""
+        self.check_start(as_vector(x0, self.dim, "x0"), ConfigurationError)
+        return 0.5 * self.mu * self.domain.diameter2()
 
 
 class NegativeEntropySimplex(Regularizer):
@@ -327,6 +362,25 @@ class NegativeEntropySimplex(Regularizer):
     def interior_point(self) -> np.ndarray:
         return np.full(self.dim, 1.0 / self.dim)
 
+    def conj_hess(self, z, x) -> np.ndarray:
+        return np.diag(x) - np.outer(x, x)
+
+    def check_start(self, x0, error=FeasibilityError) -> None:
+        if not self.domain.interior_contains(x0):
+            raise error("x0 must lie in the interior of the simplex")
+
+    def prox_step(self, x, aty, rho: float) -> np.ndarray:
+        # renormalized multiplicative update
+        logits = np.log(x) - rho * aty
+        e = np.exp(logits - np.max(logits))
+        return e / np.sum(e)
+
+    def delta2(self, x0) -> float:
+        """max_x KL(x || x0), attained at a vertex: -log(min_i x0_i)."""
+        x0 = as_vector(x0, self.dim, "x0")
+        self.check_start(x0, ConfigurationError)
+        return float(-np.log(np.min(x0)))
+
 
 # ---------------------------------------------------------------------------
 # Losses
@@ -337,6 +391,9 @@ class Loss:
 
     dim: int
     dual_domain: object
+    # True when the oracle never reaches the boundary of C, so points
+    # handed to ``conj_grad`` must stay strictly inside it
+    open_domain = False
 
     def value(self, z) -> float:
         """f(z)."""
@@ -349,6 +406,14 @@ class Loss:
     def subgradient(self, z) -> np.ndarray:
         """A deterministic maximizer of <y, z> - f*(y) over C."""
         raise NotImplementedError
+
+    def conj_grad(self, y) -> np.ndarray:
+        """Gradient of f* on the interior of C."""
+        raise ConfigurationError(f"no smooth dual model for {type(self).__name__}")
+
+    def conj_hess_diag(self, y) -> np.ndarray:
+        """Diagonal of the (diagonal) Hessian of f* on the interior of C."""
+        raise ConfigurationError(f"no smooth dual model for {type(self).__name__}")
 
     @property
     def lipschitz_bound(self) -> float:
@@ -375,13 +440,8 @@ def _check_scale(scale: float) -> float:
     return s
 
 
-class Hinge(Loss):
-    """f(z) = s * sum_i max(1 - label_i z_i, 0).
-
-    f* is linear on its domain: f*(y) = sum_i y_i label_i on
-    {y : y_i label_i in [-s, 0]}.  At the kink 1 - label_i z_i = 0 the
-    subgradient oracle returns the margin-active extreme -s*label_i.
-    """
+class _LabelLoss(Loss):
+    """Margin loss in label_i z_i, with C = {y : -y_i label_i in [0, s]}."""
 
     def __init__(self, labels, scale: float = 1.0) -> None:
         self.labels = _check_labels(labels)
@@ -390,6 +450,15 @@ class Hinge(Loss):
         lo = np.where(self.labels > 0, -self.scale, 0.0)
         hi = np.where(self.labels > 0, 0.0, self.scale)
         self.dual_domain = Box(lo, hi)
+
+
+class Hinge(_LabelLoss):
+    """f(z) = s * sum_i max(1 - label_i z_i, 0).
+
+    f* is linear on its domain: f*(y) = sum_i y_i label_i on
+    {y : y_i label_i in [-s, 0]}.  At the kink 1 - label_i z_i = 0 the
+    subgradient oracle returns the margin-active extreme -s*label_i.
+    """
 
     def value(self, z) -> float:
         z = as_vector(z, self.dim, "z")
@@ -407,6 +476,12 @@ class Hinge(Loss):
         z = as_vector(z, self.dim, "z")
         margin = 1.0 - self.labels * z
         return np.where(margin >= 0.0, -self.scale * self.labels, 0.0)
+
+    def conj_grad(self, y) -> np.ndarray:
+        return self.labels.copy()
+
+    def conj_hess_diag(self, y) -> np.ndarray:
+        return np.zeros(self.dim)
 
 
 class LeastAbsoluteDeviation(Loss):
@@ -438,8 +513,14 @@ class LeastAbsoluteDeviation(Loss):
         z = as_vector(z, self.dim, "z")
         return self.scale * np.sign(z - self.targets)
 
+    def conj_grad(self, y) -> np.ndarray:
+        return self.targets.copy()
 
-class Logistic(Loss):
+    def conj_hess_diag(self, y) -> np.ndarray:
+        return np.zeros(self.dim)
+
+
+class Logistic(_LabelLoss):
     """f(z) = s * sum_i log(1 + exp(-label_i z_i)).
 
     The dual domain is open per coordinate (the gradient never reaches
@@ -449,14 +530,6 @@ class Logistic(Loss):
     """
 
     open_domain = True
-
-    def __init__(self, labels, scale: float = 1.0) -> None:
-        self.labels = _check_labels(labels)
-        self.scale = _check_scale(scale)
-        self.dim = self.labels.shape[0]
-        lo = np.where(self.labels > 0, -self.scale, 0.0)
-        hi = np.where(self.labels > 0, 0.0, self.scale)
-        self.dual_domain = Box(lo, hi)
 
     def value(self, z) -> float:
         z = as_vector(z, self.dim, "z")
@@ -473,6 +546,14 @@ class Logistic(Loss):
     def subgradient(self, z) -> np.ndarray:
         z = as_vector(z, self.dim, "z")
         return -self.scale * self.labels * _sigmoid(-self.labels * z)
+
+    def conj_grad(self, y) -> np.ndarray:
+        g = np.clip(-y * self.labels / self.scale, 1e-12, 1.0 - 1e-12)
+        return -self.labels * np.log(g / (1.0 - g))
+
+    def conj_hess_diag(self, y) -> np.ndarray:
+        g = np.clip(-y * self.labels / self.scale, 1e-12, 1.0 - 1e-12)
+        return 1.0 / (self.scale * g * (1.0 - g))
 
 
 class DualNormGauge(Loss):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -28,13 +29,13 @@ from .algorithms import (
     StepSchedule,
     gcg_step,
     init_state,
+    primal_dual_values,
     resolve_initial_dual,
     run,
     step_size,
 )
 from .certificates import (
     GeometryConstants,
-    domain_radius_delta2,
     dual_objective,
     duality_gap,
     estimate_r2,
@@ -61,9 +62,23 @@ LOSS_KINDS = ("hinge", "lad", "logistic", "gauge")
 REGULARIZER_KINDS = ("squared_l2", "squared_l2_box", "entropy")
 SCHEDULE_NAMES = ("two-over-t-plus-one", "one-over-t", "line-search", "sqrt-decay")
 
-CSV_HEADER = "t,rho,primal,dual,gap,avg_primal,dual_subopt,bregman_ref"
+# trace column -> TraceRecord field, in CSV and JSON order
+TRACE_COLUMNS = {
+    "t": "t",
+    "rho": "rho",
+    "primal": "primal_value",
+    "dual": "dual_value",
+    "gap": "gap",
+    "avg_primal": "avg_primal_value",
+    "dual_subopt": "dual_suboptimality",
+    "bregman_ref": "bregman_to_ref",
+}
+CSV_HEADER = ",".join(TRACE_COLUMNS)
 
 THREADS_ENV = "PDCG_THREADS"
+
+# JSON values accepted for each declared config field type
+_CONFIG_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real}
 
 
 # ---------------------------------------------------------------------------
@@ -123,10 +138,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        fields = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(data) - set(fields)
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+        for key, val in data.items():
+            declared = fields[key]  # "str", "int", "float" or "Optional[...]" of one
+            if val is None and declared.startswith("Optional["):
+                continue
+            allowed = _CONFIG_TYPES[declared.removeprefix("Optional[").rstrip("]")]
+            if isinstance(val, bool) or not isinstance(val, allowed):
+                raise ConfigurationError(f"config key {key!r} must be {declared}, got {val!r}")
         return cls(**data).validate()
 
     @classmethod
@@ -237,36 +259,6 @@ class ReferenceSolution:
     dual_value: float
 
 
-def _loss_conj_grad(loss, y: np.ndarray) -> np.ndarray:
-    """Gradient of f* on the interior of C (linear losses: constant)."""
-    if isinstance(loss, Hinge):
-        return loss.labels.copy()
-    if isinstance(loss, LeastAbsoluteDeviation):
-        return loss.targets.copy()
-    if isinstance(loss, Logistic):
-        g = np.clip(-y * loss.labels / loss.scale, 1e-12, 1.0 - 1e-12)
-        return -loss.labels * np.log(g / (1.0 - g))
-    raise ConfigurationError(f"no smooth dual model for {type(loss).__name__}")
-
-
-def _loss_conj_hess_diag(loss, y: np.ndarray) -> np.ndarray:
-    if isinstance(loss, (Hinge, LeastAbsoluteDeviation)):
-        return np.zeros(loss.dim)
-    if isinstance(loss, Logistic):
-        g = np.clip(-y * loss.labels / loss.scale, 1e-12, 1.0 - 1e-12)
-        return 1.0 / (loss.scale * g * (1.0 - g))
-    raise ConfigurationError(f"no smooth dual model for {type(loss).__name__}")
-
-
-def _reg_conj_hess(reg, z: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Hessian of h* at z (x = (h*)'(z) is passed to reuse the softmax)."""
-    if isinstance(reg, SquaredL2):
-        return np.eye(reg.dim) / reg.mu
-    if isinstance(reg, NegativeEntropySimplex):
-        return np.diag(x) - np.outer(x, x)
-    raise ConfigurationError(f"no smooth dual model for {type(reg).__name__}")
-
-
 def _polish_box_dual(problem: ProblemInstance, y: np.ndarray, tol: float, max_iter: int):
     """Active-set projected Newton ascent on the dual over a box C.
 
@@ -281,7 +273,7 @@ def _polish_box_dual(problem: ProblemInstance, y: np.ndarray, tol: float, max_it
     lo, hi = box.lower, box.upper
     widths = np.maximum(box.widths, 1e-300)
     y = np.clip(y, lo, hi)
-    if isinstance(loss, Logistic):
+    if loss.open_domain:
         margin = 1e-12 * widths
         y = np.clip(y, lo + margin, hi - margin)
     best_y = y.copy()
@@ -296,14 +288,14 @@ def _polish_box_dual(problem: ProblemInstance, y: np.ndarray, tol: float, max_it
             best_gap, best_y = gap, y.copy()
         if gap <= tol:
             break
-        grad = op.apply(x) - _loss_conj_grad(loss, y)
+        grad = op.apply(x) - loss.conj_grad(y)
         at_lo = (y - lo) <= 1e-12 * widths
         at_hi = (hi - y) <= 1e-12 * widths
         free = ~((at_lo & (grad <= 0.0)) | (at_hi & (grad >= 0.0)))
         direction = np.zeros_like(y)
         if np.any(free):
-            hess = -(op.matrix @ _reg_conj_hess(reg, z, x) @ op.matrix.T)
-            hess[np.diag_indices_from(hess)] -= _loss_conj_hess_diag(loss, y)
+            hess = -(op.matrix @ reg.conj_hess(z, x) @ op.matrix.T)
+            hess[np.diag_indices_from(hess)] -= loss.conj_hess_diag(y)
             sub = -hess[np.ix_(free, free)]
             sub[np.diag_indices_from(sub)] += 1e-12 * (1.0 + np.trace(sub) / sub.shape[0])
             try:
@@ -317,7 +309,7 @@ def _polish_box_dual(problem: ProblemInstance, y: np.ndarray, tol: float, max_it
             alpha = 1.0
             for _ in range(60):
                 cand = np.clip(y + alpha * step_dir, lo, hi)
-                if isinstance(loss, Logistic):
+                if loss.open_domain:
                     cand = np.clip(cand, lo + 1e-15 * widths, hi - 1e-15 * widths)
                 if dual_objective(problem, cand) > q0:
                     return cand
@@ -347,14 +339,12 @@ def reference_solution(problem: ProblemInstance, tol: float = 1e-9, cap: int = 1
     r2, _ = estimate_r2(problem.loss, op, "diameter")
     schedule = LineSearch(mu=reg.mu, r2=r2)
     state = init_state(problem, resolve_initial_dual(problem))
-    loss = problem.loss
     best_y = state.y.copy()
     best_gap = duality_gap(problem, state.x, best_y)
     iters = 0
     warm = min(cap, 500)
     for t in range(1, warm + 1):
-        primal = reg.value(state.x) + loss.value(state.ax)
-        dual = -reg.conj_value(state.carried_h_sub) - loss.conj_value(state.y)
+        primal, dual = primal_dual_values(problem, state)
         gap = max(primal - dual, 0.0)
         if gap < best_gap:
             best_gap, best_y = gap, state.y.copy()
@@ -362,7 +352,7 @@ def reference_solution(problem: ProblemInstance, tol: float = 1e-9, cap: int = 1
             break
         state = gcg_step(problem, state, step_size(schedule, t, current_gap=gap))
         iters = t
-    if best_gap > tol and iters < cap and isinstance(loss.dual_domain, Box):
+    if best_gap > tol and iters < cap and isinstance(problem.loss.dual_domain, Box):
         y_pol, gap_pol, used = _polish_box_dual(
             problem, best_y, tol, max_iter=min(200, cap - iters)
         )
@@ -398,9 +388,7 @@ def build_schedule(config: ExperimentConfig, problem: ProblemInstance) -> StepSc
         return LineSearch(mu=problem.regularizer.mu, r2=r2)
     if name == "sqrt-decay":
         r2, _ = estimate_r2(problem.loss, problem.operator, "origin")
-        delta2 = domain_radius_delta2(
-            problem.regularizer, problem.regularizer.interior_point()
-        )
+        delta2 = problem.regularizer.delta2(problem.regularizer.interior_point())
         return SqrtDecay(delta=float(np.sqrt(delta2)), radius=float(np.sqrt(r2)))
     raise ConfigurationError(f"unknown schedule {name!r}")
 
@@ -430,22 +418,10 @@ def _fmt(v: Optional[float]) -> str:
 
 def trace_csv(result: RunResult) -> str:
     """CSV text for a trace: fixed header plus one row per iteration."""
-    lines = [CSV_HEADER]
-    for rec in result.trace:
-        lines.append(
-            ",".join(
-                (
-                    str(rec.t),
-                    _fmt(rec.rho),
-                    _fmt(rec.primal_value),
-                    _fmt(rec.dual_value),
-                    _fmt(rec.gap),
-                    _fmt(rec.avg_primal_value),
-                    _fmt(rec.dual_suboptimality),
-                    _fmt(rec.bregman_to_ref),
-                )
-            )
-        )
+    # 17 significant digits print every iteration index t < 1e17 as an integer
+    lines = [CSV_HEADER] + [
+        ",".join(_fmt(getattr(rec, field)) for field in TRACE_COLUMNS.values()) for rec in result.trace
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -470,19 +446,7 @@ def trace_json_obj(
             "delta2": geometry.delta2,
         },
     }
-    records = [
-        {
-            "t": rec.t,
-            "rho": rec.rho,
-            "primal": rec.primal_value,
-            "dual": rec.dual_value,
-            "gap": rec.gap,
-            "avg_primal": rec.avg_primal_value,
-            "dual_subopt": rec.dual_suboptimality,
-            "bregman_ref": rec.bregman_to_ref,
-        }
-        for rec in result.trace
-    ]
+    records = [{col: getattr(rec, field) for col, field in TRACE_COLUMNS.items()} for rec in result.trace]
     return {"header": header, "records": records}
 
 

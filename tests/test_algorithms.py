@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from pdcg import (
     SqrtDecay,
     SquaredL2,
     SquaredL2Box,
+    build_schedule,
     gcg_step,
     generate_problem,
     init_state,
@@ -256,8 +258,6 @@ def test_ns_md_iterate_feasibility():
         algorithm="ns-md", schedule="sqrt-decay", max_iters=200,
     )
     prob = generate_problem(cfg)
-    from pdcg import build_schedule
-
     res = run(prob, "ns-md", build_schedule(cfg, prob), max_iters=200)
     state = init_state_compact(prob)
     assert abs(res.state.x.sum() - 1.0) <= 1e-12
@@ -300,3 +300,31 @@ def test_line_search_run_consumes_exact_gap():
     for rec in res.trace:
         expected = min(1.0 / r2 * max(rec.gap, 0.0), 1.0)
         assert rec.rho == pytest.approx(expected, abs=1e-15)
+
+
+@pytest.mark.parametrize("with_reference", [False, True], ids=["plain", "reference"])
+@pytest.mark.parametrize(
+    "algorithm,schedule,calls_per_iter",
+    [
+        ("md", "two-over-t-plus-one", 1),
+        ("gcg", "two-over-t-plus-one", 1),
+        ("md", "line-search", 1),
+        ("gcg", "line-search", 1),
+        ("md", "one-over-t", 2),  # plus the averaged dual pair
+        ("gcg", "one-over-t", 2),
+    ],
+)
+def test_run_evaluates_each_primal_dual_pair_once(algorithm, schedule, calls_per_iter, with_reference, monkeypatch):
+    # the post-step pair of iteration t is the pre-step pair of t + 1
+    cfg = ExperimentConfig(loss="lad", regularizer="squared_l2", n=30, p=6, scale=20.0 / 30, seed=3,
+                           algorithm=algorithm, schedule=schedule)
+    prob = generate_problem(cfg)
+    sched = build_schedule(cfg, prob)
+    reference = SimpleNamespace(x_star=np.zeros(prob.p), primal_value=1.0) if with_reference else None
+    conj_value = prob.loss.conj_value
+    calls = []
+    monkeypatch.setattr(prob.loss, "conj_value", lambda y: calls.append(1) or conj_value(y))
+    iters = 20
+    res = run(prob, algorithm, sched, max_iters=iters, gap_tol=-np.inf, reference=reference)
+    assert len(res.trace) == iters
+    assert len(calls) == calls_per_iter * iters + 1

@@ -18,7 +18,6 @@ from pdcg import (
     SquaredL2,
     SquaredL2Box,
     check_bound,
-    domain_radius_delta2,
     dual_objective,
     duality_gap,
     estimate_r2,
@@ -193,20 +192,22 @@ def test_r2_diameter_origin_triangle_inequality():
 
 def test_domain_radius_delta2():
     ent = NegativeEntropySimplex(2)
-    assert domain_radius_delta2(ent, [0.5, 0.5]) == pytest.approx(np.log(2.0))
+    assert ent.delta2([0.5, 0.5]) == pytest.approx(np.log(2.0))
     box = SquaredL2Box(1.0, np.zeros(2), np.ones(2))
-    assert domain_radius_delta2(box, [0.3, 0.9]) == pytest.approx(1.0)
+    assert box.delta2([0.3, 0.9]) == pytest.approx(1.0)
     with pytest.raises(ConfigurationError):
-        domain_radius_delta2(ent, [1.0, 0.0])
+        ent.delta2([1.0, 0.0])
     with pytest.raises(ConfigurationError):
-        domain_radius_delta2(SquaredL2(1.0, 2), [0.0, 0.0])
+        box.delta2([1.5, 0.5])
+    with pytest.raises(ConfigurationError):
+        SquaredL2(1.0, 2).delta2([0.0, 0.0])
 
 
 def test_delta2_dominates_sampled_divergence():
     rng = np.random.default_rng(18)
     ent = NegativeEntropySimplex(5)
     x0 = ent.interior_point()
-    d2 = domain_radius_delta2(ent, x0)
+    d2 = ent.delta2(x0)
     assert d2 == pytest.approx(np.log(5.0))
     for _ in range(500):
         x = rng.dirichlet(np.ones(5) * 0.5)

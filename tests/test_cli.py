@@ -153,3 +153,19 @@ def test_bad_config_value_exits_two(tmp_path):
 
 def test_version_flag():
     assert cli_main(["--version"]) == 0
+
+
+def test_mistyped_config_value_exits_two(tmp_path, capsys):
+    path = tmp_path / "typed.json"
+    path.write_text('{"n": "30"}')
+    assert cli_main(["solve", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+    assert "config key 'n' must be int" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seeds", ["x", "3:1"])
+def test_sweep_bad_or_empty_seeds_exit_two(tmp_path, config_path, seeds, capsys):
+    out_dir = tmp_path / "cells"
+    argv = ["sweep", "--config", config_path, "--out-dir", str(out_dir), "--seeds", seeds, "--workers", "1"]
+    assert cli_main(argv) == 2
+    assert "--seeds" in capsys.readouterr().err
+    assert not out_dir.exists()

@@ -16,7 +16,6 @@ from pdcg import (
     estimate_r2,
     gcg_step,
     generate_problem,
-    init_primal_from_dual,
     init_state,
     md_step,
     step_size,
@@ -26,17 +25,16 @@ from pdcg import (
 
 def test_init_primal_from_dual_zero():
     prob = ProblemInstance(LinearOperator(np.eye(2)), SquaredL2(1.0, 2), LeastAbsoluteDeviation([0.0, 0.0], 1.0))
-    x0, carried = init_primal_from_dual(prob, np.zeros(2))
-    np.testing.assert_array_equal(x0, [0.0, 0.0])
-    np.testing.assert_array_equal(carried, [0.0, 0.0])
+    state = init_state(prob, np.zeros(2))
+    np.testing.assert_array_equal(state.x, [0.0, 0.0])
+    np.testing.assert_array_equal(state.carried_h_sub, [0.0, 0.0])
 
 
 def test_init_primal_from_dual_entropy():
     prob = ProblemInstance(
         LinearOperator(np.eye(2)), NegativeEntropySimplex(2), LeastAbsoluteDeviation([0.0, 0.0], 1.0)
     )
-    x0, _ = init_primal_from_dual(prob, np.zeros(2))
-    np.testing.assert_allclose(x0, [0.5, 0.5], atol=1e-15)
+    np.testing.assert_allclose(init_state(prob, np.zeros(2)).x, [0.5, 0.5], atol=1e-15)
 
 
 def test_init_primal_from_dual_hand_values():
@@ -45,9 +43,9 @@ def test_init_primal_from_dual_hand_values():
         SquaredL2(2.0, 2),
         LeastAbsoluteDeviation([0.0, 0.0], 1.0),
     )
-    x0, carried = init_primal_from_dual(prob, [1.0, 0.0])
-    np.testing.assert_array_equal(carried, [-1.0, -2.0])
-    np.testing.assert_array_equal(x0, [-0.5, -1.0])
+    state = init_state(prob, [1.0, 0.0])
+    np.testing.assert_array_equal(state.carried_h_sub, [-1.0, -2.0])
+    np.testing.assert_array_equal(state.x, [-0.5, -1.0])
 
 
 def test_init_rejects_infeasible_dual():
@@ -55,7 +53,7 @@ def test_init_rejects_infeasible_dual():
         LinearOperator(np.eye(2)), SquaredL2(1.0, 2), LeastAbsoluteDeviation([0.0, 0.0], 0.5)
     )
     with pytest.raises(FeasibilityError):
-        init_primal_from_dual(prob, [2.0, 0.0])
+        init_state(prob, [2.0, 0.0])
 
 
 def _svm(n=40, p=8, seed=7):

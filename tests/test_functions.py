@@ -1,7 +1,12 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
+import pdcg.functions
 from pdcg import (
+    ConfigurationError,
     DomainError,
     DualNormGauge,
     Hinge,
@@ -319,3 +324,96 @@ def test_conj_grad_lipschitz():
             lhs = np.linalg.norm(reg.conj_grad(z1) - reg.conj_grad(z2))
             rhs = np.linalg.norm(z1 - z2) / reg.mu
             assert lhs <= rhs * (1.0 + 1e-8) + 1e-15
+
+
+# --------------------------------------------------------------------------
+# oracle protocol: the smooth dual model used by the reference polish and
+# the closed-form steps of the compact-domain recursion
+
+
+def _central_differences(fn, point, eps=1e-6):
+    """Row i is (fn(point + eps e_i) - fn(point - eps e_i)) / (2 eps)."""
+    return np.array([(np.asarray(fn(point + e)) - np.asarray(fn(point - e))) / (2.0 * eps)
+                     for e in eps * np.eye(point.size)])
+
+
+def _inside(loss):
+    box = loss.dual_domain
+    return box.lower + np.array([0.3, 0.6, 0.45]) * box.widths
+
+
+@pytest.mark.parametrize(
+    "loss",
+    [Hinge([1.0, -1.0, 1.0], 0.5), LeastAbsoluteDeviation([0.3, -1.2, 0.0], 2.0), Logistic([-1.0, 1.0, 1.0], 1.5)],
+    ids=["hinge", "lad", "logistic"],
+)
+def test_loss_conj_grad_matches_differences(loss):
+    y = _inside(loss)
+    np.testing.assert_allclose(loss.conj_grad(y), _central_differences(loss.conj_value, y), atol=1e-7)
+
+
+def test_logistic_conj_hess_diag_matches_differences():
+    loss = Logistic([-1.0, 1.0, 1.0], 1.5)
+    y = _inside(loss)
+    jac = _central_differences(loss.conj_grad, y)
+    np.testing.assert_allclose(loss.conj_hess_diag(y), np.diag(jac), rtol=1e-6)
+    np.testing.assert_allclose(jac - np.diag(np.diag(jac)), 0.0, atol=1e-8)
+
+
+@pytest.mark.parametrize("reg", [SquaredL2(2.0, 3), NegativeEntropySimplex(3)], ids=["l2", "entropy"])
+def test_regularizer_conj_hess_matches_differences(reg):
+    z = np.array([0.4, -1.1, 0.7])
+    hess = reg.conj_hess(z, reg.conj_grad(z))
+    np.testing.assert_allclose(hess, _central_differences(reg.conj_grad, z), atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "reg,x,expected",
+    [
+        # clamp(x - (rho/mu) aty) with rho/mu = 0.25
+        (SquaredL2Box(2.0, np.zeros(3), np.ones(3)), [0.5, 0.9, 0.1], [0.25, 1.0, 0.0]),
+        # x_i exp(-rho aty_i), renormalized
+        (NegativeEntropySimplex(3), [0.2, 0.3, 0.5],
+         np.array([0.2 * np.exp(-0.5), 0.3 * np.exp(0.5), 0.5 * np.exp(-0.5)])
+         / (0.2 * np.exp(-0.5) + 0.3 * np.exp(0.5) + 0.5 * np.exp(-0.5))),
+    ],
+    ids=["box", "simplex"],
+)
+def test_prox_step_closed_form(reg, x, expected):
+    aty = np.array([1.0, -1.0, 1.0])
+    np.testing.assert_allclose(reg.prox_step(np.array(x), aty, 0.5), expected, atol=1e-15)
+    np.testing.assert_allclose(reg.prox_step(np.array(x), aty, 0.0), x, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "oracle,call",
+    [
+        (SquaredL2Box(1.0, np.zeros(3), np.ones(3)), lambda reg: reg.conj_hess(np.zeros(3), np.full(3, 0.5))),
+        (DualNormGauge(3, 1.0), lambda loss: loss.conj_grad(np.zeros(3))),
+        (DualNormGauge(3, 1.0), lambda loss: loss.conj_hess_diag(np.zeros(3))),
+    ],
+    ids=["box-conj-hess", "gauge-conj-grad", "gauge-conj-hess-diag"],
+)
+def test_no_smooth_dual_model(oracle, call):
+    with pytest.raises(ConfigurationError) as exc:
+        call(oracle)
+    assert str(exc.value) == f"no smooth dual model for {type(oracle).__name__}"
+
+
+def test_kind_checks_stay_in_functions():
+    # every other module reaches regularizer and loss kinds through methods
+    kinds = {
+        name for name, obj in vars(pdcg.functions).items()
+        if isinstance(obj, type) and issubclass(obj, (pdcg.functions.Regularizer, pdcg.functions.Loss))
+    }
+    hits = []
+    for path in sorted(pathlib.Path(pdcg.functions.__file__).parent.glob("*.py")):
+        if path.name == "functions.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                named = {n.id if isinstance(n, ast.Name) else n.attr
+                         for n in ast.walk(node.args[1]) if isinstance(n, (ast.Name, ast.Attribute))}
+                if named & kinds:
+                    hits.append(f"{path.name}:{node.lineno}")
+    assert hits == []
