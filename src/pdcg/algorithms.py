@@ -15,18 +15,17 @@ Three recursions are provided:
 * ``ns_md_step`` - mirror descent over a compact domain without strong
   convexity in the objective: x_t solves the Bregman-proximal
   subproblem in closed form (multiplicative update on the simplex,
-  clamped gradient step on a box) and plain iterate/dual averages are
-  maintained for the averaged-pair gap certificate.
+  clamped gradient step on a box).
 
-Steppers are pure state transitions; ``run`` drives them and appends
-one certificate row per iteration.
+Steppers are pure state transitions that carry the recursion only;
+``run`` drives them, keeps the running sums the schedule's averages
+need, and appends one certificate row per iteration.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import ClassVar, Optional, Union
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -51,28 +50,54 @@ ALGORITHMS = (MD, GCG, NS_MD)
 # Step-size schedules
 
 
+class StepSchedule:
+    """A step rule ``rho(t, gap)`` together with what it certifies.
+
+    Each schedule declares which recursions it pairs with (``run``
+    raises ``pairing_error`` for the others), whether ``rho`` reads the
+    current duality gap, and how md/gcg iterates are averaged for the
+    ``avg_primal``/``avg_gap`` columns: ``weighted`` puts weight u on
+    x_{u-1} with normalizer 2/(t(t+1)), otherwise every iterate has
+    weight 1 and the sum is divided by t.  ``avg_dual`` names the dual
+    point of the averaged-pair gap: ``"y"`` for y_t (the weighted
+    average of the oracle outputs under 2/(t+1)), ``"oracle"`` for the
+    uniform average of the oracle outputs, None for no such gap.  The
+    compact-domain recursion averages uniformly under every schedule.
+    """
+
+    name: ClassVar[str]
+    recursions: ClassVar[tuple] = ALGORITHMS
+    pairing_error: ClassVar[str] = ""
+    needs_gap: ClassVar[bool] = False
+    weighted: ClassVar[bool] = False
+    avg_dual: ClassVar[Optional[str]] = None
+
+
 @dataclass(frozen=True)
-class FixedTwoOverTPlusOne:
+class FixedTwoOverTPlusOne(StepSchedule):
     """rho_t = 2/(t+1); rho_1 = 1, so the first step forgets the start."""
 
     name: ClassVar[str] = "two-over-t-plus-one"
+    weighted: ClassVar[bool] = True
+    avg_dual: ClassVar[Optional[str]] = "y"
 
     def rho(self, t: int, gap: Optional[float] = None) -> float:
         return 2.0 / (t + 1.0)
 
 
 @dataclass(frozen=True)
-class FixedOneOverT:
+class FixedOneOverT(StepSchedule):
     """rho_t = 1/t; pairs with plain (uniform) iterate averaging."""
 
     name: ClassVar[str] = "one-over-t"
+    avg_dual: ClassVar[Optional[str]] = "oracle"
 
     def rho(self, t: int, gap: Optional[float] = None) -> float:
         return 1.0 / t
 
 
 @dataclass(frozen=True)
-class LineSearch:
+class LineSearch(StepSchedule):
     """rho_t = min{(mu/R^2) gap(x_{t-1}, y_{t-1}), 1}.
 
     R^2 is the squared diameter of A^T C; the rule maximizes the
@@ -82,6 +107,9 @@ class LineSearch:
     mu: float
     r2: float
     name: ClassVar[str] = "line-search"
+    recursions: ClassVar[tuple] = (MD, GCG)
+    pairing_error: ClassVar[str] = "line search is not defined for the compact-domain recursion"
+    needs_gap: ClassVar[bool] = True
 
     def rho(self, t: int, gap: Optional[float] = None) -> float:
         if gap is None:
@@ -92,12 +120,14 @@ class LineSearch:
 
 
 @dataclass(frozen=True)
-class SqrtDecay:
+class SqrtDecay(StepSchedule):
     """rho_t = min{delta/(R sqrt(t)), 1} for the compact-domain recursion."""
 
     delta: float
     radius: float
     name: ClassVar[str] = "sqrt-decay"
+    recursions: ClassVar[tuple] = (NS_MD,)
+    pairing_error: ClassVar[str] = "sqrt-decay pairs with the compact-domain recursion only"
 
     def rho(self, t: int, gap: Optional[float] = None) -> float:
         if self.radius <= 0.0:
@@ -105,14 +135,11 @@ class SqrtDecay:
         return min(self.delta / (self.radius * np.sqrt(t)), 1.0)
 
 
-StepSchedule = Union[FixedTwoOverTPlusOne, FixedOneOverT, LineSearch, SqrtDecay]
-
-
 def step_size(schedule: StepSchedule, t: int, current_gap: Optional[float] = None) -> float:
     """Step size rho_t in [0, 1] for iteration t >= 1."""
     if t < 1:
         raise ValueError(f"iteration index must be >= 1, got {t}")
-    if not hasattr(schedule, "rho"):
+    if not isinstance(schedule, StepSchedule):
         raise ConfigurationError(f"unknown schedule {schedule!r}")
     return schedule.rho(t, current_gap)
 
@@ -123,14 +150,17 @@ def step_size(schedule: StepSchedule, t: int, current_gap: Optional[float] = Non
 
 @dataclass
 class SolverState:
-    """State of one recursion after ``t`` iterations.
+    """State of one recursion after ``t`` iterations: the recursion only.
 
     ``carried_h_sub`` is the subgradient of h maintained by the
     recursion itself; along the dual recursion it equals -A^T y_t.
     ``y`` is the dual iterate (a convex combination of loss-oracle
     outputs; for the compact-domain recursion, the latest oracle
-    output).  Weighted sums use weight u on iterate x_{u-1}; plain sums
-    are unweighted.  ``ax`` caches A x to avoid recomputing matvecs.
+    output), ``y_bar`` the oracle output of the last md/gcg step and
+    ``last_aty`` the A^T y of the last compact-domain step.  ``ax``
+    caches A x to avoid recomputing matvecs.  Iterate averages are
+    certificates, not part of the recursion: ``run`` keeps the running
+    sums its trace reads, as the schedule declares.
     """
 
     t: int
@@ -140,33 +170,6 @@ class SolverState:
     carried_h_sub: Optional[np.ndarray] = None
     y_bar: Optional[np.ndarray] = None
     last_aty: Optional[np.ndarray] = None
-    # weighted running sums: sum_u u * (.)_{u-1}
-    wsum_x: Optional[np.ndarray] = None
-    wsum_ax: Optional[np.ndarray] = None
-    wsum_ybar: Optional[np.ndarray] = None
-    # plain running sums: sum_u (.)_{u-1}
-    psum_x: Optional[np.ndarray] = None
-    psum_ax: Optional[np.ndarray] = None
-    psum_ybar: Optional[np.ndarray] = None
-    psum_aty: Optional[np.ndarray] = None
-
-    @property
-    def weighted_y_avg(self) -> np.ndarray:
-        if self.t == 0:
-            raise ValueError("averages undefined before the first iteration")
-        return 2.0 / (self.t * (self.t + 1.0)) * self.wsum_ybar
-
-    @property
-    def plain_x_avg(self) -> np.ndarray:
-        if self.t == 0:
-            raise ValueError("averages undefined before the first iteration")
-        return self.psum_x / self.t
-
-    @property
-    def plain_y_avg(self) -> np.ndarray:
-        if self.t == 0:
-            raise ValueError("averages undefined before the first iteration")
-        return self.psum_ybar / self.t
 
 
 def resolve_initial_dual(problem: ProblemInstance, y0=None, x_init=None) -> np.ndarray:
@@ -199,20 +202,7 @@ def init_state(problem: ProblemInstance, y0) -> SolverState:
     carried = -aty0
     x0 = problem.regularizer.conj_grad(carried)
     ax0 = problem.operator.apply(x0)
-    n, p = problem.n, problem.p
-    return SolverState(
-        t=0,
-        x=x0,
-        ax=ax0,
-        y=y0.copy(),
-        carried_h_sub=carried,
-        wsum_x=np.zeros(p),
-        wsum_ax=np.zeros(n),
-        wsum_ybar=np.zeros(n),
-        psum_x=np.zeros(p),
-        psum_ax=np.zeros(n),
-        psum_ybar=np.zeros(n),
-    )
+    return SolverState(t=0, x=x0, ax=ax0, y=y0.copy(), carried_h_sub=carried)
 
 
 def init_state_compact(problem: ProblemInstance, x0=None) -> SolverState:
@@ -223,17 +213,7 @@ def init_state_compact(problem: ProblemInstance, x0=None) -> SolverState:
     x0 = as_vector(x0, problem.p, "x0")
     reg.check_start(x0)
     ax0 = problem.operator.apply(x0)
-    n, p = problem.n, problem.p
-    return SolverState(
-        t=0,
-        x=x0,
-        ax=ax0,
-        y=np.zeros(n),
-        psum_x=np.zeros(p),
-        psum_ax=np.zeros(n),
-        psum_ybar=np.zeros(n),
-        psum_aty=np.zeros(p),
-    )
+    return SolverState(t=0, x=x0, ax=ax0, y=np.zeros(problem.n))
 
 
 def _check_rho(rho: float) -> float:
@@ -241,18 +221,6 @@ def _check_rho(rho: float) -> float:
     if not (0.0 <= rho <= 1.0):
         raise ValueError(f"step size must lie in [0, 1], got {rho}")
     return rho
-
-
-def _accumulate(state: SolverState, t: int, ybar: np.ndarray) -> dict:
-    """Running-sum updates with the pre-step iterate x_{t-1} at weight t."""
-    return dict(
-        wsum_x=state.wsum_x + t * state.x,
-        wsum_ax=state.wsum_ax + t * state.ax,
-        wsum_ybar=state.wsum_ybar + t * ybar,
-        psum_x=state.psum_x + state.x,
-        psum_ax=state.psum_ax + state.ax,
-        psum_ybar=state.psum_ybar + ybar,
-    )
 
 
 def md_step(problem: ProblemInstance, state: SolverState, rho: float) -> SolverState:
@@ -274,16 +242,7 @@ def md_step(problem: ProblemInstance, state: SolverState, rho: float) -> SolverS
     x = reg.conj_grad(g)
     ax = op.apply(x)
     y = (1.0 - rho) * state.y + rho * ybar
-    return dataclasses.replace(
-        state,
-        t=t,
-        x=x,
-        ax=ax,
-        y=y,
-        carried_h_sub=g,
-        y_bar=ybar,
-        **_accumulate(state, t, ybar),
-    )
+    return SolverState(t=t, x=x, ax=ax, y=y, carried_h_sub=g, y_bar=ybar)
 
 
 def gcg_step(problem: ProblemInstance, state: SolverState, rho: float) -> SolverState:
@@ -303,16 +262,7 @@ def gcg_step(problem: ProblemInstance, state: SolverState, rho: float) -> Solver
     carried = -aty
     x = reg.conj_grad(carried)
     ax = op.apply(x)
-    return dataclasses.replace(
-        state,
-        t=t,
-        x=x,
-        ax=ax,
-        y=y,
-        carried_h_sub=carried,
-        y_bar=ybar,
-        **_accumulate(state, t, ybar),
-    )
+    return SolverState(t=t, x=x, ax=ax, y=y, carried_h_sub=carried, y_bar=ybar)
 
 
 def ns_md_step(problem: ProblemInstance, state: SolverState, rho: float) -> SolverState:
@@ -321,8 +271,7 @@ def ns_md_step(problem: ProblemInstance, state: SolverState, rho: float) -> Solv
     y_{t-1} is the loss oracle at A x_{t-1}; x_t solves
     argmin_{x in K} (1/rho) D(x, x_{t-1}) + <x - x_{t-1}, A^T y_{t-1}>
     in closed form: a renormalized multiplicative update on the simplex,
-    a clamped gradient step on a box.  Plain averages of iterates and
-    oracle outputs are maintained for the averaged-pair certificate.
+    a clamped gradient step on a box.
     """
     rho = _check_rho(rho)
     op = problem.operator
@@ -331,18 +280,7 @@ def ns_md_step(problem: ProblemInstance, state: SolverState, rho: float) -> Solv
     aty = op.adjoint_apply(y)
     x = problem.regularizer.prox_step(state.x, aty, rho)
     ax = op.apply(x)
-    return dataclasses.replace(
-        state,
-        t=t,
-        x=x,
-        ax=ax,
-        y=y,
-        last_aty=aty,
-        psum_x=state.psum_x + state.x,
-        psum_ax=state.psum_ax + state.ax,
-        psum_ybar=state.psum_ybar + y,
-        psum_aty=state.psum_aty + aty,
-    )
+    return SolverState(t=t, x=x, ax=ax, y=y, last_aty=aty)
 
 
 # ---------------------------------------------------------------------------
@@ -396,49 +334,59 @@ def run(
     if max_iters < 0:
         raise ConfigurationError("max_iters must be nonnegative")
     reg, loss = problem.regularizer, problem.loss
+    strongly_convex = algorithm in (MD, GCG)
+    validate_instance(
+        problem, require_strong_convexity=strongly_convex, require_compact_domain=not strongly_convex
+    )
+    if algorithm not in schedule.recursions:
+        raise ConfigurationError(schedule.pairing_error)
 
-    if algorithm in (MD, GCG):
-        validate_instance(problem, require_strong_convexity=True)
-        if isinstance(schedule, SqrtDecay):
-            raise ConfigurationError("sqrt-decay pairs with the compact-domain recursion only")
+    if strongly_convex:
         state = init_state(problem, resolve_initial_dual(problem, y0=y0, x_init=x_init))
         stepper = md_step if algorithm == MD else gcg_step
         # the post-step pair of one iteration is the pre-step pair of the next
         values = primal_dual_values(problem, state)
     else:
-        validate_instance(problem, require_compact_domain=True)
-        if isinstance(schedule, LineSearch):
-            raise ConfigurationError("line search is not defined for the compact-domain recursion")
         state = init_state_compact(problem, x0=x0)
         stepper = ns_md_step
 
+    # running sums of the averaged iterates, oracle outputs and A^T y;
+    # the compact-domain recursion averages uniformly under every schedule
+    weighted = strongly_convex and schedule.weighted
+    sum_x, sum_aty = np.zeros(problem.p), np.zeros(problem.p)
+    sum_ax, sum_ybar = np.zeros(problem.n), np.zeros(problem.n)
+
+    def add(total, v, t):
+        total += t * v if weighted else v
+
+    def mean(total, t):
+        return 2.0 / (t * (t + 1.0)) * total if weighted else total / t
+
     records = []
     termination = "budget"
-    weighted = isinstance(schedule, FixedTwoOverTPlusOne)
     for _ in range(max_iters):
         t = state.t + 1
         dual_subopt = None
         bregman_ref = None
-        if algorithm in (MD, GCG):
+        if strongly_convex:
             primal, dual = values
             gap = check_gap_floor(primal - dual)
             rho = step_size(schedule, t, current_gap=gap)
+            add(sum_x, state.x, t)
+            add(sum_ax, state.ax, t)
             state = stepper(problem, state, rho)
             values = primal_dual_values(problem, state)
             post_dual = values[1]
-            if weighted:
-                w = 2.0 / (t * (t + 1.0))
-                avg_primal = reg.value(w * state.wsum_x) + loss.value(w * state.wsum_ax)
+            avg_primal = reg.value(mean(sum_x, t)) + loss.value(mean(sum_ax, t))
+            avg_gap = None
+            if schedule.avg_dual == "y":
                 avg_gap = check_gap_floor(avg_primal - post_dual)
-            else:
-                avg_primal = reg.value(state.psum_x / t) + loss.value(state.psum_ax / t)
-                if isinstance(schedule, FixedOneOverT):
-                    ybar_avg = state.psum_ybar / t
-                    aty_avg = problem.operator.adjoint_apply(ybar_avg)
-                    dual_avg = -reg.conj_value(-aty_avg) - loss.conj_value(ybar_avg)
-                    avg_gap = check_gap_floor(avg_primal - dual_avg)
-                else:
-                    avg_gap = None
+            elif schedule.avg_dual == "oracle":
+                add(sum_ybar, state.y_bar, t)
+                ybar_avg = mean(sum_ybar, t)
+                aty_avg = problem.operator.adjoint_apply(ybar_avg)
+                dual_avg = -reg.conj_value(-aty_avg) - loss.conj_value(ybar_avg)
+                avg_gap = check_gap_floor(avg_primal - dual_avg)
             if reference is not None:
                 dual_subopt = reference.primal_value - post_dual
                 bregman_ref = reg.bregman(reference.x_star, state.x)
@@ -447,14 +395,17 @@ def run(
             # objective of min_{x in K} f(A x); the dual uses the support
             # function of K in place of the conjugate of h
             primal = loss.value(state.ax)
+            add(sum_ax, state.ax, t)
             state = stepper(problem, state, rho)
+            add(sum_ybar, state.y, t)
+            add(sum_aty, state.last_aty, t)
             dual = -reg.domain.support(-state.last_aty) - loss.conj_value(state.y)
             gap = check_gap_floor(primal - dual)
-            avg_primal = loss.value(state.psum_ax / t)
+            avg_primal = loss.value(mean(sum_ax, t))
             avg_gap = check_gap_floor(
                 avg_primal
-                + reg.domain.support(-state.psum_aty / t)
-                + loss.conj_value(state.psum_ybar / t)
+                + reg.domain.support(-mean(sum_aty, t))
+                + loss.conj_value(mean(sum_ybar, t))
             )
         records.append(
             TraceRecord(
@@ -478,5 +429,5 @@ def run(
         algorithm=algorithm,
         schedule=schedule,
         termination=termination,
-        init_dual_derived=(algorithm in (MD, GCG)),
+        init_dual_derived=strongly_convex,
     )

@@ -223,6 +223,8 @@ def _cmd_certify(args) -> int:
 def _cmd_sweep(args) -> int:
     config = _apply_overrides(ExperimentConfig.load(args.config), args, {"seed": "seed"})
     schedules = [s for s in args.schedules.split(",") if s != ""]
+    if not schedules:
+        raise ConfigurationError(f"--schedules {args.schedules!r} selects no schedules")
     seeds = _parse_seeds(args.seeds)
     paths = run_sweep(config, schedules, seeds, args.out_dir, workers=args.workers)
     print(f"sweep: wrote {len(paths)} traces to {args.out_dir}")

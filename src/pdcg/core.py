@@ -168,11 +168,13 @@ class TraceRecord:
     ``primal_value``, ``dual_value`` and ``gap`` are evaluated at the
     pre-step pair (x_{t-1}, y_{t-1}), so the gap consumed by the
     line-search rule appears verbatim in the row.  ``avg_primal_value``
-    is the objective at the averaged iterate including x_{t-1}.
+    is the objective at the schedule's average of x_0..x_{t-1} (weight u
+    on x_{u-1} under 2/(t+1); uniform otherwise and for ns-md).
     ``dual_suboptimality`` and ``bregman_to_ref`` describe the post-step
     pair (x_t, y_t) against a reference solution and are filled only
-    when a reference is supplied.  ``avg_gap`` is the gap at the
-    schedule's canonical averaged pair, when one is defined.
+    when a reference is supplied.  ``avg_gap`` pairs that average with
+    y_t under 2/(t+1), with the uniform average of the oracle outputs
+    under 1/t and for ns-md, and is None under line search.
     """
 
     t: int

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import (
-    LineSearch,
     StepSchedule,
     gcg_step,
     init_state,
@@ -28,7 +27,7 @@ from .algorithms import (
     primal_dual_values,
     step_size,
 )
-from .core import ProblemInstance, as_vector, clamp_gap, validate_instance
+from .core import ConfigurationError, ProblemInstance, as_vector, clamp_gap, validate_instance
 
 
 @dataclass(frozen=True)
@@ -55,8 +54,11 @@ def verify_equivalence(
     deviation max_t ||carried^MD_t + A^T y_t^GCG||_inf.  With a
     line-search schedule the gap is computed once per iteration from
     the conditional-gradient pair and fed to both steppers, which
-    removes round-off asymmetry between the two runs.
+    removes round-off asymmetry between the two runs.  Zero iterations
+    pass vacuously; a negative count or tolerance is a usage error.
     """
+    if iterations < 0 or not tolerance >= 0:
+        raise ConfigurationError("iterations and tolerance must be nonnegative")
     validate_instance(problem, require_strong_convexity=True)
     y0 = as_vector(y0, problem.n, "y0")
     md_state = init_state(problem, y0)
@@ -64,7 +66,7 @@ def verify_equivalence(
     max_x = 0.0
     max_dual = 0.0
     for t in range(1, iterations + 1):
-        if isinstance(schedule, LineSearch):
+        if schedule.needs_gap:
             primal, dual = primal_dual_values(problem, cg_state)
             rho = step_size(schedule, t, current_gap=clamp_gap(primal - dual))
         else:

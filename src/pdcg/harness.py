@@ -276,8 +276,8 @@ def _polish_box_dual(problem: ProblemInstance, y: np.ndarray, tol: float, max_it
     if loss.open_domain:
         margin = 1e-12 * widths
         y = np.clip(y, lo + margin, hi - margin)
-    best_y = y.copy()
-    best_gap = duality_gap(problem, reg.conj_grad(-op.adjoint_apply(y)), y)
+    # the first pass evaluates the start pair
+    best_y, best_gap = y, float("inf")
     used = 0
     for k in range(max_iter):
         used = k + 1
@@ -339,8 +339,8 @@ def reference_solution(problem: ProblemInstance, tol: float = 1e-9, cap: int = 1
     r2, _ = estimate_r2(problem.loss, op, "diameter")
     schedule = LineSearch(mu=reg.mu, r2=r2)
     state = init_state(problem, resolve_initial_dual(problem))
-    best_y = state.y.copy()
-    best_gap = duality_gap(problem, state.x, best_y)
+    # the first warm-start pass evaluates the start pair
+    best_y, best_gap = state.y, float("inf")
     iters = 0
     warm = min(cap, 500)
     for t in range(1, warm + 1):

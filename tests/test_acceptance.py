@@ -463,11 +463,16 @@ def test_uniform_average_gap_decay(panel):
     for item in panel["items"]:
         prob = item["problem"]
         state = init_state(prob, np.zeros(prob.n))
+        # independent uniform sums of the iterates x_{t-1} and oracle outputs
+        psum_x = np.zeros(prob.p)
+        psum_ybar = np.zeros(prob.n)
         initial = None
         hit = None
         for t in range(1, 10**4 + 1):
+            psum_x += state.x
             state = md_step(prob, state, step_size(FixedOneOverT(), t))
-            gap = duality_gap(prob, state.plain_x_avg, state.plain_y_avg)
+            psum_ybar += state.y_bar
+            gap = duality_gap(prob, psum_x / t, psum_ybar / t)
             if initial is None:
                 initial = gap
             if gap <= 1e-2 * initial:

@@ -25,6 +25,7 @@ from pdcg import (
     init_state_compact,
     md_step,
     ns_md_step,
+    resolve_initial_dual,
     run,
     step_size,
 )
@@ -125,7 +126,6 @@ def test_zero_step_keeps_iterates():
         assert out.t == 1
         np.testing.assert_array_equal(out.x, state.x)
         np.testing.assert_array_equal(out.y, state.y)
-        assert out.wsum_x[0] == state.x[0]  # averages still advance
 
 
 def test_gcg_full_step_takes_oracle_vertex():
@@ -246,9 +246,11 @@ def test_convex_combination_identity_short():
     # and stays feasible at every step
     prob = _svm_problem(n=24, p=5, seed=9)
     state = init_state(prob, np.zeros(prob.n))
+    wsum_ybar = np.zeros(prob.n)
     for t in range(1, 51):
         state = gcg_step(prob, state, step_size(FixedTwoOverTPlusOne(), t))
-        np.testing.assert_allclose(state.y, state.weighted_y_avg, atol=1e-12)
+        wsum_ybar += t * state.y_bar
+        np.testing.assert_allclose(state.y, 2.0 / (t * (t + 1.0)) * wsum_ybar, atol=1e-12)
         assert prob.loss.dual_domain.contains(state.y, 1e-10)
 
 
@@ -328,3 +330,70 @@ def test_run_evaluates_each_primal_dual_pair_once(algorithm, schedule, calls_per
     res = run(prob, algorithm, sched, max_iters=iters, gap_tol=-np.inf, reference=reference)
     assert len(res.trace) == iters
     assert len(calls) == calls_per_iter * iters + 1
+
+
+@pytest.mark.parametrize(
+    "algorithm,schedule",
+    [
+        ("md", "two-over-t-plus-one"),
+        ("gcg", "two-over-t-plus-one"),
+        ("md", "one-over-t"),
+        ("gcg", "one-over-t"),
+        ("md", "line-search"),
+        ("gcg", "line-search"),
+        ("ns-md", "sqrt-decay"),
+        ("ns-md", "two-over-t-plus-one"),
+    ],
+)
+def test_run_averaged_columns_match_a_replay(algorithm, schedule):
+    # replay the recorded steps and keep the running sums here, with the
+    # arithmetic of each schedule's average written out
+    cfg = ExperimentConfig(
+        loss="lad", regularizer="entropy", n=30, p=6, scale=20.0 / 30, seed=4,
+        algorithm=algorithm, schedule=schedule, max_iters=60,
+    )
+    prob = generate_problem(cfg)
+    res = run(prob, algorithm, build_schedule(cfg, prob), max_iters=cfg.max_iters)
+    op, reg, loss = prob.operator, prob.regularizer, prob.loss
+    avg_primal, avg_gap = [], []
+    if algorithm == "ns-md":
+        state = init_state_compact(prob)
+        sum_ax, sum_y, sum_aty = np.zeros(prob.n), np.zeros(prob.n), np.zeros(prob.p)
+        for rec in res.trace:
+            t = rec.t
+            sum_ax = sum_ax + state.ax
+            state = ns_md_step(prob, state, rec.rho)
+            sum_y = sum_y + state.y
+            sum_aty = sum_aty + state.last_aty
+            primal = loss.value(sum_ax / t)
+            avg_primal.append(primal)
+            avg_gap.append(primal + reg.domain.support(-sum_aty / t) + loss.conj_value(sum_y / t))
+    else:
+        state = init_state(prob, resolve_initial_dual(prob))
+        stepper = md_step if algorithm == "md" else gcg_step
+        sum_x, sum_ax, sum_ybar = np.zeros(prob.p), np.zeros(prob.n), np.zeros(prob.n)
+        for rec in res.trace:
+            t = rec.t
+            if schedule == "two-over-t-plus-one":  # weight u on x_{u-1}
+                sum_x = sum_x + t * state.x
+                sum_ax = sum_ax + t * state.ax
+                state = stepper(prob, state, rec.rho)
+                w = 2.0 / (t * (t + 1.0))
+                primal = reg.value(w * sum_x) + loss.value(w * sum_ax)
+                # the averaged pair's dual point is y_t itself
+                gap = primal - (-reg.conj_value(state.carried_h_sub) - loss.conj_value(state.y))
+            else:  # uniform weights
+                sum_x = sum_x + state.x
+                sum_ax = sum_ax + state.ax
+                state = stepper(prob, state, rec.rho)
+                sum_ybar = sum_ybar + state.y_bar
+                primal = reg.value(sum_x / t) + loss.value(sum_ax / t)
+                ybar_avg = sum_ybar / t
+                dual = -reg.conj_value(-op.adjoint_apply(ybar_avg)) - loss.conj_value(ybar_avg)
+                gap = primal - dual if schedule == "one-over-t" else None
+            avg_primal.append(primal)
+            avg_gap.append(gap)
+    assert len(res.trace) == cfg.max_iters
+    assert len(set(avg_primal)) > 10  # the averages move
+    assert [rec.avg_primal_value for rec in res.trace] == avg_primal
+    assert [rec.avg_gap for rec in res.trace] == avg_gap

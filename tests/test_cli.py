@@ -169,3 +169,19 @@ def test_sweep_bad_or_empty_seeds_exit_two(tmp_path, config_path, seeds, capsys)
     assert cli_main(argv) == 2
     assert "--seeds" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("flags", [["--iters", "-5"], ["--tol", "-1"]], ids=["iters", "tol"])
+def test_compare_negative_arguments_exit_two(config_path, flags, capsys):
+    assert cli_main(["compare", "--config", config_path, *flags]) == 2
+    captured = capsys.readouterr()
+    assert "must be nonnegative" in captured.err
+    assert "compare:" not in captured.out
+
+
+def test_sweep_empty_schedules_exit_two(tmp_path, config_path, capsys):
+    out_dir = tmp_path / "cells"
+    argv = ["sweep", "--config", config_path, "--out-dir", str(out_dir), "--schedules", ",", "--workers", "1"]
+    assert cli_main(argv) == 2
+    assert "--schedules" in capsys.readouterr().err
+    assert not out_dir.exists()

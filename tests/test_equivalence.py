@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pdcg import (
+    ConfigurationError,
     ExperimentConfig,
     FeasibilityError,
     FixedOneOverT,
@@ -66,6 +67,12 @@ def test_equivalence_zero_iterations_vacuous():
     assert rep.passed
     assert rep.max_x_deviation == 0.0
     assert rep.max_dual_identity_deviation == 0.0
+
+
+@pytest.mark.parametrize("iterations,tolerance", [(-5, 1e-9), (10, -1.0)], ids=["iterations", "tolerance"])
+def test_equivalence_rejects_negative_arguments(iterations, tolerance):
+    with pytest.raises(ConfigurationError, match="must be nonnegative"):
+        verify_equivalence(_svm(), np.zeros(40), FixedTwoOverTPlusOne(), iterations, tolerance)
 
 
 @pytest.mark.parametrize("make_sched", [

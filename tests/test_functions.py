@@ -4,6 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
+import pdcg.algorithms
 import pdcg.functions
 from pdcg import (
     ConfigurationError,
@@ -400,15 +401,11 @@ def test_no_smooth_dual_model(oracle, call):
     assert str(exc.value) == f"no smooth dual model for {type(oracle).__name__}"
 
 
-def test_kind_checks_stay_in_functions():
-    # every other module reaches regularizer and loss kinds through methods
-    kinds = {
-        name for name, obj in vars(pdcg.functions).items()
-        if isinstance(obj, type) and issubclass(obj, (pdcg.functions.Regularizer, pdcg.functions.Loss))
-    }
+def _isinstance_hits(kinds, skip=()):
+    """``file:line`` of every ``isinstance`` call in the package naming one of ``kinds``."""
     hits = []
     for path in sorted(pathlib.Path(pdcg.functions.__file__).parent.glob("*.py")):
-        if path.name == "functions.py":
+        if path.name in skip:
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
@@ -416,4 +413,21 @@ def test_kind_checks_stay_in_functions():
                          for n in ast.walk(node.args[1]) if isinstance(n, (ast.Name, ast.Attribute))}
                 if named & kinds:
                     hits.append(f"{path.name}:{node.lineno}")
-    assert hits == []
+    return hits
+
+
+def test_kind_checks_stay_in_functions():
+    # every other module reaches regularizer and loss kinds through methods
+    kinds = {
+        name for name, obj in vars(pdcg.functions).items()
+        if isinstance(obj, type) and issubclass(obj, (pdcg.functions.Regularizer, pdcg.functions.Loss))
+    }
+    assert _isinstance_hits(kinds, skip=("functions.py",)) == []
+
+
+def test_no_checks_on_concrete_schedule_kinds():
+    # run and verify_equivalence read what a schedule declares; only the
+    # StepSchedule base class may be named (step_size's unknown-schedule check)
+    kinds = {"FixedTwoOverTPlusOne", "FixedOneOverT", "LineSearch", "SqrtDecay"}
+    assert _isinstance_hits(kinds) == []
+    assert {cls.__name__ for cls in pdcg.algorithms.StepSchedule.__subclasses__()} == kinds

@@ -1,0 +1,154 @@
+"""Byte-identity grid: every CLI output on a fixed config grid, hashed.
+
+A refactor that must not change any output runs this before and after
+the change and compares the two digests::
+
+    python3 tools/output_grid.py --out before.json      # at the old commit
+    python3 tools/output_grid.py --out after.json       # at the new one
+    python3 tools/output_grid.py --diff before.json after.json
+
+The grid calls ``cli_main`` in-process for 4 losses x 3 regularizers x
+scale {default, 20/n} (n=60, p=12, seed 3, 150 iterations):
+
+* ``solve`` for md, gcg and ns-md under each of the 4 schedules (the
+  pairs ``run`` rejects included), written as CSV and as JSON;
+* ``compare`` under 2/(t+1), 1/t and line search;
+* ``certify --out`` for each of the 8 bound ids.
+
+That is 840 outputs.  For each one the manifest records stdout, stderr,
+the exit code, an escaped exception and the sha256 of the written file.
+Every file goes to one fixed path, because the JSON config echo and the
+``solve`` summary line hold it; the digest therefore depends on
+``--workdir`` and on the BLAS build.  The run takes about half a minute
+and is not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+from pdcg.certificates import BOUND_IDS  # noqa: E402
+from pdcg.cli import cli_main  # noqa: E402
+from pdcg.harness import LOSS_KINDS, REGULARIZER_KINDS, SCHEDULE_NAMES  # noqa: E402
+
+N, P, SEED, ITERS = 60, 12, 3, 150
+ALGORITHMS = ("md", "gcg", "ns-md")
+COMPARE_SCHEDULES = ("two-over-t-plus-one", "one-over-t", "line-search")
+
+
+def _sha256(path: str):
+    if not os.path.exists(path):
+        return None
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _call(argv: list, out_path: str) -> dict:
+    """One in-process CLI call and everything it leaves behind."""
+    if os.path.exists(out_path):
+        os.remove(out_path)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    code, exception = None, None
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli_main(argv)
+        except Exception as exc:  # recorded, not raised: a traceback is an output too
+            exception = f"{type(exc).__name__}: {exc}"
+    return {
+        "stdout": stdout.getvalue(),
+        "stderr": stderr.getvalue(),
+        "code": code,
+        "exception": exception,
+        "sha256": _sha256(out_path),
+    }
+
+
+def grid_calls(workdir: str):
+    """(key, argv) for every output of the grid, in a fixed order."""
+    cfg_path = os.path.join(workdir, "config.json")
+    out_path = os.path.join(workdir, "out")
+    for loss in LOSS_KINDS:
+        for reg in REGULARIZER_KINDS:
+            for scale in (None, 20.0 / N):
+                config = {"loss": loss, "regularizer": reg, "n": N, "p": P, "seed": SEED,
+                          "scale": scale, "max_iters": ITERS}
+                prefix = f"{loss}/{reg}/scale={scale}"
+                setup = (cfg_path, config)
+                for algo in ALGORITHMS:
+                    for sched in SCHEDULE_NAMES:
+                        for fmt in ("csv", "json"):
+                            yield setup, f"{prefix}/solve/{algo}/{sched}/{fmt}", [
+                                "solve", "--config", cfg_path, "--algorithm", algo, "--schedule", sched,
+                                "--max-iters", str(ITERS), "--out", out_path, "--format", fmt]
+                for sched in COMPARE_SCHEDULES:
+                    yield setup, f"{prefix}/compare/{sched}", [
+                        "compare", "--config", cfg_path, "--iters", str(ITERS), "--schedule", sched]
+                for prop in BOUND_IDS:
+                    yield setup, f"{prefix}/certify/{prop}", [
+                        "certify", "--config", cfg_path, "--prop", prop, "--max-iters", str(ITERS),
+                        "--out", out_path]
+
+
+def build_manifest(workdir: str) -> dict:
+    os.makedirs(workdir, exist_ok=True)
+    out_path = os.path.join(workdir, "out")
+    manifest = {}
+    written = None
+    for (cfg_path, config), key, argv in grid_calls(workdir):
+        if config != written:
+            with open(cfg_path, "w", encoding="utf-8") as fh:
+                json.dump(config, fh)
+            written = config
+        manifest[key] = _call(argv, out_path)
+    return manifest
+
+
+def digest(manifest: dict) -> str:
+    return hashlib.sha256(json.dumps(manifest, sort_keys=True).encode()).hexdigest()
+
+
+def diff(path_a: str, path_b: str) -> list:
+    """Keys whose entries differ (or exist on one side only)."""
+    with open(path_a, encoding="utf-8") as fh:
+        a = json.load(fh)
+    with open(path_b, encoding="utf-8") as fh:
+        b = json.load(fh)
+    return [key for key in sorted(set(a) | set(b)) if a.get(key) != b.get(key)]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workdir", default=os.path.join(tempfile.gettempdir(), "pdcg-output-grid"),
+                        help="directory for the config and the one output path")
+    parser.add_argument("--out", default=None, help="write the manifest as JSON")
+    parser.add_argument("--diff", nargs=2, metavar=("A", "B"), help="list the entries two manifests differ in")
+    args = parser.parse_args(argv)
+    if args.diff:
+        keys = diff(*args.diff)
+        for key in keys:
+            print(key)
+        print(f"{len(keys)} entries differ")
+        return 1 if keys else 0
+    manifest = build_manifest(args.workdir)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+    print(f"outputs={len(manifest)} digest={digest(manifest)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
