@@ -350,17 +350,15 @@ def run(
         state = init_state_compact(problem, x0=x0)
         stepper = ns_md_step
 
-    # running sums of the averaged iterates, oracle outputs and A^T y;
-    # the compact-domain recursion averages uniformly under every schedule
+    # running sums of the averaged iterates, oracle outputs and A^T y.  A
+    # weighted schedule adds x_{u-1} with weight u and scales the sum by
+    # 2/(t(t+1)); otherwise each iterate enters once and the sum is divided
+    # by t.  The compact-domain recursion averages uniformly under every
+    # schedule.
     weighted = strongly_convex and schedule.weighted
+    average = np.multiply if weighted else np.true_divide
     sum_x, sum_aty = np.zeros(problem.p), np.zeros(problem.p)
     sum_ax, sum_ybar = np.zeros(problem.n), np.zeros(problem.n)
-
-    def add(total, v, t):
-        total += t * v if weighted else v
-
-    def mean(total, t):
-        return 2.0 / (t * (t + 1.0)) * total if weighted else total / t
 
     records = []
     termination = "budget"
@@ -372,18 +370,19 @@ def run(
             primal, dual = values
             gap = check_gap_floor(primal - dual)
             rho = step_size(schedule, t, current_gap=gap)
-            add(sum_x, state.x, t)
-            add(sum_ax, state.ax, t)
+            norm = 2.0 / (t * (t + 1.0)) if weighted else t
+            sum_x += t * state.x if weighted else state.x
+            sum_ax += t * state.ax if weighted else state.ax
             state = stepper(problem, state, rho)
             values = primal_dual_values(problem, state)
             post_dual = values[1]
-            avg_primal = reg.value(mean(sum_x, t)) + loss.value(mean(sum_ax, t))
+            avg_primal = reg.value(average(sum_x, norm)) + loss.value(average(sum_ax, norm))
             avg_gap = None
             if schedule.avg_dual == "y":
                 avg_gap = check_gap_floor(avg_primal - post_dual)
             elif schedule.avg_dual == "oracle":
-                add(sum_ybar, state.y_bar, t)
-                ybar_avg = mean(sum_ybar, t)
+                sum_ybar += t * state.y_bar if weighted else state.y_bar
+                ybar_avg = average(sum_ybar, norm)
                 aty_avg = problem.operator.adjoint_apply(ybar_avg)
                 dual_avg = -reg.conj_value(-aty_avg) - loss.conj_value(ybar_avg)
                 avg_gap = check_gap_floor(avg_primal - dual_avg)
@@ -395,17 +394,15 @@ def run(
             # objective of min_{x in K} f(A x); the dual uses the support
             # function of K in place of the conjugate of h
             primal = loss.value(state.ax)
-            add(sum_ax, state.ax, t)
+            sum_ax += state.ax
             state = stepper(problem, state, rho)
-            add(sum_ybar, state.y, t)
-            add(sum_aty, state.last_aty, t)
+            sum_ybar += state.y
+            sum_aty += state.last_aty
             dual = -reg.domain.support(-state.last_aty) - loss.conj_value(state.y)
             gap = check_gap_floor(primal - dual)
-            avg_primal = loss.value(mean(sum_ax, t))
+            avg_primal = loss.value(sum_ax / t)
             avg_gap = check_gap_floor(
-                avg_primal
-                + reg.domain.support(-mean(sum_aty, t))
-                + loss.conj_value(mean(sum_ybar, t))
+                avg_primal + reg.domain.support(-(sum_aty / t)) + loss.conj_value(sum_ybar / t)
             )
         records.append(
             TraceRecord(

@@ -7,6 +7,7 @@ the dual variable y in R^n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -18,6 +19,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 # Negative duality gaps larger than this are treated as oracle bugs;
 # smaller ones are round-off and clamped to zero.
 GAP_CLAMP = 1e-10
+
+_FLOAT64 = np.dtype(np.float64)
 
 
 class DimensionMismatch(ValueError):
@@ -45,13 +48,19 @@ class GapInconsistencyError(RuntimeError):
 
 
 def as_vector(x, length: Optional[int] = None, name: str = "vector") -> np.ndarray:
-    """Coerce ``x`` to a finite 1-D float64 array, optionally checking length."""
-    v = np.asarray(x, dtype=np.float64)
+    """Coerce ``x`` to a finite 1-D float64 array, optionally checking length.
+
+    The finiteness scan is one sum: any NaN or infinite entry makes the
+    sum non-finite, so a finite sum proves every entry finite.  Only a
+    non-finite sum, which finite entries near the float64 limit can also
+    produce (numpy then warns of the overflow), runs the entrywise scan.
+    """
+    v = x if type(x) is np.ndarray and x.dtype == _FLOAT64 else np.asarray(x, dtype=np.float64)
     if v.ndim != 1:
         raise DimensionMismatch(f"{name} must be 1-D, got shape {v.shape}")
     if length is not None and v.shape[0] != length:
         raise DimensionMismatch(f"{name} has length {v.shape[0]}, expected {length}")
-    if not np.all(np.isfinite(v)):
+    if not math.isfinite(np.add.reduce(v)) and not np.isfinite(v).all():
         raise ValidationError(f"{name} contains non-finite entries")
     return v
 

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import (
+    GCG,
+    MD,
     StepSchedule,
     gcg_step,
     init_state,
@@ -55,11 +57,14 @@ def verify_equivalence(
     line-search schedule the gap is computed once per iteration from
     the conditional-gradient pair and fed to both steppers, which
     removes round-off asymmetry between the two runs.  Zero iterations
-    pass vacuously; a negative count or tolerance is a usage error.
+    pass vacuously; a negative count or tolerance, or a schedule that
+    ``run`` rejects for either recursion, is a usage error.
     """
     if iterations < 0 or not tolerance >= 0:
         raise ConfigurationError("iterations and tolerance must be nonnegative")
     validate_instance(problem, require_strong_convexity=True)
+    if MD not in schedule.recursions or GCG not in schedule.recursions:
+        raise ConfigurationError(schedule.pairing_error)
     y0 = as_vector(y0, problem.n, "y0")
     md_state = init_state(problem, y0)
     cg_state = init_state(problem, y0)

@@ -36,19 +36,16 @@ _COMPACT_ONLY = "compact-domain recursion supports entropy and box regularizers 
 
 def _xlogx(v: np.ndarray) -> np.ndarray:
     """Entrywise v*log(v) with the convention 0*log(0) = 0."""
-    out = np.zeros_like(v)
     mask = v > 1e-300
-    out[mask] = v[mask] * np.log(v[mask])
-    return out
+    w = np.where(mask, v, 1.0)
+    return np.where(mask, w * np.log(w), 0.0)
 
 
 def _sigmoid(u: np.ndarray) -> np.ndarray:
-    out = np.empty_like(u)
-    pos = u >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    e = np.exp(u[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """Entrywise 1/(1 + exp(-u)), with exp taken of -|u| only, so it never overflows."""
+    e = np.exp(-np.abs(u))
+    d = 1.0 + e
+    return np.where(u >= 0, 1.0 / d, e / d)
 
 
 # ---------------------------------------------------------------------------
@@ -77,9 +74,9 @@ class Box:
         hi = np.asarray(upper, dtype=np.float64)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValidationError("box bounds must be 1-D arrays of equal length")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
             raise ValidationError("box bounds must be finite")
-        if np.any(lo > hi):
+        if (lo > hi).any():
             raise ValidationError("box lower bounds exceed upper bounds")
         self.lower = lo
         self.upper = hi
@@ -90,7 +87,7 @@ class Box:
         return self.upper - self.lower
 
     def diameter2(self) -> float:
-        return float(np.sum(self.widths**2))
+        return float((self.widths**2).sum())
 
     def center(self) -> np.ndarray:
         return 0.5 * (self.lower + self.upper)
@@ -101,15 +98,15 @@ class Box:
 
     def contains(self, v, tol: float = 1e-12) -> bool:
         v = np.asarray(v, dtype=np.float64)
-        return bool(np.all(v >= self.lower - tol) and np.all(v <= self.upper + tol))
+        return bool((v >= self.lower - tol).all() and (v <= self.upper + tol).all())
 
     def clip(self, v) -> np.ndarray:
-        return np.clip(v, self.lower, self.upper)
+        return np.asarray(v).clip(self.lower, self.upper)
 
     def support(self, z) -> float:
         """Support function max_{v in box} <v, z>."""
         z = np.asarray(z, dtype=np.float64)
-        return float(np.sum(np.maximum(self.lower * z, self.upper * z)))
+        return float(np.maximum(self.lower * z, self.upper * z).sum())
 
 
 class Simplex:
@@ -124,15 +121,15 @@ class Simplex:
 
     def contains(self, v, tol: float = 1e-12) -> bool:
         v = np.asarray(v, dtype=np.float64)
-        return bool(np.min(v) >= -tol and abs(float(np.sum(v)) - 1.0) <= max(tol, tol * self.dim))
+        return bool(v.min() >= -tol and abs(float(v.sum()) - 1.0) <= max(tol, tol * self.dim))
 
     def interior_contains(self, v, tol: float = 1e-12) -> bool:
         v = np.asarray(v, dtype=np.float64)
-        return bool(np.min(v) > 0.0 and abs(float(np.sum(v)) - 1.0) <= max(tol, tol * self.dim))
+        return bool(v.min() > 0.0 and abs(float(v.sum()) - 1.0) <= max(tol, tol * self.dim))
 
     def support(self, z) -> float:
         """Support function max_{v in simplex} <v, z> = max_i z_i."""
-        return float(np.max(np.asarray(z, dtype=np.float64)))
+        return float(np.asarray(z, dtype=np.float64).max())
 
 
 class L1Ball:
@@ -148,7 +145,7 @@ class L1Ball:
 
     def contains(self, v, tol: float = 1e-12) -> bool:
         v = np.asarray(v, dtype=np.float64)
-        return bool(np.sum(np.abs(v)) <= self.radius + tol * (1.0 + self.radius))
+        return bool(np.abs(v).sum() <= self.radius + tol * (1.0 + self.radius))
 
 
 # ---------------------------------------------------------------------------
@@ -329,17 +326,17 @@ class NegativeEntropySimplex(Regularizer):
         x = as_vector(x, self.dim, "x")
         if not self.domain.contains(x):
             return float("inf")
-        return float(np.sum(_xlogx(np.maximum(x, 0.0))))
+        return float(_xlogx(np.maximum(x, 0.0)).sum())
 
     def conj_value(self, z) -> float:
         z = as_vector(z, self.dim, "z")
-        m = float(np.max(z))
-        return m + float(np.log(np.sum(np.exp(z - m))))
+        m = float(z.max())
+        return m + float(np.log(np.exp(z - m).sum()))
 
     def conj_grad(self, z) -> np.ndarray:
         z = as_vector(z, self.dim, "z")
-        e = np.exp(z - np.max(z))
-        return e / np.sum(e)
+        e = np.exp(z - z.max())
+        return e / e.sum()
 
     def subgradient(self, x) -> np.ndarray:
         x = as_vector(x, self.dim, "x")
@@ -357,7 +354,7 @@ class NegativeEntropySimplex(Regularizer):
             return float("inf")
         x1c = np.maximum(x1, 0.0)
         mask = x1c > 1e-300
-        return float(np.sum(x1c[mask] * (np.log(x1c[mask]) - np.log(x2[mask]))))
+        return float((x1c[mask] * (np.log(x1c[mask]) - np.log(x2[mask]))).sum())
 
     def interior_point(self) -> np.ndarray:
         return np.full(self.dim, 1.0 / self.dim)
@@ -372,14 +369,14 @@ class NegativeEntropySimplex(Regularizer):
     def prox_step(self, x, aty, rho: float) -> np.ndarray:
         # renormalized multiplicative update
         logits = np.log(x) - rho * aty
-        e = np.exp(logits - np.max(logits))
-        return e / np.sum(e)
+        e = np.exp(logits - logits.max())
+        return e / e.sum()
 
     def delta2(self, x0) -> float:
         """max_x KL(x || x0), attained at a vertex: -log(min_i x0_i)."""
         x0 = as_vector(x0, self.dim, "x0")
         self.check_start(x0, ConfigurationError)
-        return float(-np.log(np.min(x0)))
+        return float(-np.log(x0.min()))
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +417,7 @@ class Loss:
         """B = sup_{y in C} ||y||, a Lipschitz constant of f."""
         dom = self.dual_domain
         if isinstance(dom, Box):
-            return float(np.sqrt(np.sum(dom.max_abs() ** 2)))
+            return float(np.sqrt((dom.max_abs() ** 2).sum()))
         if isinstance(dom, L1Ball):
             return dom.radius
         raise NotImplementedError
@@ -428,7 +425,7 @@ class Loss:
 
 def _check_labels(labels) -> np.ndarray:
     lab = as_vector(labels, name="labels")
-    if not np.all(np.abs(lab) == 1.0):
+    if not (np.abs(lab) == 1.0).all():
         raise ValidationError("labels must be +1 or -1")
     return lab
 
@@ -462,15 +459,15 @@ class Hinge(_LabelLoss):
 
     def value(self, z) -> float:
         z = as_vector(z, self.dim, "z")
-        return self.scale * float(np.sum(np.maximum(1.0 - self.labels * z, 0.0)))
+        return self.scale * float(np.maximum(1.0 - self.labels * z, 0.0).sum())
 
     def conj_value(self, y) -> float:
         y = as_vector(y, self.dim, "y")
         beta = y * self.labels
         atol = MEMBERSHIP_TOL * (1.0 + self.scale)
-        if np.any(beta > atol) or np.any(beta < -self.scale - atol):
+        if (beta > atol).any() or (beta < -self.scale - atol).any():
             return float("inf")
-        return float(np.sum(np.clip(beta, -self.scale, 0.0)))
+        return float(beta.clip(-self.scale, 0.0).sum())
 
     def subgradient(self, z) -> np.ndarray:
         z = as_vector(z, self.dim, "z")
@@ -500,14 +497,14 @@ class LeastAbsoluteDeviation(Loss):
 
     def value(self, z) -> float:
         z = as_vector(z, self.dim, "z")
-        return self.scale * float(np.sum(np.abs(z - self.targets)))
+        return self.scale * float(np.abs(z - self.targets).sum())
 
     def conj_value(self, y) -> float:
         y = as_vector(y, self.dim, "y")
         atol = MEMBERSHIP_TOL * (1.0 + self.scale)
-        if np.any(np.abs(y) > self.scale + atol):
+        if (np.abs(y) > self.scale + atol).any():
             return float("inf")
-        return float(np.clip(y, -self.scale, self.scale) @ self.targets)
+        return float(y.clip(-self.scale, self.scale) @ self.targets)
 
     def subgradient(self, z) -> np.ndarray:
         z = as_vector(z, self.dim, "z")
@@ -533,26 +530,26 @@ class Logistic(_LabelLoss):
 
     def value(self, z) -> float:
         z = as_vector(z, self.dim, "z")
-        return self.scale * float(np.sum(np.logaddexp(0.0, -self.labels * z)))
+        return self.scale * float(np.logaddexp(0.0, -self.labels * z).sum())
 
     def conj_value(self, y) -> float:
         y = as_vector(y, self.dim, "y")
         gamma = -y * self.labels / self.scale
-        if np.any(gamma < -MEMBERSHIP_TOL) or np.any(gamma > 1.0 + MEMBERSHIP_TOL):
+        if (gamma < -MEMBERSHIP_TOL).any() or (gamma > 1.0 + MEMBERSHIP_TOL).any():
             return float("inf")
-        g = np.clip(gamma, 0.0, 1.0)
-        return self.scale * float(np.sum(_xlogx(g) + _xlogx(1.0 - g)))
+        g = gamma.clip(0.0, 1.0)
+        return self.scale * float((_xlogx(g) + _xlogx(1.0 - g)).sum())
 
     def subgradient(self, z) -> np.ndarray:
         z = as_vector(z, self.dim, "z")
         return -self.scale * self.labels * _sigmoid(-self.labels * z)
 
     def conj_grad(self, y) -> np.ndarray:
-        g = np.clip(-y * self.labels / self.scale, 1e-12, 1.0 - 1e-12)
+        g = (-y * self.labels / self.scale).clip(1e-12, 1.0 - 1e-12)
         return -self.labels * np.log(g / (1.0 - g))
 
     def conj_hess_diag(self, y) -> np.ndarray:
-        g = np.clip(-y * self.labels / self.scale, 1e-12, 1.0 - 1e-12)
+        g = (-y * self.labels / self.scale).clip(1e-12, 1.0 - 1e-12)
         return 1.0 / (self.scale * g * (1.0 - g))
 
 
@@ -578,20 +575,20 @@ class DualNormGauge(Loss):
 
     def value(self, z) -> float:
         z = as_vector(z, self.dim, "z")
-        return self.omega0 * max(float(np.max(np.abs(z))) - self.lam, 0.0)
+        return self.omega0 * max(float(np.abs(z).max()) - self.lam, 0.0)
 
     def conj_value(self, y) -> float:
         y = as_vector(y, self.dim, "y")
         if not self.dual_domain.contains(y, MEMBERSHIP_TOL):
             return float("inf")
-        return self.lam * float(np.sum(np.abs(y)))
+        return self.lam * float(np.abs(y).sum())
 
     def subgradient(self, z) -> np.ndarray:
         z = as_vector(z, self.dim, "z")
         out = np.zeros(self.dim)
         a = np.abs(z)
-        m = float(np.max(a))
+        m = float(a.max())
         if m > self.lam:
-            i = int(np.argmax(a))  # argmax returns the lowest index on ties
+            i = int(a.argmax())  # argmax returns the lowest index on ties
             out[i] = self.omega0 * np.sign(z[i])
         return out

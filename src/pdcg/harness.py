@@ -507,12 +507,18 @@ def _run_cell(payload) -> str:
 
 
 def run_sweep(config: ExperimentConfig, schedules, seeds, out_dir: str, workers: Optional[int] = None):
-    """Run the grid; cells are independent, so order never affects bytes."""
-    os.makedirs(out_dir, exist_ok=True)
-    cells = sweep_cells(config, schedules, seeds, out_dir)
-    payloads = [(cfg.to_dict(), path) for cfg, path in cells]
+    """Run the grid; cells are independent, so order never affects bytes.
+
+    ``workers`` defaults to the thread budget and must be at least 1.
+    Every argument is checked before ``out_dir`` is created.
+    """
     workers = thread_budget() if workers is None else workers
-    if workers <= 1 or len(payloads) <= 1:
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    cells = sweep_cells(config, schedules, seeds, out_dir)
+    os.makedirs(out_dir, exist_ok=True)
+    payloads = [(cfg.to_dict(), path) for cfg, path in cells]
+    if workers == 1 or len(payloads) <= 1:
         return [_run_cell(p) for p in payloads]
     with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
         return list(pool.map(_run_cell, payloads))

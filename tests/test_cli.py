@@ -185,3 +185,30 @@ def test_sweep_empty_schedules_exit_two(tmp_path, config_path, capsys):
     assert cli_main(argv) == 2
     assert "--schedules" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_compare_unpaired_schedule_exits_two(tmp_path, capsys):
+    cfg = ExperimentConfig(loss="lad", regularizer="entropy", n=20, p=5, seed=4, max_iters=20)
+    path = tmp_path / "entropy.json"
+    cfg.dump(str(path))
+    assert cli_main(["compare", "--config", str(path), "--schedule", "sqrt-decay"]) == 2
+    captured = capsys.readouterr()
+    assert "sqrt-decay pairs with the compact-domain recursion only" in captured.err
+    assert "compare:" not in captured.out
+
+
+def test_sweep_unknown_schedule_leaves_no_directory(tmp_path, config_path, capsys):
+    out_dir = tmp_path / "cells"
+    argv = ["sweep", "--config", config_path, "--out-dir", str(out_dir), "--schedules", "bogus", "--workers", "1"]
+    assert cli_main(argv) == 2
+    assert "bogus" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_sweep_nonpositive_workers_exit_two(tmp_path, config_path, workers, capsys):
+    out_dir = tmp_path / "cells"
+    argv = ["sweep", "--config", config_path, "--out-dir", str(out_dir), "--workers", workers]
+    assert cli_main(argv) == 2
+    assert "workers must be >= 1" in capsys.readouterr().err
+    assert not out_dir.exists()

@@ -88,6 +88,34 @@ def test_as_vector_checks():
         as_vector([np.inf])
 
 
+# the finiteness scan sums the entries; inf + -inf in that sum warns
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("values", [[np.nan], [np.inf], [np.inf, -np.inf], [1.0, np.nan]],
+                         ids=["nan", "inf", "inf-minus-inf", "one-nan"])
+def test_as_vector_rejects_non_finite(values):
+    with pytest.raises(ValidationError, match="v contains non-finite entries"):
+        as_vector(values, name="v")
+    with pytest.raises(ValidationError, match="v contains non-finite entries"):
+        as_vector(np.array(values), name="v")
+
+
+def test_as_vector_accepts_finite_entries_whose_sum_overflows():
+    # the overflow warning shows that the sum was not finite, so the
+    # entrywise scan decided
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        v = as_vector(np.array([1e308, 1e308]))
+    assert v.tolist() == [1e308, 1e308]
+
+
+def test_as_vector_coerces_to_float64():
+    v = as_vector([1, 2, 3])
+    assert v.dtype == np.float64 and v.tolist() == [1.0, 2.0, 3.0]
+    w = as_vector(np.array([0.5, 1.5], dtype=np.float32))
+    assert w.dtype == np.float64 and w.tolist() == [0.5, 1.5]
+    u = np.array([0.25, 4.0])
+    assert as_vector(u) is u
+
+
 def _svm_instance(n=4, p=2):
     rng = np.random.default_rng(7)
     op = LinearOperator(rng.standard_normal((n, p)))

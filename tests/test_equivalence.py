@@ -13,6 +13,7 @@ from pdcg import (
     NegativeEntropySimplex,
     ProblemInstance,
     SquaredL2,
+    SqrtDecay,
     SquaredL2Box,
     estimate_r2,
     gcg_step,
@@ -73,6 +74,13 @@ def test_equivalence_zero_iterations_vacuous():
 def test_equivalence_rejects_negative_arguments(iterations, tolerance):
     with pytest.raises(ConfigurationError, match="must be nonnegative"):
         verify_equivalence(_svm(), np.zeros(40), FixedTwoOverTPlusOne(), iterations, tolerance)
+
+
+def test_equivalence_rejects_a_schedule_run_rejects():
+    cfg = ExperimentConfig(loss="lad", regularizer="entropy", n=20, p=5, seed=4)
+    prob = generate_problem(cfg)
+    with pytest.raises(ConfigurationError, match="sqrt-decay pairs with the compact-domain recursion only"):
+        verify_equivalence(prob, np.zeros(prob.n), SqrtDecay(delta=1.0, radius=1.0), 10)
 
 
 @pytest.mark.parametrize("make_sched", [

@@ -119,6 +119,46 @@ def test_logistic_values():
     assert loss.conj_value([0.5]) == np.inf
 
 
+def _masked_xlogx(v):
+    """The gather/scatter form of _xlogx, kept as its bit-level reference."""
+    out = np.zeros_like(v)
+    mask = v > 1e-300
+    out[mask] = v[mask] * np.log(v[mask])
+    return out
+
+
+def _masked_sigmoid(u):
+    """The gather/scatter form of _sigmoid, kept as its bit-level reference."""
+    out = np.empty_like(u)
+    pos = u >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
+    e = np.exp(u[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+_EDGE_POINTS = [0.0, -0.0, 1e-300, 5e-324, 1.0, 750.0, -750.0, 1e308, -1e308, -1.0, 0.5, 1e-12]
+
+
+@pytest.mark.parametrize("fn,reference", [
+    (pdcg.functions._xlogx, _masked_xlogx),
+    (pdcg.functions._sigmoid, _masked_sigmoid),
+], ids=["xlogx", "sigmoid"])
+def test_entrywise_helpers_match_masked_forms_to_the_bit(fn, reference):
+    rng = np.random.default_rng(5)
+    inputs = [np.array(_EDGE_POINTS)]
+    # every length up to 40 (so vector tails of every width), values spread
+    # over many binades and both signs, with the edge points mixed in
+    for n in range(1, 41):
+        v = rng.choice([-1.0, 1.0], n) * np.exp(rng.uniform(-700.0, 700.0, n))
+        v[rng.random(n) < 0.2] = rng.choice(_EDGE_POINTS)
+        inputs.append(v)
+    inputs.append(rng.uniform(0.0, 1.0, 1000))
+    with np.errstate(over="ignore"):  # x log x overflows at 1e308 in both forms
+        for v in inputs:
+            assert fn(v).tobytes() == reference(v).tobytes(), v
+
+
 def test_gauge_values():
     loss = DualNormGauge(2, 2.0, 0.0)
     assert loss.value([3.0, -3.0]) == 6.0

@@ -252,6 +252,23 @@ def test_sweep_concurrent_matches_sequential(tmp_path):
         assert open(s, "rb").read() == open(p, "rb").read()
 
 
+@pytest.mark.parametrize("workers", [0, -4])
+def test_sweep_rejects_nonpositive_workers(tmp_path, workers):
+    cfg = ExperimentConfig(loss="logistic", n=12, p=3, max_iters=5)
+    out_dir = tmp_path / "cells"
+    with pytest.raises(ConfigurationError, match="workers must be >= 1"):
+        run_sweep(cfg, ["one-over-t"], [0], str(out_dir), workers=workers)
+    assert not out_dir.exists()
+
+
+def test_sweep_unknown_schedule_creates_no_directory(tmp_path):
+    cfg = ExperimentConfig(loss="logistic", n=12, p=3, max_iters=5)
+    out_dir = tmp_path / "cells"
+    with pytest.raises(ConfigurationError):
+        run_sweep(cfg, ["bogus"], [0], str(out_dir), workers=1)
+    assert not out_dir.exists()
+
+
 def test_thread_budget_env(monkeypatch):
     monkeypatch.setenv("PDCG_THREADS", "3")
     assert thread_budget() == 3
