@@ -208,7 +208,8 @@ def _cmd_certify(args) -> int:
             "passed": report.passed,
             "iterations": report.iterations,
             "worst_iteration": report.worst_iteration,
-            "worst_margin": report.worst_margin,
+            # an empty trace has worst_margin inf, which JSON cannot hold
+            "worst_margin": report.worst_margin if np.isfinite(report.worst_margin) else None,
             "margins": report.margins.tolist(),
             "bounds": report.bounds.tolist(),
             "observed": report.observed.tolist(),

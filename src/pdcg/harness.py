@@ -127,6 +127,8 @@ class ExperimentConfig:
             raise ConfigurationError("n and p must be positive")
         if self.max_iters < 0:
             raise ConfigurationError("max_iters must be nonnegative")
+        if self.reference_budget < 0:
+            raise ConfigurationError("reference_budget must be nonnegative")
         if self.output_format not in ("csv", "json"):
             raise ConfigurationError("output_format must be 'csv' or 'json'")
         if self.regularizer == "entropy" and self.mu != 1.0:
@@ -332,8 +334,14 @@ def reference_solution(problem: ProblemInstance, tol: float = 1e-9, cap: int = 1
     dual domains) switches to an active-set Newton polish; the best pair
     seen is kept.  If the gap tolerance is not reached within the
     budget, the result is returned marked uncertified rather than
-    raising.  x_star is always recomputed as (h*)'(-A^T y_star).
+    raising.  x_star is always recomputed as (h*)'(-A^T y_star).  A
+    ``tol`` that is not >= 0 (NaN included) can never be met and a
+    negative ``cap`` is no budget, so both raise ConfigurationError.
     """
+    if not tol >= 0:
+        raise ConfigurationError(f"reference tolerance must be >= 0, got {tol!r}")
+    if cap < 0:
+        raise ConfigurationError(f"reference budget must be >= 0, got {cap!r}")
     validate_instance(problem, require_strong_convexity=True)
     op, reg = problem.operator, problem.regularizer
     r2, _ = estimate_r2(problem.loss, op, "diameter")

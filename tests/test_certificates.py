@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from pdcg import (
     LeastAbsoluteDeviation,
     LinearOperator,
     LineSearch,
+    Logistic,
     NegativeEntropySimplex,
     ProblemInstance,
     SquaredL2,
@@ -160,6 +162,64 @@ def test_estimate_r2_exact_matches_pairwise_brute_force():
             for b in corners
         )
         assert exact == pytest.approx(brute, rel=1e-12)
+        exact_o, mode_o = estimate_r2(loss, op, "origin")
+        assert mode_o == "exact-vertex"
+        brute_o = max(float(np.sum(op.adjoint_apply(a) ** 2)) for a in corners)
+        assert exact_o == pytest.approx(brute_o, rel=1e-12)
+
+
+def _chunked_vertex_max(matrix, lower, upper):
+    # reference: max of ||A^T y||^2 over all 2^n vertices, 16384 rows at a time
+    n = matrix.shape[0]
+    total = 1 << n
+    chunk = 1 << min(n, 14)
+    bits = np.arange(n, dtype=np.uint64)
+    best = 0.0
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.uint64)[:, None]
+        choose = (idx >> bits) & np.uint64(1)
+        y = np.where(choose == 1, upper, lower)
+        v = y @ matrix
+        best = max(best, float(np.max(np.einsum("ij,ij->i", v, v))))
+    return best
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 13, 20])
+@pytest.mark.parametrize("kind", ["hinge", "logistic", "lad"])
+def test_estimate_r2_exact_matches_chunked_enumeration(n, kind):
+    # n = 1 leaves the first half-box empty; odd n splits it unequally
+    rng = np.random.default_rng(100 + n)
+    labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    if kind == "hinge":
+        loss = Hinge(labels, 0.7)
+    elif kind == "logistic":
+        loss = Logistic(labels, 0.3)
+    else:
+        loss = LeastAbsoluteDeviation(rng.standard_normal(n), 0.5)
+    op = LinearOperator(rng.standard_normal((n, 3)))
+    dom = loss.dual_domain
+    for which, lower, upper in (
+        ("diameter", -dom.widths, dom.widths),
+        ("origin", dom.lower, dom.upper),
+    ):
+        value, mode = estimate_r2(loss, op, which)
+        assert mode == "exact-vertex"
+        assert value == pytest.approx(_chunked_vertex_max(op.matrix, lower, upper), rel=1e-12)
+
+
+@pytest.mark.parametrize("p, limit_mb", [(10, 2), (500, 16)])
+def test_exact_r2_memory_grows_with_half_the_vertices(p, limit_mb):
+    # all 2^20 vertex images at once would take 2^20 * p * 8 bytes
+    rng = np.random.default_rng(21)
+    loss = LeastAbsoluteDeviation(rng.standard_normal(20), 0.5)
+    op = LinearOperator(rng.standard_normal((20, p)))
+    tracemalloc.start()
+    try:
+        estimate_r2(loss, op, "diameter")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mb * 1e6
 
 
 def test_estimate_r2_bound_dominates_exact():

@@ -90,6 +90,38 @@ def test_certify_pass_and_report(tmp_path, certify_config_path, capsys):
     assert len(obj["margins"]) == 300
 
 
+def test_certify_empty_trace_writes_standard_json(tmp_path, certify_config_path):
+    report = tmp_path / "report.json"
+    argv = ["certify", "--config", certify_config_path, "--prop", "gcg-fixed-min-gap",
+            "--max-iters", "0", "--out", str(report)]
+    assert cli_main(argv) == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    obj = json.loads(report.read_text(), parse_constant=reject)
+    assert obj["iterations"] == 0
+    assert obj["worst_margin"] is None
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_certify_bad_reference_tolerance_exits_two(certify_config_path, tol, capsys):
+    argv = ["certify", "--config", certify_config_path, "--prop", "md-avg-subopt", "--reference-tol", tol]
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert "reference tolerance must be >= 0" in captured.err
+    assert "certify:" not in captured.out
+
+
+def test_certify_negative_reference_budget_exits_two(tmp_path, capsys):
+    path = tmp_path / "budget.json"
+    path.write_text('{"loss": "hinge", "n": 20, "p": 4, "reference_budget": -1}')
+    assert cli_main(["certify", "--config", str(path), "--prop", "md-avg-subopt"]) == 2
+    captured = capsys.readouterr()
+    assert "reference_budget must be nonnegative" in captured.err
+    assert "certify:" not in captured.out
+
+
 def test_certify_reference_based(certify_config_path, capsys):
     code = cli_main(
         ["certify", "--config", certify_config_path, "--prop", "md-distance", "--max-iters", "200"]

@@ -60,6 +60,7 @@ def test_config_rejects_unknown_keys():
         {"max_iters": -1},
         {"output_format": "parquet"},
         {"regularizer": "entropy", "mu": 2.0},
+        {"reference_budget": -1},
     ],
 )
 def test_config_validation_errors(overrides):
@@ -134,6 +135,15 @@ def test_reference_zero_budget_uncertified():
     assert not ref.certified
     assert ref.iterations == 0
     assert ref.certified_gap > 1e-9
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"tol": float("nan")}, {"tol": -1.0}, {"cap": -1}], ids=["nan-tol", "negative-tol", "negative-cap"]
+)
+def test_reference_rejects_bad_tolerance_or_budget(kwargs):
+    prob = ProblemInstance(LinearOperator([[1.0]]), SquaredL2(1.0, 1), Hinge([1.0], 1.0))
+    with pytest.raises(ConfigurationError):
+        reference_solution(prob, **kwargs)
 
 
 def test_reference_certifies_all_loss_regularizer_mixes():
