@@ -37,10 +37,8 @@ from .certificates import (
     dual_objective,
     duality_gap,
     estimate_r2,
-    gap_decomposition,
     geometry_constants,
     primal_objective,
-    support_gap,
 )
 from .core import (
     ConfigurationError,

@@ -172,17 +172,14 @@ class SolverState:
     last_aty: Optional[np.ndarray] = None
 
 
-def resolve_initial_dual(problem: ProblemInstance, y0=None, x_init=None) -> np.ndarray:
-    """Default dual start: given y0, else the loss oracle at A x_init, else 0."""
+def resolve_initial_dual(problem: ProblemInstance, y0=None) -> np.ndarray:
+    """Default dual start: given y0, else 0 when 0 lies in C, else the oracle at A (h*)'(0)."""
     loss = problem.loss
     if y0 is not None:
         y0 = as_vector(y0, problem.n, "y0")
         if not loss.dual_domain.contains(y0, 1e-10):
             raise FeasibilityError("y0 lies outside the dual domain C")
         return y0
-    if x_init is not None:
-        x_init = as_vector(x_init, problem.p, "x_init")
-        return loss.subgradient(problem.operator.apply(x_init))
     zero = np.zeros(problem.n)
     if loss.dual_domain.contains(zero, 0.0):
         return zero
@@ -296,7 +293,6 @@ class RunResult:
     algorithm: str
     schedule: StepSchedule
     termination: str  # "budget" | "gap_tolerance"
-    init_dual_derived: bool = True
 
 
 def primal_dual_values(problem: ProblemInstance, state: SolverState) -> tuple[float, float]:
@@ -314,8 +310,6 @@ def run(
     max_iters: int,
     gap_tol: float = 0.0,
     y0=None,
-    x0=None,
-    x_init=None,
     reference=None,
 ) -> RunResult:
     """Iterate until the budget is exhausted or the gap reaches ``gap_tol``.
@@ -327,7 +321,8 @@ def run(
     rule: the dual start y_0 (default per ``resolve_initial_dual``)
     determines x_0 = (h*)'(-A^T y_0) for both strongly convex
     recursions; the compact-domain recursion starts from the interior
-    point ``x0`` (default: simplex barycenter / box center).
+    point of its domain (simplex barycenter / box center), the point at
+    which ``geometry_constants`` and ``build_schedule`` compute delta^2.
     """
     if algorithm not in ALGORITHMS:
         raise ConfigurationError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
@@ -342,12 +337,12 @@ def run(
         raise ConfigurationError(schedule.pairing_error)
 
     if strongly_convex:
-        state = init_state(problem, resolve_initial_dual(problem, y0=y0, x_init=x_init))
+        state = init_state(problem, resolve_initial_dual(problem, y0=y0))
         stepper = md_step if algorithm == MD else gcg_step
         # the post-step pair of one iteration is the pre-step pair of the next
         values = primal_dual_values(problem, state)
     else:
-        state = init_state_compact(problem, x0=x0)
+        state = init_state_compact(problem)
         stepper = ns_md_step
 
     # running sums of the averaged iterates, oracle outputs and A^T y.  A
@@ -426,5 +421,4 @@ def run(
         algorithm=algorithm,
         schedule=schedule,
         termination=termination,
-        init_dual_derived=strongly_convex,
     )

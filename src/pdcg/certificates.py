@@ -47,13 +47,7 @@ from .core import (
     as_vector,
     clamp_gap,
 )
-from .functions import Box, L1Ball, Loss
-
-# Largest dual dimension for which vertex enumeration is exact.
-EXACT_VERTEX_LIMIT = 20
-
-MODE_EXACT = "exact-vertex"
-MODE_BOUND = "column-norm-bound"
+from .functions import MODE_BOUND, MODE_EXACT, Loss
 
 
 # ---------------------------------------------------------------------------
@@ -78,23 +72,6 @@ def dual_objective(problem: ProblemInstance, y) -> float:
     return -problem.regularizer.conj_value(-problem.operator.adjoint_apply(y)) - fc
 
 
-def gap_decomposition(problem: ProblemInstance, x, y) -> tuple[float, float]:
-    """The two Fenchel residuals whose sum is the duality gap.
-
-    Returns (h-pair residual, f-pair residual); each is nonnegative up
-    to round-off, and each vanishes exactly when the corresponding pair
-    is Fenchel-conjugate.
-    """
-    x = as_vector(x, problem.p, "x")
-    y = as_vector(y, problem.n, "y")
-    ax = problem.operator.apply(x)
-    aty = problem.operator.adjoint_apply(y)
-    inner = float(y @ ax)
-    h_res = problem.regularizer.value(x) + problem.regularizer.conj_value(-aty) + inner
-    f_res = problem.loss.value(ax) + problem.loss.conj_value(y) - inner
-    return h_res, f_res
-
-
 def duality_gap(problem: ProblemInstance, x, y) -> float:
     """Nonnegative duality gap; tiny negative round-off is clamped to 0."""
     p = primal_objective(problem, x)
@@ -102,28 +79,6 @@ def duality_gap(problem: ProblemInstance, x, y) -> float:
     if p == float("inf") or d == float("-inf"):
         return float("inf")
     return clamp_gap(p - d)
-
-
-def support_gap(problem: ProblemInstance, x, y) -> float:
-    """Gap certificate for min_{x in K} f(A x) over the compact domain K.
-
-    Uses the support function of K in place of the conjugate of h:
-    f(A x) + sigma_K(-A^T y) + f*(y).
-    """
-    x = as_vector(x, problem.p, "x")
-    y = as_vector(y, problem.n, "y")
-    dom = problem.regularizer.domain
-    if not dom.compact:
-        raise ConfigurationError("support gap requires a compact primal domain")
-    fc = problem.loss.conj_value(y)
-    if fc == float("inf"):
-        return float("inf")
-    val = (
-        problem.loss.value(problem.operator.apply(x))
-        + dom.support(-problem.operator.adjoint_apply(y))
-        + fc
-    )
-    return clamp_gap(val)
 
 
 # ---------------------------------------------------------------------------
@@ -146,82 +101,31 @@ class GeometryConstants:
     delta2: Optional[float] = None
 
 
-def _vertex_images(matrix: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """A^T y for every vertex y of the box [lower, upper], one row per vertex."""
-    k = matrix.shape[0]
-    choose = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
-    return np.where(choose == 1, upper, lower) @ matrix
-
-
-def _max_sq_norm_over_vertices(matrix: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> float:
-    """Exact max of ||A^T y||^2 over the vertices of a box, meet in the middle.
-
-    A vertex is a pair of vertices of the two half-boxes (first n//2
-    coordinates, the rest), so A^T y = u1 + u2 and
-    ||u1 + u2||^2 = ||u1||^2 + ||u2||^2 + 2 <u1, u2>.  One product of the
-    two image tables, taken in blocks of 64 rows, scores all 2^n vertices
-    in O(2^(n/2) p) memory.  The winner is rescored as ||u1 + u2||^2, so the
-    value returned is the norm of a real vertex image.
-    """
-    k = matrix.shape[0] // 2
-    u1 = _vertex_images(matrix[:k], lower[:k], upper[:k])
-    u2 = _vertex_images(matrix[k:], lower[k:], upper[k:])
-    sq1 = np.einsum("ij,ij->i", u1, u1)
-    sq2 = np.einsum("ij,ij->i", u2, u2)
-    best, best_i, best_j = -np.inf, 0, 0
-    for start in range(0, u1.shape[0], 64):
-        s = u1[start : start + 64] @ u2.T
-        s *= 2.0
-        s += sq1[start : start + 64, None]
-        s += sq2
-        flat = int(s.argmax())
-        i, j = divmod(flat, s.shape[1])
-        if s[i, j] > best:
-            best, best_i, best_j = s[i, j], start + i, j
-    v = u1[best_i] + u2[best_j]
-    return float(v @ v)
-
-
 def estimate_r2(loss: Loss, op: LinearOperator, which: str = "diameter") -> tuple[float, str]:
     """R^2 for the dual domain C of ``loss`` under the operator ``op``.
 
     ``which='diameter'`` gives max_{y,y' in C} ||A^T (y - y')||^2;
-    ``which='origin'`` gives max_{y in C} ||A^T y||^2.  Boxes with at
-    most EXACT_VERTEX_LIMIT coordinates are solved exactly by vertex
-    enumeration (the maximum of a convex function over a box is attained
-    at a vertex); larger boxes fall back to the norm upper bound
-    (sum_i c_i ||row_i(A)||)^2.  The l1 ball is always exact.
+    ``which='origin'`` gives max_{y in C} ||A^T y||^2.  The domain's
+    ``r2`` computes it: exact for the l1 ball and for boxes of at most
+    ``functions.EXACT_VERTEX_LIMIT`` coordinates, a norm upper bound for
+    larger boxes.
     """
     if which not in ("diameter", "origin"):
         raise ConfigurationError(f"which must be 'diameter' or 'origin', got {which!r}")
     dom = loss.dual_domain
-    if isinstance(dom, L1Ball):
-        m = float(np.max(op.row_norms))
-        r = dom.radius * m
-        return ((2.0 * r) ** 2 if which == "diameter" else r**2), MODE_EXACT
-    if isinstance(dom, Box):
-        if dom.dim != op.n:
-            raise ConfigurationError("dual domain dimension does not match the operator")
-        if dom.dim <= EXACT_VERTEX_LIMIT:
-            if which == "diameter":
-                w = dom.widths
-                return _max_sq_norm_over_vertices(op.matrix, -w, w), MODE_EXACT
-            return _max_sq_norm_over_vertices(op.matrix, dom.lower, dom.upper), MODE_EXACT
-        coeff = dom.widths if which == "diameter" else dom.max_abs()
-        return float(np.sum(coeff * op.row_norms)) ** 2, MODE_BOUND
-    raise ConfigurationError(f"unsupported dual domain {type(dom).__name__}")
+    if dom.dim != op.n:
+        raise ConfigurationError("dual domain dimension does not match the operator")
+    return dom.r2(op, which)
 
 
-def geometry_constants(problem: ProblemInstance, x0=None) -> GeometryConstants:
-    """Convenience bundle of both R^2 variants (and delta^2 when compact)."""
+def geometry_constants(problem: ProblemInstance) -> GeometryConstants:
+    """Both R^2 variants, and delta^2 at the interior start when compact."""
     r2_primal, mode_d = estimate_r2(problem.loss, problem.operator, "diameter")
     r2_origin, mode_o = estimate_r2(problem.loss, problem.operator, "origin")
     mode = MODE_EXACT if mode_d == mode_o == MODE_EXACT else MODE_BOUND
     delta2 = None
     if problem.regularizer.domain.compact:
-        if x0 is None:
-            x0 = problem.regularizer.interior_point()
-        delta2 = problem.regularizer.delta2(x0)
+        delta2 = problem.regularizer.delta2(problem.regularizer.interior_point())
     return GeometryConstants(r2_primal=r2_primal, r2_origin=r2_origin, mode=mode, delta2=delta2)
 
 
@@ -248,16 +152,38 @@ class BoundReport:
     worst_margin: float
 
 
-# bound id -> (algorithm, schedule class, needs a reference solution)
+@dataclass(frozen=True)
+class BoundPairing:
+    """A certified bound: the run it applies to and how its trace is read.
+
+    The strongly convex bounds are ``coef R^2 / (mu (t + shift))``, plus
+    the reference tolerance when ``needs_reference``.  The observed value
+    is the trace ``column`` (less the reference dual value for a primal
+    objective column), or its running minimum with ``running_min``.
+    ``compact-averaged-gap`` is ``coef R delta / sqrt(t)`` instead.
+    """
+
+    algorithm: str
+    schedule: str
+    needs_reference: bool
+    coef: float
+    shift: float
+    column: str
+    running_min: bool = False
+
+
+_TWO = FixedTwoOverTPlusOne.name
+COMPACT_BOUND = "compact-averaged-gap"
+
 BOUND_PAIRING = {
-    "md-avg-subopt": (MD, FixedTwoOverTPlusOne, True),
-    "md-best-subopt": (MD, FixedTwoOverTPlusOne, True),
-    "md-distance": (MD, FixedTwoOverTPlusOne, True),
-    "gcg-fixed-dual-subopt": (GCG, FixedTwoOverTPlusOne, True),
-    "gcg-fixed-min-gap": (GCG, FixedTwoOverTPlusOne, False),
-    "gcg-linesearch-dual-subopt": (GCG, LineSearch, True),
-    "gcg-linesearch-min-gap": (GCG, LineSearch, False),
-    "compact-averaged-gap": (NS_MD, SqrtDecay, False),
+    "md-avg-subopt": BoundPairing(MD, _TWO, True, 1.0, 1.0, "avg_primal_value"),
+    "md-best-subopt": BoundPairing(MD, _TWO, True, 1.0, 1.0, "primal_value", running_min=True),
+    "md-distance": BoundPairing(MD, _TWO, True, 1.0, 1.0, "bregman_to_ref"),
+    "gcg-fixed-dual-subopt": BoundPairing(GCG, _TWO, True, 2.0, 1.0, "dual_suboptimality"),
+    "gcg-fixed-min-gap": BoundPairing(GCG, _TWO, False, 8.0, 1.0, "gap", running_min=True),
+    "gcg-linesearch-dual-subopt": BoundPairing(GCG, LineSearch.name, True, 2.0, 3.0, "dual_suboptimality"),
+    "gcg-linesearch-min-gap": BoundPairing(GCG, LineSearch.name, False, 2.0, 3.0, "gap", running_min=True),
+    COMPACT_BOUND: BoundPairing(NS_MD, SqrtDecay.name, False, 2.0, 0.0, "avg_gap"),
 }
 
 BOUND_IDS = tuple(BOUND_PAIRING)
@@ -301,54 +227,23 @@ def check_bound(
     """
     if which not in BOUND_PAIRING:
         raise ConfigurationError(f"unknown bound id {which!r}; expected one of {BOUND_IDS}")
-    algo, sched_type, needs_ref = BOUND_PAIRING[which]
-    if result.algorithm != algo:
+    row = BOUND_PAIRING[which]
+    if result.algorithm != row.algorithm:
         raise ConfigurationError(
-            f"{which} applies to algorithm {algo!r}, trace came from {result.algorithm!r}"
+            f"{which} applies to algorithm {row.algorithm!r}, trace came from {result.algorithm!r}"
         )
-    if not isinstance(result.schedule, sched_type):
+    if result.schedule.name != row.schedule:
         raise ConfigurationError(
-            f"{which} applies to schedule {sched_type.name!r}, "
-            f"trace used {result.schedule.name!r}"
-        )
-    if which.startswith("md-") and not result.init_dual_derived:
-        raise ConfigurationError(
-            "mirror descent bounds require a dual-derived start "
-            "(carried subgradient in -A^T C)"
+            f"{which} applies to schedule {row.schedule!r}, trace used {result.schedule.name!r}"
         )
     tol = 0.0
-    if needs_ref:
+    if row.needs_reference:
         if reference is None:
             raise ConfigurationError(f"{which} requires a reference solution")
         tol = reference.certified_gap if reference_tolerance is None else reference_tolerance
     trace = result.trace
     t = np.array([rec.t for rec in trace], dtype=np.float64)
-    if which in ("md-avg-subopt", "md-best-subopt", "md-distance"):
-        bounds = constants.r2_primal / (mu * (t + 1.0)) + tol
-        if which == "md-avg-subopt":
-            observed = np.array([rec.avg_primal_value for rec in trace]) - reference.dual_value
-        elif which == "md-best-subopt":
-            vals = np.array([rec.primal_value for rec in trace]) - reference.dual_value
-            observed = np.minimum.accumulate(vals)
-        else:
-            breg = [rec.bregman_to_ref for rec in trace]
-            if any(b is None for b in breg):
-                raise ConfigurationError("trace lacks reference columns; rerun with a reference")
-            observed = np.array(breg, dtype=np.float64)
-    elif which in ("gcg-fixed-dual-subopt", "gcg-linesearch-dual-subopt"):
-        denom = t + 1.0 if which == "gcg-fixed-dual-subopt" else t + 3.0
-        bounds = 2.0 * constants.r2_primal / (mu * denom) + tol
-        sub = [rec.dual_suboptimality for rec in trace]
-        if any(s is None for s in sub):
-            raise ConfigurationError("trace lacks reference columns; rerun with a reference")
-        observed = np.array(sub, dtype=np.float64)
-    elif which in ("gcg-fixed-min-gap", "gcg-linesearch-min-gap"):
-        if which == "gcg-fixed-min-gap":
-            bounds = 8.0 * constants.r2_primal / (mu * (t + 1.0))
-        else:
-            bounds = 2.0 * constants.r2_primal / (mu * (t + 3.0))
-        observed = np.minimum.accumulate(np.array([rec.gap for rec in trace]))
-    else:  # compact-averaged-gap
+    if which == COMPACT_BOUND:
         if constants.delta2 is None:
             raise ConfigurationError("compact-averaged-gap requires delta^2 in the constants")
         sched = result.schedule
@@ -360,9 +255,15 @@ def check_bound(
             )
         if abs(sched.delta - delta) > 1e-9 * (1.0 + delta):
             raise ConfigurationError("schedule delta disagrees with the certified delta^2")
-        gaps = [rec.avg_gap for rec in trace]
-        if any(g is None for g in gaps):
-            raise ConfigurationError("trace lacks averaged-pair gaps")
-        bounds = 2.0 * radius * delta / np.sqrt(t)
-        observed = np.array(gaps, dtype=np.float64)
-    return _finish_report(which, np.asarray(bounds, dtype=np.float64), observed)
+        bounds = row.coef * radius * delta / np.sqrt(t)
+    else:
+        bounds = row.coef * constants.r2_primal / (mu * (t + row.shift)) + tol
+    column = [getattr(rec, row.column) for rec in trace]
+    if any(v is None for v in column):
+        raise ConfigurationError(f"trace lacks the {row.column} column; rerun with a reference")
+    observed = np.array(column, dtype=np.float64)
+    if row.column.endswith("primal_value"):  # suboptimality against the optimum
+        observed = observed - reference.dual_value
+    if row.running_min:
+        observed = np.minimum.accumulate(observed)
+    return _finish_report(which, bounds, observed)

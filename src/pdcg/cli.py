@@ -8,8 +8,8 @@ Subcommands:
 * ``sweep``   - grid over schedules and seeds, one trace file per cell.
 
 Exit codes: 0 on success with all checks passing, 1 on a failed bound or
-equivalence check, 2 on configuration/usage errors.  Flags override the
-corresponding config keys.
+equivalence check, 2 on configuration/usage errors.  A flag whose
+``dest`` is a config key overrides that key.
 """
 
 from __future__ import annotations
@@ -60,8 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--schedule", choices=SCHEDULE_NAMES, default=None)
     ps.add_argument("--max-iters", type=int, default=None)
     ps.add_argument("--gap-tol", type=float, default=None)
-    ps.add_argument("--out", default=None, help="output path (overrides config)")
-    ps.add_argument("--format", choices=("csv", "json"), default=None)
+    ps.add_argument("--out", dest="output_path", metavar="OUT", default=None,
+                    help="output path (overrides config)")
+    ps.add_argument("--format", dest="output_format", choices=("csv", "json"), default=None)
 
     pc = sub.add_parser("compare", help="lockstep mirror descent vs conditional gradient")
     add_config(pc)
@@ -89,12 +90,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(config: ExperimentConfig, args, names) -> ExperimentConfig:
-    updates = {}
-    for arg_name, key in names.items():
-        val = getattr(args, arg_name, None)
-        if val is not None:
-            updates[key] = val
+def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
+    keys = {f.name for f in dataclasses.fields(config)}
+    updates = {key: val for key, val in vars(args).items() if key in keys and val is not None}
     if updates:
         config = dataclasses.replace(config, **updates)
     return config.validate()
@@ -115,19 +113,7 @@ def _parse_seeds(spec: str):
 
 
 def _cmd_solve(args) -> int:
-    config = _apply_overrides(
-        ExperimentConfig.load(args.config),
-        args,
-        {
-            "seed": "seed",
-            "algorithm": "algorithm",
-            "schedule": "schedule",
-            "max_iters": "max_iters",
-            "gap_tol": "gap_tol",
-            "out": "output_path",
-            "format": "output_format",
-        },
-    )
+    config = _apply_overrides(ExperimentConfig.load(args.config), args)
     if config.output_path is None:
         raise ConfigurationError("no output path: set --out or the output_path config key")
     problem = generate_problem(config)
@@ -139,7 +125,8 @@ def _cmd_solve(args) -> int:
         max_iters=config.max_iters,
         gap_tol=config.gap_tol,
     )
-    geometry = geometry_constants(problem)
+    # only the JSON header records the geometry
+    geometry = geometry_constants(problem) if config.output_format == "json" else None
     emit_trace(result, config.output_format, config.output_path, config=config, geometry=geometry)
     last = result.trace[-1] if result.trace else None
     gap = "n/a" if last is None else format(last.gap, ".6e")
@@ -151,9 +138,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    config = _apply_overrides(
-        ExperimentConfig.load(args.config), args, {"seed": "seed", "schedule": "schedule"}
-    )
+    config = _apply_overrides(ExperimentConfig.load(args.config), args)
     problem = generate_problem(config)
     schedule = build_schedule(config, problem)
     y0 = np.zeros(problem.n)
@@ -169,13 +154,15 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    algo, sched_type, needs_ref = BOUND_PAIRING[args.prop]
-    config = dataclasses.replace(ExperimentConfig.load(args.config), algorithm=algo, schedule=sched_type.name)
-    config = _apply_overrides(config, args, {"seed": "seed", "max_iters": "max_iters"})
+    pairing = BOUND_PAIRING[args.prop]
+    config = dataclasses.replace(
+        ExperimentConfig.load(args.config), algorithm=pairing.algorithm, schedule=pairing.schedule
+    )
+    config = _apply_overrides(config, args)
     problem = generate_problem(config)
     schedule = build_schedule(config, problem)
     reference = None
-    if needs_ref:
+    if pairing.needs_reference:
         reference = reference_solution(
             problem, tol=args.reference_tol, cap=config.reference_budget
         )
@@ -222,7 +209,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = _apply_overrides(ExperimentConfig.load(args.config), args, {"seed": "seed"})
+    config = _apply_overrides(ExperimentConfig.load(args.config), args)
     schedules = [s for s in args.schedules.split(",") if s != ""]
     if not schedules:
         raise ConfigurationError(f"--schedules {args.schedules!r} selects no schedules")
@@ -240,16 +227,9 @@ def cli_main(argv: Optional[list] = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)
+    commands = {"solve": _cmd_solve, "compare": _cmd_compare, "certify": _cmd_certify, "sweep": _cmd_sweep}
     try:
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "certify":
-            return _cmd_certify(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        raise ConfigurationError(f"unknown command {args.command!r}")
+        return commands[args.command](args)
     except (ConfigurationError, ValidationError, FeasibilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -74,10 +74,10 @@ def check_gap_floor(gap: float) -> float:
     """Pass a raw gap through unchanged, rejecting real negativity.
 
     Trace rows keep the exact primal-dual difference (so the row stays
-    consistent to the bit); only values below the round-off floor signal
-    an oracle bug.
+    consistent to the bit); only values below the round-off floor, and
+    NaN, signal an oracle bug.
     """
-    if gap < -GAP_CLAMP:
+    if not gap >= -GAP_CLAMP:
         raise GapInconsistencyError(f"duality gap {gap} < -{GAP_CLAMP}; oracle inconsistency")
     return float(gap)
 
@@ -105,10 +105,6 @@ class LinearOperator:
         self.n, self.p = m.shape
         self.row_norms = np.linalg.norm(m, axis=1)
         self.col_norms = np.linalg.norm(m, axis=0)
-
-    @classmethod
-    def identity(cls, n: int) -> "LinearOperator":
-        return cls(np.eye(n))
 
     def apply(self, x) -> np.ndarray:
         x = as_vector(x, self.p, "x")

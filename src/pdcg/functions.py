@@ -5,15 +5,17 @@ other modules call the methods below, and a new kind implements them.
 An oracle a kind does not support raises ``ConfigurationError``.
 
 Each regularizer exposes h, its conjugate h*, the conjugate gradient
-(h*)', a deterministic subgradient selection, and the Bregman divergence
-D(x1, x2) = h(x1) - h(x2) - <x1 - x2, h'(x2)>.  Compact domains add the
-closed-form Bregman-proximal step ``prox_step``, the start check
+(h*)' and the Bregman divergence D(x1, x2) = h(x1) - h(x2) - <x1 - x2,
+h'(x2)>; the recursions carry their own subgradient of h.  Compact
+domains add the closed-form Bregman-proximal step ``prox_step``, the start check
 ``check_start`` and the radius bound ``delta2``; a smooth h* adds its
 Hessian ``conj_hess`` for the reference solver's Newton polish.
 
 Each loss exposes f, its conjugate f*, and the argmax-subgradient oracle
 f'(z) = argmax_{y in C} <y, z> - f*(y) over the compact dual domain C,
-plus ``conj_grad``/``conj_hess_diag`` of f* inside a box C for the polish.
+plus ``conj_grad``/``conj_hess_diag`` of f* inside a box C for the polish
+(declared by ``box_polish``).  Each dual domain C gives R^2 under an
+operator A through ``r2(op, which)``, together with its mode string.
 Separable losses are scaled as f = s * sum_i l_i, whose conjugate is
 f*(y) = s * sum_i l_i*(y_i / s) with C scaled accordingly.
 
@@ -25,13 +27,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ConfigurationError, DomainError, FeasibilityError, ValidationError, as_vector
+from .core import ConfigurationError, DomainError, FeasibilityError, LinearOperator, ValidationError, as_vector
 
 # Points this far outside a dual domain are treated as members and the
 # conjugate is evaluated at the clamped point; further out it is +inf.
 MEMBERSHIP_TOL = 1e-9
 
 _COMPACT_ONLY = "compact-domain recursion supports entropy and box regularizers only"
+
+# Largest dual dimension for which vertex enumeration is exact.
+EXACT_VERTEX_LIMIT = 20
+
+MODE_EXACT = "exact-vertex"
+MODE_BOUND = "column-norm-bound"
 
 
 def _xlogx(v: np.ndarray) -> np.ndarray:
@@ -46,6 +54,42 @@ def _sigmoid(u: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(u))
     d = 1.0 + e
     return np.where(u >= 0, 1.0 / d, e / d)
+
+
+def _vertex_images(matrix: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """A^T y for every vertex y of the box [lower, upper], one row per vertex."""
+    k = matrix.shape[0]
+    choose = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    return np.where(choose == 1, upper, lower) @ matrix
+
+
+def _max_sq_norm_over_vertices(matrix: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> float:
+    """Exact max of ||A^T y||^2 over the vertices of a box, meet in the middle.
+
+    A vertex is a pair of vertices of the two half-boxes (first n//2
+    coordinates, the rest), so A^T y = u1 + u2 and
+    ||u1 + u2||^2 = ||u1||^2 + ||u2||^2 + 2 <u1, u2>.  One product of the
+    two image tables, taken in blocks of 64 rows, scores all 2^n vertices
+    in O(2^(n/2) p) memory.  The winner is rescored as ||u1 + u2||^2, so the
+    value returned is the norm of a real vertex image.
+    """
+    k = matrix.shape[0] // 2
+    u1 = _vertex_images(matrix[:k], lower[:k], upper[:k])
+    u2 = _vertex_images(matrix[k:], lower[k:], upper[k:])
+    sq1 = np.einsum("ij,ij->i", u1, u1)
+    sq2 = np.einsum("ij,ij->i", u2, u2)
+    best, best_i, best_j = -np.inf, 0, 0
+    for start in range(0, u1.shape[0], 64):
+        s = u1[start : start + 64] @ u2.T
+        s *= 2.0
+        s += sq1[start : start + 64, None]
+        s += sq2
+        flat = int(s.argmax())
+        i, j = divmod(flat, s.shape[1])
+        if s[i, j] > best:
+            best, best_i, best_j = s[i, j], start + i, j
+    v = u1[best_i] + u2[best_j]
+    return float(v @ v)
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +152,17 @@ class Box:
         z = np.asarray(z, dtype=np.float64)
         return float(np.maximum(self.lower * z, self.upper * z).sum())
 
+    def r2(self, op: LinearOperator, which: str) -> tuple[float, str]:
+        """Exact over the vertices (where a convex maximum lies) up to
+        EXACT_VERTEX_LIMIT coordinates, else (sum_i c_i ||row_i(A)||)^2."""
+        if self.dim <= EXACT_VERTEX_LIMIT:
+            if which == "diameter":
+                w = self.widths
+                return _max_sq_norm_over_vertices(op.matrix, -w, w), MODE_EXACT
+            return _max_sq_norm_over_vertices(op.matrix, self.lower, self.upper), MODE_EXACT
+        coeff = self.widths if which == "diameter" else self.max_abs()
+        return float(np.sum(coeff * op.row_norms)) ** 2, MODE_BOUND
+
 
 class Simplex:
     """Probability simplex {v >= 0, sum(v) = 1}."""
@@ -147,9 +202,21 @@ class L1Ball:
         v = np.asarray(v, dtype=np.float64)
         return bool(np.abs(v).sum() <= self.radius + tol * (1.0 + self.radius))
 
+    def r2(self, op: LinearOperator, which: str) -> tuple[float, str]:
+        """Always exact: the extreme points are +-radius e_i."""
+        r = self.radius * float(np.max(op.row_norms))
+        return ((2.0 * r) ** 2 if which == "diameter" else r**2), MODE_EXACT
+
 
 # ---------------------------------------------------------------------------
 # Regularizers
+
+
+def _check_mu(mu: float) -> float:
+    mu = float(mu)
+    if not 0.0 <= mu < np.inf:
+        raise ValidationError("modulus mu must be nonnegative and finite")
+    return mu
 
 
 class Regularizer:
@@ -172,10 +239,6 @@ class Regularizer:
 
     def conj_grad(self, z) -> np.ndarray:
         """(h*)'(z); the unique maximizer of <x, z> - h(x), always in K."""
-        raise NotImplementedError
-
-    def subgradient(self, x) -> np.ndarray:
-        """A member of the subdifferential of h at x."""
         raise NotImplementedError
 
     def bregman(self, x1, x2) -> float:
@@ -207,9 +270,7 @@ class SquaredL2(Regularizer):
     """h(x) = (mu/2) ||x||^2 on all of R^p."""
 
     def __init__(self, mu: float, dim: int) -> None:
-        if mu < 0:
-            raise ValidationError("modulus mu must be nonnegative")
-        self.mu = float(mu)
+        self.mu = _check_mu(mu)
         self.dim = int(dim)
         self.domain = RealSpace(self.dim)
 
@@ -227,10 +288,6 @@ class SquaredL2(Regularizer):
         z = as_vector(z, self.dim, "z")
         return z / self.mu
 
-    def subgradient(self, x) -> np.ndarray:
-        x = as_vector(x, self.dim, "x")
-        return self.mu * x
-
     def bregman(self, x1, x2) -> float:
         x1 = as_vector(x1, self.dim, "x1")
         x2 = as_vector(x2, self.dim, "x2")
@@ -245,17 +302,10 @@ class SquaredL2(Regularizer):
 
 
 class SquaredL2Box(Regularizer):
-    """h(x) = (mu/2) ||x||^2 + indicator of a box K.
-
-    The subgradient selection at x is mu*x (valid on the interior; on the
-    boundary the recursions carry their own subgradient instead of
-    calling this oracle).
-    """
+    """h(x) = (mu/2) ||x||^2 + indicator of a box K."""
 
     def __init__(self, mu: float, lower, upper) -> None:
-        if mu < 0:
-            raise ValidationError("modulus mu must be nonnegative")
-        self.mu = float(mu)
+        self.mu = _check_mu(mu)
         self.domain = Box(lower, upper)
         self.dim = self.domain.dim
 
@@ -277,12 +327,6 @@ class SquaredL2Box(Regularizer):
         self._require_mu()
         z = as_vector(z, self.dim, "z")
         return self.domain.clip(z / self.mu)
-
-    def subgradient(self, x) -> np.ndarray:
-        x = as_vector(x, self.dim, "x")
-        if not self.domain.contains(x):
-            raise DomainError("subgradient requested outside the box domain")
-        return self.mu * x
 
     def bregman(self, x1, x2) -> float:
         x1 = as_vector(x1, self.dim, "x1")
@@ -338,12 +382,6 @@ class NegativeEntropySimplex(Regularizer):
         e = np.exp(z - z.max())
         return e / e.sum()
 
-    def subgradient(self, x) -> np.ndarray:
-        x = as_vector(x, self.dim, "x")
-        if not self.domain.interior_contains(x):
-            raise DomainError("entropy subgradient undefined on the simplex boundary")
-        return np.log(x) + 1.0
-
     def bregman(self, x1, x2) -> float:
         # Kullback-Leibler divergence on the simplex; x2 must be interior.
         x1 = as_vector(x1, self.dim, "x1")
@@ -391,6 +429,9 @@ class Loss:
     # True when the oracle never reaches the boundary of C, so points
     # handed to ``conj_grad`` must stay strictly inside it
     open_domain = False
+    # True when C is a box and f* has ``conj_grad``/``conj_hess_diag``
+    # there, so the reference solver may polish the dual by Newton steps
+    box_polish = False
 
     def value(self, z) -> float:
         """f(z)."""
@@ -412,16 +453,6 @@ class Loss:
         """Diagonal of the (diagonal) Hessian of f* on the interior of C."""
         raise ConfigurationError(f"no smooth dual model for {type(self).__name__}")
 
-    @property
-    def lipschitz_bound(self) -> float:
-        """B = sup_{y in C} ||y||, a Lipschitz constant of f."""
-        dom = self.dual_domain
-        if isinstance(dom, Box):
-            return float(np.sqrt((dom.max_abs() ** 2).sum()))
-        if isinstance(dom, L1Ball):
-            return dom.radius
-        raise NotImplementedError
-
 
 def _check_labels(labels) -> np.ndarray:
     lab = as_vector(labels, name="labels")
@@ -439,6 +470,8 @@ def _check_scale(scale: float) -> float:
 
 class _LabelLoss(Loss):
     """Margin loss in label_i z_i, with C = {y : -y_i label_i in [0, s]}."""
+
+    box_polish = True
 
     def __init__(self, labels, scale: float = 1.0) -> None:
         self.labels = _check_labels(labels)
@@ -487,6 +520,8 @@ class LeastAbsoluteDeviation(Loss):
     f*(y) = <y, target> on the box [-s, s]^n.  At the kink z_i = target_i
     the subgradient oracle returns 0 (interior maximizer).
     """
+
+    box_polish = True
 
     def __init__(self, targets, scale: float = 1.0) -> None:
         self.targets = as_vector(targets, name="targets")
@@ -567,10 +602,10 @@ class DualNormGauge(Loss):
         self.dim = int(dim)
         self.omega0 = float(omega0)
         self.lam = float(lam)
-        if self.omega0 <= 0:
-            raise ValidationError("omega0 must be positive")
-        if self.lam < 0:
-            raise ValidationError("lam must be nonnegative")
+        if not 0.0 < self.omega0 < np.inf:
+            raise ValidationError("omega0 must be positive and finite")
+        if not 0.0 <= self.lam < np.inf:
+            raise ValidationError("lam must be nonnegative and finite")
         self.dual_domain = L1Ball(self.dim, self.omega0)
 
     def value(self, z) -> float:

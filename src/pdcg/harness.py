@@ -48,7 +48,6 @@ from .core import (
     validate_instance,
 )
 from .functions import (
-    Box,
     DualNormGauge,
     Hinge,
     LeastAbsoluteDeviation,
@@ -330,11 +329,11 @@ def _polish_box_dual(problem: ProblemInstance, y: np.ndarray, tol: float, max_it
 def reference_solution(problem: ProblemInstance, tol: float = 1e-9, cap: int = 10**6) -> ReferenceSolution:
     """High-accuracy primal-dual pair, certified by its duality gap.
 
-    Warm-starts with the line-search conditional gradient, then (for box
-    dual domains) switches to an active-set Newton polish; the best pair
-    seen is kept.  If the gap tolerance is not reached within the
-    budget, the result is returned marked uncertified rather than
-    raising.  x_star is always recomputed as (h*)'(-A^T y_star).  A
+    Warm-starts with the line-search conditional gradient, then (for a
+    loss that declares ``box_polish``) switches to an active-set Newton
+    polish of the dual over its box; the best pair seen is kept.  If the
+    gap tolerance is not reached within the budget, the result is
+    returned marked uncertified rather than raising.  x_star is always recomputed as (h*)'(-A^T y_star).  A
     ``tol`` that is not >= 0 (NaN included) can never be met and a
     negative ``cap`` is no budget, so both raise ConfigurationError.
     """
@@ -360,7 +359,7 @@ def reference_solution(problem: ProblemInstance, tol: float = 1e-9, cap: int = 1
             break
         state = gcg_step(problem, state, step_size(schedule, t, current_gap=gap))
         iters = t
-    if best_gap > tol and iters < cap and isinstance(problem.loss.dual_domain, Box):
+    if best_gap > tol and iters < cap and problem.loss.box_polish:
         y_pol, gap_pol, used = _polish_box_dual(
             problem, best_y, tol, max_iter=min(200, cap - iters)
         )
@@ -445,14 +444,7 @@ def trace_json_obj(
         "termination": result.termination,
         "iterations": len(result.trace),
         "config": config.to_dict() if config is not None else None,
-        "geometry": None
-        if geometry is None
-        else {
-            "r2_primal": geometry.r2_primal,
-            "r2_origin": geometry.r2_origin,
-            "mode": geometry.mode,
-            "delta2": geometry.delta2,
-        },
+        "geometry": None if geometry is None else dataclasses.asdict(geometry),
     }
     records = [{col: getattr(rec, field) for col, field in TRACE_COLUMNS.items()} for rec in result.trace]
     return {"header": header, "records": records}

@@ -106,13 +106,13 @@ def test_md_step_entropy_two_line_recursion():
         NegativeEntropySimplex(2),
         LeastAbsoluteDeviation([0.0, 0.0], 1.0),
     )
-    reg = prob.regularizer
     x0 = np.array([0.5, 0.5])
     state = init_state(prob, np.zeros(2))
-    state = dataclasses.replace(state, x=x0, ax=x0.copy(), carried_h_sub=reg.subgradient(x0))
+    h_sub = np.log(x0) + 1.0  # gradient of the entropy at an interior x0
+    state = dataclasses.replace(state, x=x0, ax=x0.copy(), carried_h_sub=h_sub)
     out = md_step(prob, state, 0.5)
     ybar = np.sign(x0)  # LAD oracle at Ax0 with zero targets
-    g = 0.5 * reg.subgradient(x0) - 0.5 * ybar
+    g = 0.5 * h_sub - 0.5 * ybar
     expect = np.exp(g - np.max(g))
     expect /= expect.sum()
     np.testing.assert_allclose(out.x, expect, atol=1e-15)

@@ -17,19 +17,19 @@ from pdcg import (
     Logistic,
     NegativeEntropySimplex,
     ProblemInstance,
+    SqrtDecay,
     SquaredL2,
     SquaredL2Box,
+    ValidationError,
     check_bound,
     dual_objective,
     duality_gap,
     estimate_r2,
-    gap_decomposition,
     generate_problem,
     geometry_constants,
     primal_objective,
     reference_solution,
     run,
-    support_gap,
 )
 
 
@@ -67,13 +67,17 @@ def test_duality_gap_values():
     prob = _svm_identity()
     assert duality_gap(prob, [0.0, 0.0], [0.0, 0.0]) == 1.0
     # Fenchel-matched pair: both residual brackets vanish individually
-    y = prob.loss.subgradient(np.zeros(2))
-    x = prob.regularizer.conj_grad(-prob.operator.adjoint_apply(y))
-    h_res, f_res = gap_decomposition(prob, x, y)
-    assert abs(h_res) <= 1e-10
-    y2 = prob.loss.subgradient(prob.operator.apply(x))
-    _, f_res2 = gap_decomposition(prob, x, y2)
-    assert abs(f_res2) <= 1e-10
+    reg, loss, op = prob.regularizer, prob.loss, prob.operator
+
+    def residuals(x, y):
+        inner = float(y @ op.apply(x))
+        h_res = reg.value(x) + reg.conj_value(-op.adjoint_apply(y)) + inner
+        return h_res, loss.value(op.apply(x)) + loss.conj_value(y) - inner
+
+    y = loss.subgradient(np.zeros(2))
+    x = reg.conj_grad(-op.adjoint_apply(y))
+    assert abs(residuals(x, y)[0]) <= 1e-10
+    assert abs(residuals(x, loss.subgradient(op.apply(x)))[1]) <= 1e-10
 
 
 def test_duality_gap_at_reference_optimum():
@@ -96,18 +100,21 @@ def test_weak_duality_random_pairs():
 
 
 def test_support_gap_hand_value():
+    # the first ns-md row: x0 the barycenter, y1 the LAD oracle at A x0
     prob = ProblemInstance(
         LinearOperator(np.eye(2)),
         NegativeEntropySimplex(2),
-        LeastAbsoluteDeviation([0.0, 0.0], 1.0),
+        LeastAbsoluteDeviation([0.3, 0.8], 1.0),
     )
-    x = np.array([0.5, 0.5])
-    y = np.array([0.3, -0.2])
-    aty = prob.operator.adjoint_apply(y)
-    expect = prob.loss.value(x) + max(-aty) + prob.loss.conj_value(y)
-    assert support_gap(prob, x, y) == pytest.approx(expect, abs=1e-14)
-    with pytest.raises(ConfigurationError):
-        support_gap(_svm_identity(), x, y)
+    x0 = np.array([0.5, 0.5])
+    y1 = np.array([1.0, -1.0])
+    res = run(prob, "ns-md", SqrtDecay(delta=1.0, radius=1.0), max_iters=1)
+    # f(A x0) + sigma_K(-A^T y1) + f*(y1), sigma of the simplex a max
+    expect = prob.loss.value(x0) + max(-y1) + prob.loss.conj_value(y1)
+    assert expect == pytest.approx(1.0, abs=1e-15)
+    assert res.trace[0].gap == pytest.approx(expect, abs=1e-14)
+    with pytest.raises(ValidationError):
+        run(_svm_identity(), "ns-md", SqrtDecay(delta=1.0, radius=1.0), max_iters=1)
 
 
 # --------------------------------------------------------------------------
@@ -141,6 +148,15 @@ def test_estimate_r2_gauge_closed_form():
     assert mode == "exact-vertex"
     assert diam == pytest.approx((2 * 2.0 * m) ** 2)
     assert orig == pytest.approx((2.0 * m) ** 2)
+
+
+@pytest.mark.parametrize(
+    "loss", [DualNormGauge(4, 2.0, 0.0), LeastAbsoluteDeviation(np.zeros(4), 1.0)], ids=["gauge", "lad"]
+)
+def test_estimate_r2_rejects_dimension_mismatch(loss):
+    op = LinearOperator(np.ones((3, 2)))
+    with pytest.raises(ConfigurationError, match="dual domain dimension does not match the operator"):
+        estimate_r2(loss, op, "diameter")
 
 
 def test_estimate_r2_exact_matches_pairwise_brute_force():
@@ -313,14 +329,6 @@ def test_check_bound_requires_reference_columns():
     res = run(prob, "gcg", FixedTwoOverTPlusOne(), max_iters=20)  # no reference
     with pytest.raises(ConfigurationError):
         check_bound(res, geo, 1.0, "gcg-fixed-dual-subopt", reference=ref)
-
-
-def test_check_bound_rejects_warm_start_outside_dual_range():
-    prob, ref, geo = _checked_setup()
-    res = run(prob, "md", FixedTwoOverTPlusOne(), max_iters=20, reference=ref)
-    res.init_dual_derived = False
-    with pytest.raises(ConfigurationError):
-        check_bound(res, geo, 1.0, "md-distance", reference=ref)
 
 
 def test_check_bound_passes_and_is_monotone_in_r2():

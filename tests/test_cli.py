@@ -122,6 +122,37 @@ def test_certify_negative_reference_budget_exits_two(tmp_path, capsys):
     assert "certify:" not in captured.out
 
 
+NON_FINITE_CONFIGS = {
+    # config text, solve flags, certify bound id
+    "gauge-lambda-nan": ('"loss": "gauge", "gauge_lambda": NaN', [], "gcg-fixed-min-gap"),
+    "gauge-omega0-inf": ('"loss": "gauge", "gauge_omega0": Infinity', [], "gcg-fixed-min-gap"),
+    "mu-inf-l2": ('"loss": "lad", "mu": Infinity', [], "gcg-fixed-min-gap"),
+    "mu-inf-box": ('"loss": "lad", "regularizer": "squared_l2_box", "mu": Infinity', [], "gcg-fixed-min-gap"),
+    "mu-nan-box-ns-md": (
+        '"loss": "lad", "regularizer": "squared_l2_box", "mu": NaN',
+        ["--algorithm", "ns-md", "--schedule", "sqrt-decay"],
+        "compact-averaged-gap",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "certify"])
+@pytest.mark.parametrize("case", list(NON_FINITE_CONFIGS))
+def test_non_finite_parameters_exit_two(tmp_path, case, command, capsys):
+    text, solve_flags, prop = NON_FINITE_CONFIGS[case]
+    path = tmp_path / "cfg.json"
+    path.write_text('{"n": 20, "p": 4, "max_iters": 5, ' + text + "}")
+    if command == "solve":
+        argv = ["solve", "--config", str(path), "--out", str(tmp_path / "t.csv"), *solve_flags]
+    else:
+        argv = ["certify", "--config", str(path), "--prop", prop]
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert "must be" in captured.err and "finite" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_certify_reference_based(certify_config_path, capsys):
     code = cli_main(
         ["certify", "--config", certify_config_path, "--prop", "md-distance", "--max-iters", "200"]

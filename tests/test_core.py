@@ -11,11 +11,11 @@ from pdcg import (
     as_vector,
     validate_instance,
 )
-from pdcg.core import clamp_gap, GapInconsistencyError
+from pdcg.core import clamp_gap, check_gap_floor, GapInconsistencyError
 
 
 def test_apply_identity():
-    op = LinearOperator.identity(2)
+    op = LinearOperator(np.eye(2))
     np.testing.assert_array_equal(op.apply([3.0, -1.0]), [3.0, -1.0])
 
 
@@ -148,3 +148,11 @@ def test_clamp_gap():
     assert clamp_gap(-5e-11) == 0.0
     with pytest.raises(GapInconsistencyError):
         clamp_gap(-1e-9)
+
+
+def test_nan_gap_is_an_inconsistency():
+    # a NaN gap compares false with everything, so it must fail the floor
+    with pytest.raises(GapInconsistencyError):
+        check_gap_floor(float("nan"))
+    with pytest.raises(GapInconsistencyError):
+        clamp_gap(float("nan"))

@@ -17,10 +17,11 @@ scale {default, 20/n} (n=60, p=12, seed 3, 150 iterations):
 
 That is 840 outputs.  For each one the manifest records stdout, stderr,
 the exit code, an escaped exception and the sha256 of the written file.
-Every file goes to one fixed path, because the JSON config echo and the
-``solve`` summary line hold it; the digest therefore depends on
-``--workdir`` and on the BLAS build.  The run takes about half a minute
-and is not part of the test suite.
+Every file goes to one fixed path, which the JSON config echo and the
+``solve`` summary line hold; the ``--workdir`` prefix is replaced by
+``<workdir>`` in all four texts and in the file bytes before anything
+is recorded, so the digest depends on the code and the BLAS build only.
+The run takes about half a minute and is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -48,15 +49,19 @@ ALGORITHMS = ("md", "gcg", "ns-md")
 COMPARE_SCHEDULES = ("two-over-t-plus-one", "one-over-t", "line-search")
 
 
-def _sha256(path: str):
+PLACEHOLDER = "<workdir>"
+
+
+def _sha256(path: str, workdir: str):
     if not os.path.exists(path):
         return None
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        data = fh.read()
+    return hashlib.sha256(data.replace(workdir.encode(), PLACEHOLDER.encode())).hexdigest()
 
 
-def _call(argv: list, out_path: str) -> dict:
-    """One in-process CLI call and everything it leaves behind."""
+def _call(argv: list, out_path: str, workdir: str) -> dict:
+    """One in-process CLI call and everything it leaves behind, workdir masked."""
     if os.path.exists(out_path):
         os.remove(out_path)
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -66,12 +71,15 @@ def _call(argv: list, out_path: str) -> dict:
             code = cli_main(argv)
         except Exception as exc:  # recorded, not raised: a traceback is an output too
             exception = f"{type(exc).__name__}: {exc}"
+    def mask(text):
+        return None if text is None else text.replace(workdir, PLACEHOLDER)
+
     return {
-        "stdout": stdout.getvalue(),
-        "stderr": stderr.getvalue(),
+        "stdout": mask(stdout.getvalue()),
+        "stderr": mask(stderr.getvalue()),
         "code": code,
-        "exception": exception,
-        "sha256": _sha256(out_path),
+        "exception": mask(exception),
+        "sha256": _sha256(out_path, workdir),
     }
 
 
@@ -111,7 +119,7 @@ def build_manifest(workdir: str) -> dict:
             with open(cfg_path, "w", encoding="utf-8") as fh:
                 json.dump(config, fh)
             written = config
-        manifest[key] = _call(argv, out_path)
+        manifest[key] = _call(argv, out_path, workdir)
     return manifest
 
 
