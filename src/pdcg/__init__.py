@@ -76,8 +76,8 @@ from .harness import (
     emit_trace,
     generate_problem,
     generate_problem_with_truth,
+    prepare,
     reference_solution,
-    run_experiment,
     run_sweep,
     trace_csv,
     trace_json_obj,

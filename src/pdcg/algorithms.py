@@ -24,6 +24,7 @@ need, and appends one certificate row per iteration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar, Optional
 
@@ -322,12 +323,15 @@ def run(
     determines x_0 = (h*)'(-A^T y_0) for both strongly convex
     recursions; the compact-domain recursion starts from the interior
     point of its domain (simplex barycenter / box center), the point at
-    which ``geometry_constants`` and ``build_schedule`` compute delta^2.
+    which the instance computes delta^2 (``ProblemInstance.delta2``).
+    A NaN ``gap_tol`` could never be met, so it raises.
     """
     if algorithm not in ALGORITHMS:
         raise ConfigurationError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     if max_iters < 0:
         raise ConfigurationError("max_iters must be nonnegative")
+    if math.isnan(gap_tol):
+        raise ConfigurationError("gap_tol must not be NaN")
     reg, loss = problem.regularizer, problem.loss
     strongly_convex = algorithm in (MD, GCG)
     validate_instance(

@@ -119,13 +119,11 @@ def estimate_r2(loss: Loss, op: LinearOperator, which: str = "diameter") -> tupl
 
 
 def geometry_constants(problem: ProblemInstance) -> GeometryConstants:
-    """Both R^2 variants, and delta^2 at the interior start when compact."""
-    r2_primal, mode_d = estimate_r2(problem.loss, problem.operator, "diameter")
-    r2_origin, mode_o = estimate_r2(problem.loss, problem.operator, "origin")
+    """Both R^2 variants, and delta^2 at the interior start when compact, as the instance keeps them."""
+    r2_primal, mode_d = problem.r2("diameter")
+    r2_origin, mode_o = problem.r2("origin")
     mode = MODE_EXACT if mode_d == mode_o == MODE_EXACT else MODE_BOUND
-    delta2 = None
-    if problem.regularizer.domain.compact:
-        delta2 = problem.regularizer.delta2(problem.regularizer.interior_point())
+    delta2 = problem.delta2 if problem.regularizer.domain.compact else None
     return GeometryConstants(r2_primal=r2_primal, r2_origin=r2_origin, mode=mode, delta2=delta2)
 
 

@@ -27,16 +27,7 @@ from .algorithms import ALGORITHMS
 from .certificates import BOUND_IDS, BOUND_PAIRING, check_bound, geometry_constants
 from .core import ConfigurationError, FeasibilityError, ValidationError
 from .equivalence import verify_equivalence
-from .harness import (
-    SCHEDULE_NAMES,
-    ExperimentConfig,
-    build_schedule,
-    emit_trace,
-    generate_problem,
-    reference_solution,
-    run,
-    run_sweep,
-)
+from .harness import SCHEDULE_NAMES, ExperimentConfig, emit_trace, prepare, reference_solution, run_sweep
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -116,17 +107,10 @@ def _cmd_solve(args) -> int:
     config = _apply_overrides(ExperimentConfig.load(args.config), args)
     if config.output_path is None:
         raise ConfigurationError("no output path: set --out or the output_path config key")
-    problem = generate_problem(config)
-    schedule = build_schedule(config, problem)
-    result = run(
-        problem,
-        config.algorithm,
-        schedule,
-        max_iters=config.max_iters,
-        gap_tol=config.gap_tol,
-    )
+    experiment = prepare(config)
+    result = experiment.run()
     # only the JSON header records the geometry
-    geometry = geometry_constants(problem) if config.output_format == "json" else None
+    geometry = geometry_constants(experiment.problem) if config.output_format == "json" else None
     emit_trace(result, config.output_format, config.output_path, config=config, geometry=geometry)
     last = result.trace[-1] if result.trace else None
     gap = "n/a" if last is None else format(last.gap, ".6e")
@@ -139,10 +123,9 @@ def _cmd_solve(args) -> int:
 
 def _cmd_compare(args) -> int:
     config = _apply_overrides(ExperimentConfig.load(args.config), args)
-    problem = generate_problem(config)
-    schedule = build_schedule(config, problem)
-    y0 = np.zeros(problem.n)
-    report = verify_equivalence(problem, y0, schedule, args.iters, args.tol)
+    experiment = prepare(config)
+    problem = experiment.problem
+    report = verify_equivalence(problem, np.zeros(problem.n), experiment.schedule, args.iters, args.tol)
     status = "PASS" if report.passed else "FAIL"
     print(
         f"compare: {status} schedule={config.schedule} iterations={report.iterations} "
@@ -159,8 +142,8 @@ def _cmd_certify(args) -> int:
         ExperimentConfig.load(args.config), algorithm=pairing.algorithm, schedule=pairing.schedule
     )
     config = _apply_overrides(config, args)
-    problem = generate_problem(config)
-    schedule = build_schedule(config, problem)
+    experiment = prepare(config)
+    problem = experiment.problem
     reference = None
     if pairing.needs_reference:
         reference = reference_solution(
@@ -172,17 +155,9 @@ def _cmd_certify(args) -> int:
                 "its achieved gap is folded into the bound",
                 file=sys.stderr,
             )
-    result = run(
-        problem,
-        config.algorithm,
-        schedule,
-        max_iters=config.max_iters,
-        gap_tol=config.gap_tol,
-        reference=reference,
-    )
-    geometry = geometry_constants(problem)
+    result = experiment.run(reference)
     report = check_bound(
-        result, geometry, problem.regularizer.mu, args.prop, reference=reference
+        result, geometry_constants(problem), problem.regularizer.mu, args.prop, reference=reference
     )
     status = "PASS" if report.passed else "FAIL"
     print(

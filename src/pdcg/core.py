@@ -8,7 +8,8 @@ the dual variable y in R^n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -87,8 +88,8 @@ class LinearOperator:
 
     ``apply`` computes A x, ``adjoint_apply`` computes A^T y; both are
     deterministic and the pair satisfies <A x, y> = <x, A^T y> to
-    round-off.  Row and column norms are cached for the geometry
-    estimates used by the convergence-bound checkers.
+    round-off.  Row norms are cached for the norm bound on R^2 over a
+    large dual box.
     """
 
     def __init__(self, matrix) -> None:
@@ -104,7 +105,6 @@ class LinearOperator:
         self.matrix = m
         self.n, self.p = m.shape
         self.row_norms = np.linalg.norm(m, axis=1)
-        self.col_norms = np.linalg.norm(m, axis=0)
 
     def apply(self, x) -> np.ndarray:
         x = as_vector(x, self.p, "x")
@@ -120,11 +120,15 @@ class LinearOperator:
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """The triple (A, h, f) defining min_x h(x) + f(A x)."""
+    """The triple (A, h, f) defining min_x h(x) + f(A x).
+
+    R^2 and delta^2 are computed on first use and kept on the instance.
+    """
 
     operator: LinearOperator
     regularizer: "Regularizer"
     loss: "Loss"
+    _r2: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -133,6 +137,19 @@ class ProblemInstance:
     @property
     def p(self) -> int:
         return self.operator.p
+
+    def r2(self, which: str) -> tuple[float, str]:
+        """``estimate_r2(loss, operator, which)``, computed at most once per variant."""
+        if which not in self._r2:
+            from .certificates import estimate_r2  # certificates imports this module
+
+            self._r2[which] = estimate_r2(self.loss, self.operator, which)
+        return self._r2[which]
+
+    @cached_property
+    def delta2(self) -> float:
+        """delta^2 at the interior point of a compact primal domain; raises otherwise."""
+        return self.regularizer.delta2(self.regularizer.interior_point())
 
 
 def validate_instance(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -34,13 +35,7 @@ from .algorithms import (
     run,
     step_size,
 )
-from .certificates import (
-    GeometryConstants,
-    dual_objective,
-    duality_gap,
-    estimate_r2,
-    primal_objective,
-)
+from .certificates import GeometryConstants, dual_objective, duality_gap, primal_objective
 from .core import (
     ConfigurationError,
     LinearOperator,
@@ -126,6 +121,8 @@ class ExperimentConfig:
             raise ConfigurationError("n and p must be positive")
         if self.max_iters < 0:
             raise ConfigurationError("max_iters must be nonnegative")
+        if math.isnan(self.gap_tol):
+            raise ConfigurationError("gap_tol must not be NaN")
         if self.reference_budget < 0:
             raise ConfigurationError("reference_budget must be nonnegative")
         if self.output_format not in ("csv", "json"):
@@ -173,7 +170,7 @@ class ExperimentConfig:
 # Problem generation
 
 
-def generate_problem_with_truth(config: ExperimentConfig, seed: Optional[int] = None):
+def generate_problem_with_truth(config: ExperimentConfig):
     """Seeded synthetic instance plus generator metadata.
 
     Classification losses use rows drawn from two unit-variance Gaussian
@@ -185,7 +182,7 @@ def generate_problem_with_truth(config: ExperimentConfig, seed: Optional[int] = 
     """
     config.validate()
     n, p = config.n, config.p
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    rng = np.random.default_rng(config.seed)
     scale = config.scale if config.scale is not None else 1.0 / n
     info: dict = {"scale": scale}
 
@@ -233,9 +230,9 @@ def generate_problem_with_truth(config: ExperimentConfig, seed: Optional[int] = 
     return problem, info
 
 
-def generate_problem(config: ExperimentConfig, seed: Optional[int] = None) -> ProblemInstance:
+def generate_problem(config: ExperimentConfig) -> ProblemInstance:
     """Deterministic synthetic instance for a config (see _with_truth)."""
-    return generate_problem_with_truth(config, seed)[0]
+    return generate_problem_with_truth(config)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +328,12 @@ def reference_solution(problem: ProblemInstance, tol: float = 1e-9, cap: int = 1
 
     Warm-starts with the line-search conditional gradient, then (for a
     loss that declares ``box_polish``) switches to an active-set Newton
-    polish of the dual over its box; the best pair seen is kept.  If the
-    gap tolerance is not reached within the budget, the result is
-    returned marked uncertified rather than raising.  x_star is always recomputed as (h*)'(-A^T y_star).  A
-    ``tol`` that is not >= 0 (NaN included) can never be met and a
-    negative ``cap`` is no budget, so both raise ConfigurationError.
+    polish of the dual over its box; the best pair seen is kept, and
+    x_star is always recomputed as (h*)'(-A^T y_star).  If the gap
+    tolerance is not reached within the budget, the result is returned
+    marked uncertified rather than raising.  A ``tol`` that is not >= 0
+    (NaN included) can never be met and a negative ``cap`` is no budget,
+    so both raise ConfigurationError.
     """
     if not tol >= 0:
         raise ConfigurationError(f"reference tolerance must be >= 0, got {tol!r}")
@@ -343,8 +341,7 @@ def reference_solution(problem: ProblemInstance, tol: float = 1e-9, cap: int = 1
         raise ConfigurationError(f"reference budget must be >= 0, got {cap!r}")
     validate_instance(problem, require_strong_convexity=True)
     op, reg = problem.operator, problem.regularizer
-    r2, _ = estimate_r2(problem.loss, op, "diameter")
-    schedule = LineSearch(mu=reg.mu, r2=r2)
+    schedule = LineSearch(mu=reg.mu, r2=problem.r2("diameter")[0])
     state = init_state(problem, resolve_initial_dual(problem))
     # the first warm-start pass evaluates the start pair
     best_y, best_gap = state.y, float("inf")
@@ -384,35 +381,38 @@ def reference_solution(problem: ProblemInstance, tol: float = 1e-9, cap: int = 1
 
 
 def build_schedule(config: ExperimentConfig, problem: ProblemInstance) -> StepSchedule:
-    """Schedule object for a config, computing R^2/delta^2 where needed."""
+    """Schedule object for a config; R^2 and delta^2 are the instance's."""
     name = config.schedule
     if name == "two-over-t-plus-one":
         return FixedTwoOverTPlusOne()
     if name == "one-over-t":
         return FixedOneOverT()
     if name == "line-search":
-        r2, _ = estimate_r2(problem.loss, problem.operator, "diameter")
-        return LineSearch(mu=problem.regularizer.mu, r2=r2)
+        return LineSearch(mu=problem.regularizer.mu, r2=problem.r2("diameter")[0])
     if name == "sqrt-decay":
-        r2, _ = estimate_r2(problem.loss, problem.operator, "origin")
-        delta2 = problem.regularizer.delta2(problem.regularizer.interior_point())
-        return SqrtDecay(delta=float(np.sqrt(delta2)), radius=float(np.sqrt(r2)))
+        radius = float(np.sqrt(problem.r2("origin")[0]))
+        return SqrtDecay(delta=float(np.sqrt(problem.delta2)), radius=radius)
     raise ConfigurationError(f"unknown schedule {name!r}")
 
 
-def run_experiment(config: ExperimentConfig, reference=None) -> RunResult:
-    """Generate the instance, build the schedule, and run."""
-    config.validate()
+@dataclass(frozen=True)
+class Experiment:
+    """A config with its generated instance and schedule, ready to run."""
+
+    config: ExperimentConfig
+    problem: ProblemInstance
+    schedule: StepSchedule
+
+    def run(self, reference=None) -> RunResult:
+        """Run the config's algorithm within its iteration budget and gap tolerance."""
+        cfg = self.config
+        return run(self.problem, cfg.algorithm, self.schedule, cfg.max_iters, cfg.gap_tol, reference=reference)
+
+
+def prepare(config: ExperimentConfig) -> Experiment:
+    """Validate the config, generate its instance and build its schedule (every command starts here)."""
     problem = generate_problem(config)
-    schedule = build_schedule(config, problem)
-    return run(
-        problem,
-        config.algorithm,
-        schedule,
-        max_iters=config.max_iters,
-        gap_tol=config.gap_tol,
-        reference=reference,
-    )
+    return Experiment(config, problem, build_schedule(config, problem))
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +501,7 @@ def sweep_cells(config: ExperimentConfig, schedules, seeds, out_dir: str):
 def _run_cell(payload) -> str:
     cfg_dict, path = payload
     cfg = ExperimentConfig.from_dict(cfg_dict)
-    result = run_experiment(cfg)
+    result = prepare(cfg).run()
     emit_trace(result, cfg.output_format, path, config=cfg)
     return path
 

@@ -286,6 +286,14 @@ def test_run_schedule_pairing_errors():
         run(prob, "dogleg", FixedOneOverT(), max_iters=5)
 
 
+def test_run_rejects_nan_gap_tol():
+    # gap <= NaN is never true, so the tolerance would be silently ignored
+    with pytest.raises(ConfigurationError, match="gap_tol must not be NaN"):
+        run(_svm_problem(), "gcg", FixedTwoOverTPlusOne(), max_iters=5, gap_tol=float("nan"))
+    res = run(_svm_problem(), "gcg", FixedTwoOverTPlusOne(), max_iters=5, gap_tol=float("-inf"))
+    assert res.termination == "budget" and len(res.trace) == 5
+
+
 def test_run_partial_reference_columns():
     prob = _svm_problem()
     res = run(prob, "md", FixedTwoOverTPlusOne(), max_iters=10)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from pdcg import ExperimentConfig
+from pdcg import Box, ExperimentConfig
 from pdcg.cli import cli_main
 
 
@@ -275,3 +275,62 @@ def test_sweep_nonpositive_workers_exit_two(tmp_path, config_path, workers, caps
     assert cli_main(argv) == 2
     assert "workers must be >= 1" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_solve_nan_gap_tol_exits_two(tmp_path, config_path, via, capsys):
+    out = tmp_path / "t.csv"
+    argv = ["solve", "--config", config_path, "--gap-tol", "nan"]
+    if via == "config":
+        path = tmp_path / "nan.json"
+        path.write_text('{"n": 20, "p": 4, "gap_tol": NaN}')
+        argv = ["solve", "--config", str(path)]
+    assert cli_main([*argv, "--out", str(out)]) == 2
+    assert "gap_tol must not be NaN" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "--algorithm", "ns-md", "--schedule", "sqrt-decay"], ["certify", "--prop", "compact-averaged-gap"]],
+)
+def test_sqrt_decay_on_unbounded_domain_exits_two(tmp_path, config_path, argv, capsys):
+    out = tmp_path / "t.csv"
+    assert cli_main([argv[0], "--config", config_path, *argv[1:], "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "delta^2 is defined for compact domains only" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+R2_CALLS = {
+    # command and flags -> the R^2 variants the domain computes, each at most once
+    "certify-linesearch": (["certify", "--prop", "gcg-linesearch-dual-subopt"], ["diameter", "origin"]),
+    "certify-compact": (["certify", "--prop", "compact-averaged-gap"], ["diameter", "origin"]),
+    "solve-linesearch-csv": (["solve", "--schedule", "line-search"], ["diameter"]),
+    "solve-linesearch-json": (["solve", "--schedule", "line-search", "--format", "json"], ["diameter", "origin"]),
+    "solve-sqrt-json": (
+        ["solve", "--algorithm", "ns-md", "--schedule", "sqrt-decay", "--format", "json"], ["diameter", "origin"]
+    ),
+    "solve-fixed-csv": (["solve"], []),
+}
+
+
+@pytest.mark.parametrize("case", list(R2_CALLS))
+def test_each_r2_is_computed_once_per_command(tmp_path, monkeypatch, case):
+    # n = 20 keeps the lad dual box on exact vertex enumeration
+    cfg = ExperimentConfig(loss="lad", regularizer="entropy", n=20, p=5, seed=1, scale=1.0, max_iters=20)
+    path = tmp_path / "lad.json"
+    cfg.dump(str(path))
+    calls = []
+    box_r2 = Box.r2
+
+    def counted(self, op, which):
+        calls.append(which)
+        return box_r2(self, op, which)
+
+    monkeypatch.setattr(Box, "r2", counted)
+    argv, expected = R2_CALLS[case]
+    out = ["--out", str(tmp_path / "out")]
+    assert cli_main([argv[0], "--config", str(path), *argv[1:], *out]) in (0, 1)
+    assert sorted(calls) == expected

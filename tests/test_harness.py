@@ -1,5 +1,7 @@
+import gc
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -18,9 +20,10 @@ from pdcg import (
     emit_trace,
     generate_problem,
     generate_problem_with_truth,
+    geometry_constants,
+    prepare,
     reference_solution,
     run,
-    run_experiment,
     run_sweep,
     trace_csv,
 )
@@ -61,6 +64,7 @@ def test_config_rejects_unknown_keys():
         {"output_format": "parquet"},
         {"regularizer": "entropy", "mu": 2.0},
         {"reference_budget": -1},
+        {"gap_tol": float("nan")},
     ],
 )
 def test_config_validation_errors(overrides):
@@ -83,8 +87,9 @@ def test_generate_deterministic():
 def test_generate_column_norms_order_one():
     cfg = ExperimentConfig(loss="logistic", n=200, p=20, seed=5)
     prob = generate_problem(cfg)
-    assert np.all(prob.operator.col_norms > 0.3)
-    assert np.all(prob.operator.col_norms < 3.0)
+    col_norms = np.linalg.norm(prob.operator.matrix, axis=0)
+    assert np.all(col_norms > 0.3)
+    assert np.all(col_norms < 3.0)
 
 
 def test_generate_lad_outlier_mass():
@@ -292,9 +297,22 @@ def test_thread_budget_env(monkeypatch):
     assert thread_budget() >= 1
 
 
-def test_run_experiment_end_to_end_deterministic():
+def test_prepare_run_end_to_end_deterministic():
     cfg = ExperimentConfig(loss="lad", regularizer="entropy", n=15, p=6, seed=9, max_iters=25)
-    a = run_experiment(cfg)
-    b = run_experiment(cfg)
+    a = prepare(cfg).run()
+    b = prepare(cfg).run()
     assert trace_csv(a) == trace_csv(b)
     assert a.termination == b.termination
+
+
+def test_problem_with_cached_geometry_is_freed():
+    # the geometry lives on the instance, so no global cache keeps it alive
+    cfg = ExperimentConfig(loss="lad", regularizer="entropy", n=12, p=4, seed=2,
+                           schedule="line-search", max_iters=5)
+    experiment = prepare(cfg)
+    experiment.run(reference_solution(experiment.problem, tol=1e-6, cap=50))
+    geometry_constants(experiment.problem)
+    ref = weakref.ref(experiment.problem)
+    del experiment
+    gc.collect()
+    assert ref() is None

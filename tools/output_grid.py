@@ -15,13 +15,21 @@ scale {default, 20/n} (n=60, p=12, seed 3, 150 iterations):
 * ``compare`` under 2/(t+1), 1/t and line search;
 * ``certify --out`` for each of the 8 bound ids.
 
-That is 840 outputs.  For each one the manifest records stdout, stderr,
-the exit code, an escaped exception and the sha256 of the written file.
-Every file goes to one fixed path, which the JSON config echo and the
-``solve`` summary line hold; the ``--workdir`` prefix is replaced by
-``<workdir>`` in all four texts and in the file bytes before anything
-is recorded, so the digest depends on the code and the BLAS build only.
-The run takes about half a minute and is not part of the test suite.
+That is 840 outputs.  At n=60 every dual box takes the norm bound on
+R^2, so a small slice at n=20, p=10, scale 20/n (the largest box whose
+R^2 is exact) adds, for the same 12 loss/regularizer mixes, ``certify``
+for each bound id and JSON ``solve`` under line search (gcg) and
+sqrt-decay (ns-md), and one JSON ``sweep`` of lad + squared_l2 over
+three schedules and two seeds on 2 workers: 961 outputs in all.
+
+For each one the manifest records stdout, stderr, the exit code, an
+escaped exception and the sha256 of the written file (for the sweep, of
+every file in its output directory).  Every output goes to one fixed
+path, which the JSON config echo and the ``solve`` summary line hold;
+the ``--workdir`` prefix is replaced by ``<workdir>`` in all four texts
+and in the file bytes before anything is recorded, so the digest
+depends on the code and the BLAS build only.  The run takes about half
+a minute and is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import sys
 import tempfile
 
@@ -45,6 +54,7 @@ from pdcg.cli import cli_main  # noqa: E402
 from pdcg.harness import LOSS_KINDS, REGULARIZER_KINDS, SCHEDULE_NAMES  # noqa: E402
 
 N, P, SEED, ITERS = 60, 12, 3, 150
+EXACT_N, EXACT_P = 20, 10
 ALGORITHMS = ("md", "gcg", "ns-md")
 COMPARE_SCHEDULES = ("two-over-t-plus-one", "one-over-t", "line-search")
 
@@ -53,6 +63,8 @@ PLACEHOLDER = "<workdir>"
 
 
 def _sha256(path: str, workdir: str):
+    if os.path.isdir(path):
+        return {name: _sha256(os.path.join(path, name), workdir) for name in sorted(os.listdir(path))}
     if not os.path.exists(path):
         return None
     with open(path, "rb") as fh:
@@ -62,7 +74,9 @@ def _sha256(path: str, workdir: str):
 
 def _call(argv: list, out_path: str, workdir: str) -> dict:
     """One in-process CLI call and everything it leaves behind, workdir masked."""
-    if os.path.exists(out_path):
+    if os.path.isdir(out_path):
+        shutil.rmtree(out_path)
+    elif os.path.exists(out_path):
         os.remove(out_path)
     stdout, stderr = io.StringIO(), io.StringIO()
     code, exception = None, None
@@ -107,6 +121,24 @@ def grid_calls(workdir: str):
                     yield setup, f"{prefix}/certify/{prop}", [
                         "certify", "--config", cfg_path, "--prop", prop, "--max-iters", str(ITERS),
                         "--out", out_path]
+    for loss in LOSS_KINDS:
+        for reg in REGULARIZER_KINDS:
+            config = {"loss": loss, "regularizer": reg, "n": EXACT_N, "p": EXACT_P, "seed": SEED,
+                      "scale": 20.0 / EXACT_N, "max_iters": ITERS}
+            prefix = f"exact/{loss}/{reg}"
+            setup = (cfg_path, config)
+            for prop in BOUND_IDS:
+                yield setup, f"{prefix}/certify/{prop}", [
+                    "certify", "--config", cfg_path, "--prop", prop, "--out", out_path]
+            for algo, sched in (("gcg", "line-search"), ("ns-md", "sqrt-decay")):
+                yield setup, f"{prefix}/solve/{algo}/{sched}/json", [
+                    "solve", "--config", cfg_path, "--algorithm", algo, "--schedule", sched,
+                    "--out", out_path, "--format", "json"]
+    config = {"loss": "lad", "regularizer": "squared_l2", "n": EXACT_N, "p": EXACT_P, "seed": SEED,
+              "scale": 20.0 / EXACT_N, "max_iters": ITERS, "output_format": "json"}
+    yield (cfg_path, config), "exact/sweep", [
+        "sweep", "--config", cfg_path, "--schedules", ",".join(COMPARE_SCHEDULES), "--seeds", "0:2",
+        "--out-dir", out_path, "--workers", "2"]
 
 
 def build_manifest(workdir: str) -> dict:
