@@ -36,7 +36,6 @@ from .certificates import (
     check_bound,
     dual_objective,
     duality_gap,
-    estimate_r2,
     geometry_constants,
     primal_objective,
 )

@@ -173,13 +173,10 @@ class SolverState:
     last_aty: Optional[np.ndarray] = None
 
 
-def resolve_initial_dual(problem: ProblemInstance, y0=None) -> np.ndarray:
-    """Default dual start: given y0, else 0 when 0 lies in C, else the oracle at A (h*)'(0)."""
+def resolve_initial_dual(problem: ProblemInstance, y0=None):
+    """Dual start: y0 as given (``init_state`` checks it), else 0 in C, else the oracle at A (h*)'(0)."""
     loss = problem.loss
     if y0 is not None:
-        y0 = as_vector(y0, problem.n, "y0")
-        if not loss.dual_domain.contains(y0, 1e-10):
-            raise FeasibilityError("y0 lies outside the dual domain C")
         return y0
     zero = np.zeros(problem.n)
     if loss.dual_domain.contains(zero, 0.0):
@@ -203,15 +200,10 @@ def init_state(problem: ProblemInstance, y0) -> SolverState:
     return SolverState(t=0, x=x0, ax=ax0, y=y0.copy(), carried_h_sub=carried)
 
 
-def init_state_compact(problem: ProblemInstance, x0=None) -> SolverState:
-    """Start for the compact-domain recursion from an interior point."""
-    reg = problem.regularizer
-    if x0 is None:
-        x0 = reg.interior_point()
-    x0 = as_vector(x0, problem.p, "x0")
-    reg.check_start(x0)
-    ax0 = problem.operator.apply(x0)
-    return SolverState(t=0, x=x0, ax=ax0, y=np.zeros(problem.n))
+def init_state_compact(problem: ProblemInstance) -> SolverState:
+    """Start for the compact-domain recursion at the interior point of its domain."""
+    x0 = problem.regularizer.interior_point()
+    return SolverState(t=0, x=x0, ax=problem.operator.apply(x0), y=np.zeros(problem.n))
 
 
 def _check_rho(rho: float) -> float:

@@ -40,14 +40,8 @@ from .algorithms import (
     RunResult,
     SqrtDecay,
 )
-from .core import (
-    ConfigurationError,
-    LinearOperator,
-    ProblemInstance,
-    as_vector,
-    clamp_gap,
-)
-from .functions import MODE_BOUND, MODE_EXACT, Loss
+from .core import ConfigurationError, ProblemInstance, as_vector, clamp_gap
+from .functions import MODE_BOUND, MODE_EXACT
 
 
 # ---------------------------------------------------------------------------
@@ -73,12 +67,12 @@ def dual_objective(problem: ProblemInstance, y) -> float:
 
 
 def duality_gap(problem: ProblemInstance, x, y) -> float:
-    """Nonnegative duality gap; tiny negative round-off is clamped to 0."""
-    p = primal_objective(problem, x)
-    d = dual_objective(problem, y)
-    if p == float("inf") or d == float("-inf"):
-        return float("inf")
-    return clamp_gap(p - d)
+    """Nonnegative duality gap; tiny negative round-off is clamped to 0.
+
+    The primal objective is never -inf and the dual never +inf, so an
+    infeasible x or y gives +inf, never NaN.
+    """
+    return clamp_gap(primal_objective(problem, x) - dual_objective(problem, y))
 
 
 # ---------------------------------------------------------------------------
@@ -99,23 +93,6 @@ class GeometryConstants:
     r2_origin: float
     mode: str
     delta2: Optional[float] = None
-
-
-def estimate_r2(loss: Loss, op: LinearOperator, which: str = "diameter") -> tuple[float, str]:
-    """R^2 for the dual domain C of ``loss`` under the operator ``op``.
-
-    ``which='diameter'`` gives max_{y,y' in C} ||A^T (y - y')||^2;
-    ``which='origin'`` gives max_{y in C} ||A^T y||^2.  The domain's
-    ``r2`` computes it: exact for the l1 ball and for boxes of at most
-    ``functions.EXACT_VERTEX_LIMIT`` coordinates, a norm upper bound for
-    larger boxes.
-    """
-    if which not in ("diameter", "origin"):
-        raise ConfigurationError(f"which must be 'diameter' or 'origin', got {which!r}")
-    dom = loss.dual_domain
-    if dom.dim != op.n:
-        raise ConfigurationError("dual domain dimension does not match the operator")
-    return dom.r2(op, which)
 
 
 def geometry_constants(problem: ProblemInstance) -> GeometryConstants:

@@ -68,8 +68,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--reference-tol", type=float, default=1e-9)
     pv.add_argument("--out", default=None, help="optional JSON report path")
 
-    pw = sub.add_parser("sweep", help="grid over schedules and seeds")
-    add_config(pw)
+    # no --seed: every cell takes its seed from --seeds, which --seed must
+    # not abbreviate either
+    pw = sub.add_parser("sweep", help="grid over schedules and seeds", allow_abbrev=False)
+    pw.add_argument("--config", required=True, help="JSON experiment config")
     pw.add_argument(
         "--schedules",
         default="two-over-t-plus-one,one-over-t,line-search",

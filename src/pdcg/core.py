@@ -139,17 +139,24 @@ class ProblemInstance:
         return self.operator.p
 
     def r2(self, which: str) -> tuple[float, str]:
-        """``estimate_r2(loss, operator, which)``, computed at most once per variant."""
-        if which not in self._r2:
-            from .certificates import estimate_r2  # certificates imports this module
+        """``(R^2, mode)`` of the dual domain under the operator, computed at most once per variant.
 
-            self._r2[which] = estimate_r2(self.loss, self.operator, which)
+        ``which='diameter'`` gives max_{y,y' in C} ||A^T (y - y')||^2;
+        ``which='origin'`` gives max_{y in C} ||A^T y||^2.
+        """
+        if which not in self._r2:
+            if which not in ("diameter", "origin"):
+                raise ConfigurationError(f"which must be 'diameter' or 'origin', got {which!r}")
+            dom = self.loss.dual_domain
+            if dom.dim != self.operator.n:
+                raise ConfigurationError("dual domain dimension does not match the operator")
+            self._r2[which] = dom.r2(self.operator, which)
         return self._r2[which]
 
     @cached_property
     def delta2(self) -> float:
         """delta^2 at the interior point of a compact primal domain; raises otherwise."""
-        return self.regularizer.delta2(self.regularizer.interior_point())
+        return self.regularizer.delta2()
 
 
 def validate_instance(

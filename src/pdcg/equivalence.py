@@ -29,7 +29,7 @@ from .algorithms import (
     primal_dual_values,
     step_size,
 )
-from .core import ConfigurationError, ProblemInstance, as_vector, clamp_gap, validate_instance
+from .core import ConfigurationError, ProblemInstance, clamp_gap, validate_instance
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,6 @@ def verify_equivalence(
     validate_instance(problem, require_strong_convexity=True)
     if MD not in schedule.recursions or GCG not in schedule.recursions:
         raise ConfigurationError(schedule.pairing_error)
-    y0 = as_vector(y0, problem.n, "y0")
     md_state = init_state(problem, y0)
     cg_state = init_state(problem, y0)
     max_x = 0.0

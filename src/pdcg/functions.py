@@ -7,9 +7,10 @@ An oracle a kind does not support raises ``ConfigurationError``.
 Each regularizer exposes h, its conjugate h*, the conjugate gradient
 (h*)' and the Bregman divergence D(x1, x2) = h(x1) - h(x2) - <x1 - x2,
 h'(x2)>; the recursions carry their own subgradient of h.  Compact
-domains add the closed-form Bregman-proximal step ``prox_step``, the start check
-``check_start`` and the radius bound ``delta2``; a smooth h* adds its
-Hessian ``conj_hess`` for the reference solver's Newton polish.
+domains add the closed-form Bregman-proximal step ``prox_step`` and the
+radius bound ``delta2`` at ``interior_point``, where the compact-domain
+recursion starts; a smooth h* adds its Hessian ``conj_hess`` for the
+reference solver's Newton polish.
 
 Each loss exposes f, its conjugate f*, and the argmax-subgradient oracle
 f'(z) = argmax_{y in C} <y, z> - f*(y) over the compact dual domain C,
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ConfigurationError, DomainError, FeasibilityError, LinearOperator, ValidationError, as_vector
+from .core import ConfigurationError, DomainError, LinearOperator, ValidationError, as_vector
 
 # Points this far outside a dual domain are treated as members and the
 # conjugate is evaluated at the clamped point; further out it is +inf.
@@ -253,16 +254,12 @@ class Regularizer:
         """Hessian of h* at z, given x = (h*)'(z)."""
         raise ConfigurationError(f"no smooth dual model for {type(self).__name__}")
 
-    def check_start(self, x0, error=FeasibilityError) -> None:
-        """Raise ``error`` unless the compact-domain recursion may start at x0."""
-        raise ConfigurationError(_COMPACT_ONLY)
-
     def prox_step(self, x, aty, rho: float) -> np.ndarray:
         """argmin_{x' in K} (1/rho) D(x', x) + <x' - x, aty>, in closed form."""
         raise ConfigurationError(_COMPACT_ONLY)
 
-    def delta2(self, x0) -> float:
-        """Upper bound delta^2 on D(x, x0) over the compact domain K."""
+    def delta2(self) -> float:
+        """Upper bound delta^2 on D(x, x0) over the compact domain K, x0 the interior point."""
         raise ConfigurationError("delta^2 is defined for compact domains only")
 
 
@@ -339,17 +336,12 @@ class SquaredL2Box(Regularizer):
     def interior_point(self) -> np.ndarray:
         return self.domain.center()
 
-    def check_start(self, x0, error=FeasibilityError) -> None:
-        if not self.domain.contains(x0):
-            raise error("x0 must lie in the box domain")
-
     def prox_step(self, x, aty, rho: float) -> np.ndarray:
         # clamped gradient step
         return self.domain.clip(x - (rho / self.mu) * aty)
 
-    def delta2(self, x0) -> float:
-        """(mu/2) diam(K)^2, independent of x0."""
-        self.check_start(as_vector(x0, self.dim, "x0"), ConfigurationError)
+    def delta2(self) -> float:
+        """(mu/2) diam(K)^2, whatever the start."""
         return 0.5 * self.mu * self.domain.diameter2()
 
 
@@ -400,21 +392,15 @@ class NegativeEntropySimplex(Regularizer):
     def conj_hess(self, z, x) -> np.ndarray:
         return np.diag(x) - np.outer(x, x)
 
-    def check_start(self, x0, error=FeasibilityError) -> None:
-        if not self.domain.interior_contains(x0):
-            raise error("x0 must lie in the interior of the simplex")
-
     def prox_step(self, x, aty, rho: float) -> np.ndarray:
         # renormalized multiplicative update
         logits = np.log(x) - rho * aty
         e = np.exp(logits - logits.max())
         return e / e.sum()
 
-    def delta2(self, x0) -> float:
-        """max_x KL(x || x0), attained at a vertex: -log(min_i x0_i)."""
-        x0 = as_vector(x0, self.dim, "x0")
-        self.check_start(x0, ConfigurationError)
-        return float(-np.log(x0.min()))
+    def delta2(self) -> float:
+        """max_x KL(x || x0), attained at a vertex: -log(min_i x0_i) at the barycenter x0."""
+        return float(-np.log(self.interior_point().min()))
 
 
 # ---------------------------------------------------------------------------

@@ -36,12 +36,7 @@ from .algorithms import (
     step_size,
 )
 from .certificates import GeometryConstants, dual_objective, duality_gap, primal_objective
-from .core import (
-    ConfigurationError,
-    LinearOperator,
-    ProblemInstance,
-    validate_instance,
-)
+from .core import ConfigurationError, LinearOperator, ProblemInstance, clamp_gap, validate_instance
 from .functions import (
     DualNormGauge,
     Hinge,
@@ -119,6 +114,8 @@ class ExperimentConfig:
             )
         if self.n < 1 or self.p < 1:
             raise ConfigurationError("n and p must be positive")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be nonnegative")
         if self.max_iters < 0:
             raise ConfigurationError("max_iters must be nonnegative")
         if math.isnan(self.gap_tol):
@@ -154,7 +151,7 @@ class ExperimentConfig:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ConfigurationError(f"invalid config JSON in {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigurationError("config file must contain a JSON object")
@@ -349,7 +346,7 @@ def reference_solution(problem: ProblemInstance, tol: float = 1e-9, cap: int = 1
     warm = min(cap, 500)
     for t in range(1, warm + 1):
         primal, dual = primal_dual_values(problem, state)
-        gap = max(primal - dual, 0.0)
+        gap = clamp_gap(primal - dual)
         if gap < best_gap:
             best_gap, best_y = gap, state.y.copy()
         if gap <= tol:
@@ -364,15 +361,16 @@ def reference_solution(problem: ProblemInstance, tol: float = 1e-9, cap: int = 1
         if gap_pol < best_gap:
             best_gap, best_y = gap_pol, y_pol
     x_star = reg.conj_grad(-op.adjoint_apply(best_y))
-    certified_gap = duality_gap(problem, x_star, best_y)
+    primal, dual = primal_objective(problem, x_star), dual_objective(problem, best_y)
+    certified_gap = clamp_gap(primal - dual)  # duality_gap at the pair, each side evaluated once
     return ReferenceSolution(
         x_star=x_star,
         y_star=best_y,
         certified_gap=certified_gap,
         iterations=iters,
         certified=bool(certified_gap <= tol),
-        primal_value=primal_objective(problem, x_star),
-        dual_value=dual_objective(problem, best_y),
+        primal_value=primal,
+        dual_value=dual,
     )
 
 

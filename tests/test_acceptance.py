@@ -25,7 +25,6 @@ from pdcg import (
     build_schedule,
     check_bound,
     duality_gap,
-    estimate_r2,
     gcg_step,
     generate_problem,
     geometry_constants,
@@ -104,7 +103,7 @@ def svm_100_20():
 
 def test_md_gcg_equivalence_across_schedules(svm_100_20):
     prob = svm_100_20
-    r2, _ = estimate_r2(prob.loss, prob.operator, "diameter")
+    r2, _ = prob.loss.dual_domain.r2(prob.operator, "diameter")
     schedules = [
         FixedTwoOverTPlusOne(),
         FixedOneOverT(),

@@ -18,6 +18,7 @@ from pdcg import (
     SqrtDecay,
     SquaredL2,
     SquaredL2Box,
+    ValidationError,
     build_schedule,
     gcg_step,
     generate_problem,
@@ -143,7 +144,7 @@ def test_ns_md_entropy_multiplicative_update():
         NegativeEntropySimplex(2),
         LeastAbsoluteDeviation([0.0, 0.5], 1.0),
     )
-    state = init_state_compact(prob, [0.5, 0.5])
+    state = init_state_compact(prob)  # (0.5, 0.5)
     out = ns_md_step(prob, state, 1.0)
     expected = np.array([np.exp(-1.0), 1.0])
     expected /= expected.sum()
@@ -176,7 +177,7 @@ def test_ns_md_box_clamp():
         SquaredL2Box(2.0, np.zeros(2), np.ones(2)),
         LeastAbsoluteDeviation([-1.0, 0.8], 1.0),
     )
-    state = init_state_compact(prob, [0.5, 0.5])
+    state = init_state_compact(prob)  # (0.5, 0.5)
     out = ns_md_step(prob, state, 0.5)
     # A^T y = sign(x - target) = (1, -1); clamp(x - (rho/mu) aty)
     np.testing.assert_allclose(out.x, [0.5 - 0.25, 0.5 + 0.25], atol=1e-15)
@@ -186,8 +187,10 @@ def test_ns_md_box_clamp():
 
 def test_ns_md_rejects_noncompact():
     prob = _single_hinge_problem()
-    with pytest.raises(Exception):
-        init_state_compact(prob)
+    with pytest.raises(ValidationError, match="algorithm requires a compact primal domain"):
+        run(prob, "ns-md", SqrtDecay(delta=1.0, radius=1.0), max_iters=1)
+    with pytest.raises(ConfigurationError, match="compact-domain recursion supports"):
+        ns_md_step(prob, init_state_compact(prob), 0.5)
 
 
 # --------------------------------------------------------------------------
@@ -302,9 +305,7 @@ def test_run_partial_reference_columns():
 
 def test_line_search_run_consumes_exact_gap():
     prob = _svm_problem(n=20, p=4, seed=2)
-    from pdcg import estimate_r2
-
-    r2, _ = estimate_r2(prob.loss, prob.operator, "diameter")
+    r2, _ = prob.loss.dual_domain.r2(prob.operator, "diameter")
     sched = LineSearch(mu=1.0, r2=r2)
     res = run(prob, "gcg", sched, max_iters=50)
     for rec in res.trace:

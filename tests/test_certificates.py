@@ -24,7 +24,6 @@ from pdcg import (
     check_bound,
     dual_objective,
     duality_gap,
-    estimate_r2,
     generate_problem,
     geometry_constants,
     primal_objective,
@@ -124,8 +123,8 @@ def test_support_gap_hand_value():
 def test_estimate_r2_lad_identity():
     lad = LeastAbsoluteDeviation([0.0, 0.0], 1.0)
     op = LinearOperator(np.eye(2))
-    diam, mode = estimate_r2(lad, op, "diameter")
-    orig, _ = estimate_r2(lad, op, "origin")
+    diam, mode = lad.dual_domain.r2(op, "diameter")
+    orig, _ = lad.dual_domain.r2(op, "origin")
     assert mode == "exact-vertex"
     assert diam == pytest.approx(8.0)
     assert orig == pytest.approx(2.0)
@@ -134,8 +133,8 @@ def test_estimate_r2_lad_identity():
 def test_estimate_r2_zero_operator():
     lad = LeastAbsoluteDeviation([0.0, 0.0], 1.0)
     op = LinearOperator(np.zeros((2, 2)))
-    assert estimate_r2(lad, op, "diameter")[0] == 0.0
-    assert estimate_r2(lad, op, "origin")[0] == 0.0
+    assert lad.dual_domain.r2(op, "diameter")[0] == 0.0
+    assert lad.dual_domain.r2(op, "origin")[0] == 0.0
 
 
 def test_estimate_r2_gauge_closed_form():
@@ -143,8 +142,8 @@ def test_estimate_r2_gauge_closed_form():
     rng = np.random.default_rng(14)
     op = LinearOperator(rng.standard_normal((3, 4)))
     m = float(np.max(op.row_norms))
-    diam, mode = estimate_r2(gauge, op, "diameter")
-    orig, _ = estimate_r2(gauge, op, "origin")
+    diam, mode = gauge.dual_domain.r2(op, "diameter")
+    orig, _ = gauge.dual_domain.r2(op, "origin")
     assert mode == "exact-vertex"
     assert diam == pytest.approx((2 * 2.0 * m) ** 2)
     assert orig == pytest.approx((2.0 * m) ** 2)
@@ -154,9 +153,16 @@ def test_estimate_r2_gauge_closed_form():
     "loss", [DualNormGauge(4, 2.0, 0.0), LeastAbsoluteDeviation(np.zeros(4), 1.0)], ids=["gauge", "lad"]
 )
 def test_estimate_r2_rejects_dimension_mismatch(loss):
-    op = LinearOperator(np.ones((3, 2)))
+    prob = ProblemInstance(LinearOperator(np.ones((3, 2))), SquaredL2(1.0, 2), loss)
     with pytest.raises(ConfigurationError, match="dual domain dimension does not match the operator"):
-        estimate_r2(loss, op, "diameter")
+        prob.r2("diameter")
+
+
+def test_instance_r2_rejects_unknown_variant():
+    prob = _svm_identity()
+    with pytest.raises(ConfigurationError, match="which must be 'diameter' or 'origin'"):
+        prob.r2("radius")
+    assert prob.r2("origin") == prob.loss.dual_domain.r2(prob.operator, "origin")
 
 
 def test_estimate_r2_exact_matches_pairwise_brute_force():
@@ -165,7 +171,7 @@ def test_estimate_r2_exact_matches_pairwise_brute_force():
         labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
         loss = Hinge(labels, 0.8)
         op = LinearOperator(rng.standard_normal((n, 3)))
-        exact, mode = estimate_r2(loss, op, "diameter")
+        exact, mode = loss.dual_domain.r2(op, "diameter")
         assert mode == "exact-vertex"
         dom = loss.dual_domain
         corners = [
@@ -178,7 +184,7 @@ def test_estimate_r2_exact_matches_pairwise_brute_force():
             for b in corners
         )
         assert exact == pytest.approx(brute, rel=1e-12)
-        exact_o, mode_o = estimate_r2(loss, op, "origin")
+        exact_o, mode_o = loss.dual_domain.r2(op, "origin")
         assert mode_o == "exact-vertex"
         brute_o = max(float(np.sum(op.adjoint_apply(a) ** 2)) for a in corners)
         assert exact_o == pytest.approx(brute_o, rel=1e-12)
@@ -218,7 +224,7 @@ def test_estimate_r2_exact_matches_chunked_enumeration(n, kind):
         ("diameter", -dom.widths, dom.widths),
         ("origin", dom.lower, dom.upper),
     ):
-        value, mode = estimate_r2(loss, op, which)
+        value, mode = loss.dual_domain.r2(op, which)
         assert mode == "exact-vertex"
         assert value == pytest.approx(_chunked_vertex_max(op.matrix, lower, upper), rel=1e-12)
 
@@ -231,7 +237,7 @@ def test_exact_r2_memory_grows_with_half_the_vertices(p, limit_mb):
     op = LinearOperator(rng.standard_normal((20, p)))
     tracemalloc.start()
     try:
-        estimate_r2(loss, op, "diameter")
+        loss.dual_domain.r2(op, "diameter")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -244,12 +250,12 @@ def test_estimate_r2_bound_dominates_exact():
         n = int(rng.integers(2, 9))
         loss = LeastAbsoluteDeviation(rng.standard_normal(n), 0.5)
         op = LinearOperator(rng.standard_normal((n, 3)))
-        exact, _ = estimate_r2(loss, op, "diameter")
+        exact, _ = loss.dual_domain.r2(op, "diameter")
         coeff = loss.dual_domain.widths
         bound = float(np.sum(coeff * op.row_norms)) ** 2
         assert exact <= bound + 1e-9
         # origin form as well
-        exact_o, _ = estimate_r2(loss, op, "origin")
+        exact_o, _ = loss.dual_domain.r2(op, "origin")
         bound_o = float(np.sum(loss.dual_domain.max_abs() * op.row_norms)) ** 2
         assert exact_o <= bound_o + 1e-9
 
@@ -268,22 +274,18 @@ def test_r2_diameter_origin_triangle_inequality():
 
 def test_domain_radius_delta2():
     ent = NegativeEntropySimplex(2)
-    assert ent.delta2([0.5, 0.5]) == pytest.approx(np.log(2.0))
+    assert ent.delta2() == pytest.approx(np.log(2.0))
     box = SquaredL2Box(1.0, np.zeros(2), np.ones(2))
-    assert box.delta2([0.3, 0.9]) == pytest.approx(1.0)
-    with pytest.raises(ConfigurationError):
-        ent.delta2([1.0, 0.0])
-    with pytest.raises(ConfigurationError):
-        box.delta2([1.5, 0.5])
-    with pytest.raises(ConfigurationError):
-        SquaredL2(1.0, 2).delta2([0.0, 0.0])
+    assert box.delta2() == pytest.approx(1.0)
+    with pytest.raises(ConfigurationError, match="delta\\^2 is defined for compact domains only"):
+        SquaredL2(1.0, 2).delta2()
 
 
 def test_delta2_dominates_sampled_divergence():
     rng = np.random.default_rng(18)
     ent = NegativeEntropySimplex(5)
     x0 = ent.interior_point()
-    d2 = ent.delta2(x0)
+    d2 = ent.delta2()
     assert d2 == pytest.approx(np.log(5.0))
     for _ in range(500):
         x = rng.dirichlet(np.ones(5) * 0.5)

@@ -334,3 +334,42 @@ def test_each_r2_is_computed_once_per_command(tmp_path, monkeypatch, case):
     out = ["--out", str(tmp_path / "out")]
     assert cli_main([argv[0], "--config", str(path), *argv[1:], *out]) in (0, 1)
     assert sorted(calls) == expected
+
+
+NEGATIVE_SEEDS = {
+    # case -> command, flags, output flag; "config" puts seed -1 in the config file
+    "solve-flag": (["solve", "--seed", "-2"], "--out"),
+    "sweep-seeds": (["sweep", "--seeds=-2:0", "--workers", "1"], "--out-dir"),
+    "config": (["solve"], "--out"),
+}
+
+
+@pytest.mark.parametrize("case", list(NEGATIVE_SEEDS))
+def test_negative_seed_exits_two(tmp_path, config_path, case, capsys):
+    if case == "config":
+        config_path = str(tmp_path / "negative.json")
+        ExperimentConfig(n=20, p=4, seed=-1).dump(config_path)
+    argv, out_flag = NEGATIVE_SEEDS[case]
+    out = tmp_path / "out"
+    assert cli_main([argv[0], "--config", config_path, *argv[1:], out_flag, str(out)]) == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_not_utf8_exits_two(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"loss": "lad\xff"}')
+    out = tmp_path / "x.csv"
+    assert cli_main(["solve", "--config", str(path), "--out", str(out)]) == 2
+    assert "invalid config JSON" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [["--seed", "5"], ["--seed=5"]], ids=["spaced", "joined"])
+def test_sweep_rejects_seed_flag(tmp_path, config_path, flag, capsys):
+    # each cell's seed comes from --seeds; --seed is not an abbreviation of it
+    out_dir = tmp_path / "cells"
+    argv = ["sweep", "--config", config_path, *flag, "--seeds", "0", "--out-dir", str(out_dir), "--workers", "1"]
+    assert cli_main(argv) == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+    assert not out_dir.exists()

@@ -15,7 +15,6 @@ from pdcg import (
     SquaredL2,
     SqrtDecay,
     SquaredL2Box,
-    estimate_r2,
     gcg_step,
     generate_problem,
     init_state,
@@ -86,7 +85,7 @@ def test_equivalence_rejects_a_schedule_run_rejects():
 @pytest.mark.parametrize("make_sched", [
     lambda prob: FixedTwoOverTPlusOne(),
     lambda prob: FixedOneOverT(),
-    lambda prob: LineSearch(mu=1.0, r2=estimate_r2(prob.loss, prob.operator, "diameter")[0]),
+    lambda prob: LineSearch(mu=1.0, r2=prob.loss.dual_domain.r2(prob.operator, "diameter")[0]),
 ], ids=["two-over-t-plus-one", "one-over-t", "line-search"])
 def test_equivalence_schedule_agnostic(make_sched):
     prob = _svm()

@@ -65,6 +65,7 @@ def test_config_rejects_unknown_keys():
         {"regularizer": "entropy", "mu": 2.0},
         {"reference_budget": -1},
         {"gap_tol": float("nan")},
+        {"seed": -1},
     ],
 )
 def test_config_validation_errors(overrides):

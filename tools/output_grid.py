@@ -20,7 +20,11 @@ R^2, so a small slice at n=20, p=10, scale 20/n (the largest box whose
 R^2 is exact) adds, for the same 12 loss/regularizer mixes, ``certify``
 for each bound id and JSON ``solve`` under line search (gcg) and
 sqrt-decay (ns-md), and one JSON ``sweep`` of lad + squared_l2 over
-three schedules and two seeds on 2 workers: 961 outputs in all.
+three schedules and two seeds on 2 workers: 961 outputs.  Five
+malformed inputs follow, each of which must exit 2 and write nothing:
+``solve --seed -2``, ``sweep --seeds=-2:0``, ``sweep --seed`` (a flag
+``sweep`` does not take), ``"seed": -1`` in the config, and a config
+file that is not UTF-8.  That makes 966 outputs in all.
 
 For each one the manifest records stdout, stderr, the exit code, an
 escaped exception and the sha256 of the written file (for the sweep, of
@@ -46,6 +50,8 @@ import tempfile
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+# argparse wraps its usage text to the terminal width; pin it for the digest
+os.environ["COLUMNS"] = "80"
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
@@ -139,6 +145,19 @@ def grid_calls(workdir: str):
     yield (cfg_path, config), "exact/sweep", [
         "sweep", "--config", cfg_path, "--schedules", ",".join(COMPARE_SCHEDULES), "--seeds", "0:2",
         "--out-dir", out_path, "--workers", "2"]
+    config = {"loss": "lad", "regularizer": "squared_l2", "n": EXACT_N, "p": EXACT_P, "seed": SEED, "max_iters": 5}
+    setup = (cfg_path, config)
+    yield setup, "malformed/solve-negative-seed", ["solve", "--config", cfg_path, "--seed", "-2", "--out", out_path]
+    yield setup, "malformed/sweep-negative-seeds", [
+        "sweep", "--config", cfg_path, "--seeds=-2:0", "--out-dir", out_path, "--workers", "1"]
+    yield setup, "malformed/sweep-seed-flag", [
+        "sweep", "--config", cfg_path, "--seed", "1", "--seeds", "0", "--schedules", "one-over-t",
+        "--out-dir", out_path, "--workers", "1"]
+    yield (cfg_path, dict(config, seed=-1)), "malformed/config-negative-seed", [
+        "solve", "--config", cfg_path, "--out", out_path]
+    # raw bytes: the config file itself is malformed
+    yield (cfg_path, b'{"seed": 3\xff}'), "malformed/config-not-utf8", [
+        "solve", "--config", cfg_path, "--out", out_path]
 
 
 def build_manifest(workdir: str) -> dict:
@@ -148,8 +167,8 @@ def build_manifest(workdir: str) -> dict:
     written = None
     for (cfg_path, config), key, argv in grid_calls(workdir):
         if config != written:
-            with open(cfg_path, "w", encoding="utf-8") as fh:
-                json.dump(config, fh)
+            with open(cfg_path, "wb") as fh:
+                fh.write(config if isinstance(config, bytes) else json.dumps(config).encode())
             written = config
         manifest[key] = _call(argv, out_path, workdir)
     return manifest
