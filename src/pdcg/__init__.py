@@ -50,7 +50,6 @@ from .core import (
     TraceRecord,
     ValidationError,
     as_vector,
-    validate_instance,
 )
 from .equivalence import EquivalenceReport, verify_equivalence
 from .functions import (

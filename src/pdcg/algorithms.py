@@ -35,9 +35,9 @@ from .core import (
     FeasibilityError,
     ProblemInstance,
     TraceRecord,
+    ValidationError,
     as_vector,
     check_gap_floor,
-    validate_instance,
 )
 
 MD = "md"
@@ -326,9 +326,8 @@ def run(
         raise ConfigurationError("gap_tol must not be NaN")
     reg, loss = problem.regularizer, problem.loss
     strongly_convex = algorithm in (MD, GCG)
-    validate_instance(
-        problem, require_strong_convexity=strongly_convex, require_compact_domain=not strongly_convex
-    )
+    if not strongly_convex and not reg.domain.compact:
+        raise ValidationError("algorithm requires a compact primal domain")
     if algorithm not in schedule.recursions:
         raise ConfigurationError(schedule.pairing_error)
 

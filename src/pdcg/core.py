@@ -122,13 +122,29 @@ class LinearOperator:
 class ProblemInstance:
     """The triple (A, h, f) defining min_x h(x) + f(A x).
 
-    R^2 and delta^2 are computed on first use and kept on the instance.
+    Valid by construction: h acts on R^p, f and its dual domain C on R^n,
+    and h is mu-strongly convex with mu > 0, so x = (h*)'(-A^T y) is
+    defined for every algorithm.  R^2 and delta^2 are computed on first
+    use and kept on the instance.
     """
 
     operator: LinearOperator
     regularizer: "Regularizer"
     loss: "Loss"
     _r2: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        op, reg, loss = self.operator, self.regularizer, self.loss
+        if reg.dim != op.p:
+            raise ValidationError(f"regularizer dimension {reg.dim} does not match operator columns {op.p}")
+        if loss.dim != op.n:
+            raise ValidationError(f"loss dimension {loss.dim} does not match operator rows {op.n}")
+        if loss.dual_domain.dim != op.n:
+            raise ValidationError(
+                f"dual domain dimension {loss.dual_domain.dim} does not match operator rows {op.n}"
+            )
+        if not reg.mu > 0.0:
+            raise ValidationError(f"regularizer modulus mu={reg.mu} must be positive")
 
     @property
     def n(self) -> int:
@@ -147,47 +163,13 @@ class ProblemInstance:
         if which not in self._r2:
             if which not in ("diameter", "origin"):
                 raise ConfigurationError(f"which must be 'diameter' or 'origin', got {which!r}")
-            dom = self.loss.dual_domain
-            if dom.dim != self.operator.n:
-                raise ConfigurationError("dual domain dimension does not match the operator")
-            self._r2[which] = dom.r2(self.operator, which)
+            self._r2[which] = self.loss.dual_domain.r2(self.operator, which)
         return self._r2[which]
 
     @cached_property
     def delta2(self) -> float:
         """delta^2 at the interior point of a compact primal domain; raises otherwise."""
         return self.regularizer.delta2()
-
-
-def validate_instance(
-    problem: ProblemInstance,
-    require_strong_convexity: bool = False,
-    require_compact_domain: bool = False,
-) -> ProblemInstance:
-    """Check dimension consistency; return the instance unchanged on success.
-
-    Called at every solver entry point.  ``require_strong_convexity``
-    additionally demands a positive modulus on the regularizer;
-    ``require_compact_domain`` demands a compact primal domain.
-    """
-    op = problem.operator
-    reg = problem.regularizer
-    loss = problem.loss
-    if reg.dim != op.p:
-        raise ValidationError(
-            f"regularizer dimension {reg.dim} does not match operator columns {op.p}"
-        )
-    if loss.dim != op.n:
-        raise ValidationError(
-            f"loss dimension {loss.dim} does not match operator rows {op.n}"
-        )
-    if require_strong_convexity and not reg.mu > 0.0:
-        raise ValidationError(
-            f"regularizer modulus mu={reg.mu} must be positive for this algorithm"
-        )
-    if require_compact_domain and not reg.domain.compact:
-        raise ValidationError("algorithm requires a compact primal domain")
-    return problem
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from .algorithms import (
     primal_dual_values,
     step_size,
 )
-from .core import ConfigurationError, ProblemInstance, clamp_gap, validate_instance
+from .core import ConfigurationError, ProblemInstance, clamp_gap
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,6 @@ def verify_equivalence(
     """
     if iterations < 0 or not tolerance >= 0:
         raise ConfigurationError("iterations and tolerance must be nonnegative")
-    validate_instance(problem, require_strong_convexity=True)
     if MD not in schedule.recursions or GCG not in schedule.recursions:
         raise ConfigurationError(schedule.pairing_error)
     md_state = init_state(problem, y0)

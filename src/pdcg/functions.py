@@ -215,20 +215,16 @@ class L1Ball:
 
 def _check_mu(mu: float) -> float:
     mu = float(mu)
-    if not 0.0 <= mu < np.inf:
-        raise ValidationError("modulus mu must be nonnegative and finite")
+    if not 0.0 < mu < np.inf:
+        raise ValidationError("modulus mu must be positive and finite")
     return mu
 
 
 class Regularizer:
-    """Oracle bundle for a mu-strongly convex h with domain K."""
+    """Oracle bundle for a mu-strongly convex h with domain K; mu > 0."""
 
     mu: float
     dim: int
-
-    def _require_mu(self) -> None:
-        if self.mu <= 0:
-            raise ValidationError("conjugate oracle undefined for mu = 0")
 
     def value(self, x) -> float:
         """h(x); +inf outside K."""
@@ -276,12 +272,10 @@ class SquaredL2(Regularizer):
         return 0.5 * self.mu * float(x @ x)
 
     def conj_value(self, z) -> float:
-        self._require_mu()
         z = as_vector(z, self.dim, "z")
         return float(z @ z) / (2.0 * self.mu)
 
     def conj_grad(self, z) -> np.ndarray:
-        self._require_mu()
         z = as_vector(z, self.dim, "z")
         return z / self.mu
 
@@ -315,13 +309,11 @@ class SquaredL2Box(Regularizer):
     def conj_value(self, z) -> float:
         # Separable: per coordinate max over [lo, hi] of x*z - (mu/2) x^2,
         # attained at the clamp of z/mu.
-        self._require_mu()
         z = as_vector(z, self.dim, "z")
         c = self.domain.clip(z / self.mu)
         return float(c @ z - 0.5 * self.mu * (c @ c))
 
     def conj_grad(self, z) -> np.ndarray:
-        self._require_mu()
         z = as_vector(z, self.dim, "z")
         return self.domain.clip(z / self.mu)
 

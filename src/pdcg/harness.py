@@ -35,8 +35,8 @@ from .algorithms import (
     run,
     step_size,
 )
-from .certificates import GeometryConstants, dual_objective, duality_gap, primal_objective
-from .core import ConfigurationError, LinearOperator, ProblemInstance, clamp_gap, validate_instance
+from .certificates import GeometryConstants, dual_objective
+from .core import ConfigurationError, LinearOperator, ProblemInstance, clamp_gap
 from .functions import (
     DualNormGauge,
     Hinge,
@@ -63,8 +63,6 @@ TRACE_COLUMNS = {
     "bregman_ref": "bregman_to_ref",
 }
 CSV_HEADER = ",".join(TRACE_COLUMNS)
-
-THREADS_ENV = "PDCG_THREADS"
 
 # JSON values accepted for each declared config field type
 _CONFIG_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real}
@@ -223,8 +221,7 @@ def generate_problem_with_truth(config: ExperimentConfig):
         a = rng.standard_normal((n, p)) / np.sqrt(n)
         loss = DualNormGauge(n, config.gauge_omega0, config.gauge_lambda)
 
-    problem = validate_instance(ProblemInstance(LinearOperator(a), regularizer, loss))
-    return problem, info
+    return ProblemInstance(LinearOperator(a), regularizer, loss), info
 
 
 def generate_problem(config: ExperimentConfig) -> ProblemInstance:
@@ -276,20 +273,20 @@ def _polish_box_dual(problem: ProblemInstance, y: np.ndarray, tol: float, max_it
     used = 0
     for k in range(max_iter):
         used = k + 1
-        z = -op.adjoint_apply(y)
-        x = reg.conj_grad(z)
-        gap = duality_gap(problem, x, y)
+        state = init_state(problem, y)
+        primal, dual = primal_dual_values(problem, state)
+        gap = clamp_gap(primal - dual)
         if gap < best_gap:
-            best_gap, best_y = gap, y.copy()
+            best_gap, best_y = gap, state.y
         if gap <= tol:
             break
-        grad = op.apply(x) - loss.conj_grad(y)
+        grad = state.ax - loss.conj_grad(y)
         at_lo = (y - lo) <= 1e-12 * widths
         at_hi = (hi - y) <= 1e-12 * widths
         free = ~((at_lo & (grad <= 0.0)) | (at_hi & (grad >= 0.0)))
         direction = np.zeros_like(y)
         if np.any(free):
-            hess = -(op.matrix @ reg.conj_hess(z, x) @ op.matrix.T)
+            hess = -(op.matrix @ reg.conj_hess(state.carried_h_sub, state.x) @ op.matrix.T)
             hess[np.diag_indices_from(hess)] -= loss.conj_hess_diag(y)
             sub = -hess[np.ix_(free, free)]
             sub[np.diag_indices_from(sub)] += 1e-12 * (1.0 + np.trace(sub) / sub.shape[0])
@@ -298,7 +295,6 @@ def _polish_box_dual(problem: ProblemInstance, y: np.ndarray, tol: float, max_it
             except np.linalg.LinAlgError:
                 d = np.linalg.lstsq(sub, grad[free], rcond=None)[0]
             direction[free] = d
-        q0 = dual_objective(problem, y)
 
         def _try(step_dir):
             alpha = 1.0
@@ -306,7 +302,7 @@ def _polish_box_dual(problem: ProblemInstance, y: np.ndarray, tol: float, max_it
                 cand = np.clip(y + alpha * step_dir, lo, hi)
                 if loss.open_domain:
                     cand = np.clip(cand, lo + 1e-15 * widths, hi - 1e-15 * widths)
-                if dual_objective(problem, cand) > q0:
+                if dual_objective(problem, cand) > dual:
                     return cand
                 alpha *= 0.5
             return None
@@ -336,9 +332,7 @@ def reference_solution(problem: ProblemInstance, tol: float = 1e-9, cap: int = 1
         raise ConfigurationError(f"reference tolerance must be >= 0, got {tol!r}")
     if cap < 0:
         raise ConfigurationError(f"reference budget must be >= 0, got {cap!r}")
-    validate_instance(problem, require_strong_convexity=True)
-    op, reg = problem.operator, problem.regularizer
-    schedule = LineSearch(mu=reg.mu, r2=problem.r2("diameter")[0])
+    schedule = LineSearch(mu=problem.regularizer.mu, r2=problem.r2("diameter")[0])
     state = init_state(problem, resolve_initial_dual(problem))
     # the first warm-start pass evaluates the start pair
     best_y, best_gap = state.y, float("inf")
@@ -360,11 +354,11 @@ def reference_solution(problem: ProblemInstance, tol: float = 1e-9, cap: int = 1
         iters += used
         if gap_pol < best_gap:
             best_gap, best_y = gap_pol, y_pol
-    x_star = reg.conj_grad(-op.adjoint_apply(best_y))
-    primal, dual = primal_objective(problem, x_star), dual_objective(problem, best_y)
-    certified_gap = clamp_gap(primal - dual)  # duality_gap at the pair, each side evaluated once
+    final = init_state(problem, best_y)
+    primal, dual = primal_dual_values(problem, final)
+    certified_gap = clamp_gap(primal - dual)
     return ReferenceSolution(
-        x_star=x_star,
+        x_star=final.x,
         y_star=best_y,
         certified_gap=certified_gap,
         iterations=iters,
@@ -470,30 +464,20 @@ def emit_trace(
 # Sweeps
 
 
-def thread_budget() -> int:
-    """Worker cap for sweeps: PDCG_THREADS if set, else the machine cores."""
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        val = int(raw)
-    except ValueError as exc:
-        raise ConfigurationError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
-    if val < 1:
-        raise ConfigurationError(f"{THREADS_ENV} must be >= 1")
-    return val
-
-
 def sweep_cells(config: ExperimentConfig, schedules, seeds, out_dir: str):
-    """One (config, output path) pair per grid cell."""
-    cells = []
+    """One (config, output path) pair per grid cell; two cells may not share a path."""
+    cells = {}
     for sched in schedules:
         for seed in seeds:
             cfg = dataclasses.replace(config, schedule=sched, seed=int(seed))
             cfg.validate()
-            name = f"trace_{sched}_{seed}.{cfg.output_format}"
-            cells.append((cfg, os.path.join(out_dir, name)))
-    return cells
+            path = os.path.join(out_dir, f"trace_{sched}_{seed}.{cfg.output_format}")
+            if path in cells:
+                raise ConfigurationError(
+                    f"schedule {sched!r} and seed {seed} appear twice; each cell needs its own trace file"
+                )
+            cells[path] = cfg
+    return [(cfg, path) for path, cfg in cells.items()]
 
 
 def _run_cell(payload) -> str:
@@ -507,13 +491,17 @@ def _run_cell(payload) -> str:
 def run_sweep(config: ExperimentConfig, schedules, seeds, out_dir: str, workers: Optional[int] = None):
     """Run the grid; cells are independent, so order never affects bytes.
 
-    ``workers`` defaults to the thread budget and must be at least 1.
-    Every argument is checked before ``out_dir`` is created.
+    ``workers`` defaults to the machine's cores and must be at least 1.
+    Every argument is checked before ``out_dir`` is created: one cell
+    per schedule runs with a zero budget, which makes every check
+    ``solve`` makes and takes no step.
     """
-    workers = thread_budget() if workers is None else workers
+    workers = (os.cpu_count() or 1) if workers is None else workers
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     cells = sweep_cells(config, schedules, seeds, out_dir)
+    for cfg in {cfg.schedule: cfg for cfg, _ in cells}.values():
+        prepare(dataclasses.replace(cfg, max_iters=0)).run()
     os.makedirs(out_dir, exist_ok=True)
     payloads = [(cfg.to_dict(), path) for cfg, path in cells]
     if workers == 1 or len(payloads) <= 1:

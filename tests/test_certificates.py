@@ -153,9 +153,9 @@ def test_estimate_r2_gauge_closed_form():
     "loss", [DualNormGauge(4, 2.0, 0.0), LeastAbsoluteDeviation(np.zeros(4), 1.0)], ids=["gauge", "lad"]
 )
 def test_estimate_r2_rejects_dimension_mismatch(loss):
-    prob = ProblemInstance(LinearOperator(np.ones((3, 2))), SquaredL2(1.0, 2), loss)
-    with pytest.raises(ConfigurationError, match="dual domain dimension does not match the operator"):
-        prob.r2("diameter")
+    # a loss and dual domain of the wrong dimension cannot be put into an instance
+    with pytest.raises(ValidationError, match="loss dimension 4 does not match operator rows 3"):
+        ProblemInstance(LinearOperator(np.ones((3, 2))), SquaredL2(1.0, 2), loss)
 
 
 def test_instance_r2_rejects_unknown_variant():

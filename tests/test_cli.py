@@ -373,3 +373,37 @@ def test_sweep_rejects_seed_flag(tmp_path, config_path, flag, capsys):
     assert cli_main(argv) == 2
     assert "unrecognized arguments: --seed" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["certify", "--prop", "compact-averaged-gap"]])
+def test_zero_modulus_exits_two(tmp_path, argv, capsys):
+    path = tmp_path / "flat.json"
+    path.write_text('{"loss": "lad", "regularizer": "squared_l2_box", "algorithm": "ns-md", '
+                    '"mu": 0, "n": 20, "p": 4, "max_iters": 5}')
+    out = tmp_path / "out"
+    assert cli_main([argv[0], "--config", str(path), *argv[1:], "--out", str(out)]) == 2
+    assert "modulus mu must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+SWEEP_REJECTIONS = {
+    # case -> flags, message; each is rejected before the output directory exists
+    "repeated-seeds": (["--seeds", "1,1", "--schedules", "one-over-t"], "appear twice"),
+    "repeated-schedules": (["--seeds", "1", "--schedules", "one-over-t,one-over-t"], "appear twice"),
+    "unpaired-schedule": (
+        ["--seeds", "0:2", "--schedules", "two-over-t-plus-one,sqrt-decay"],
+        "delta^2 is defined for compact domains only",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SWEEP_REJECTIONS))
+def test_sweep_rejects_before_creating_directory(tmp_path, config_path, case, capsys):
+    flags, message = SWEEP_REJECTIONS[case]
+    out_dir = tmp_path / "cells"
+    argv = ["sweep", "--config", config_path, *flags, "--out-dir", str(out_dir), "--workers", "1"]
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert not out_dir.exists()

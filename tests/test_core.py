@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 from pdcg import (
+    Box,
     DimensionMismatch,
     Hinge,
+    LeastAbsoluteDeviation,
     LinearOperator,
     ProblemInstance,
+    Regularizer,
     SquaredL2,
+    SquaredL2Box,
     ValidationError,
     as_vector,
-    validate_instance,
 )
 from pdcg.core import clamp_gap, check_gap_floor, GapInconsistencyError
 
@@ -123,24 +126,33 @@ def _svm_instance(n=4, p=2):
     return ProblemInstance(op, SquaredL2(1.0, p), Hinge(labels, 1.0 / n))
 
 
-def test_validate_instance_passthrough():
+def test_instance_rejects_dimension_mismatch_at_construction():
+    prob = _svm_instance()  # n=4, p=2
+    with pytest.raises(ValidationError, match="regularizer dimension 3 does not match operator columns 2"):
+        ProblemInstance(prob.operator, SquaredL2(1.0, 3), prob.loss)
+    with pytest.raises(ValidationError, match="loss dimension 3 does not match operator rows 4"):
+        ProblemInstance(prob.operator, prob.regularizer, Hinge([1.0, -1.0, 1.0]))
+    loss = LeastAbsoluteDeviation(np.zeros(4))
+    loss.dual_domain = Box(-np.ones(3), np.ones(3))
+    with pytest.raises(ValidationError, match="dual domain dimension 3 does not match operator rows 4"):
+        ProblemInstance(prob.operator, prob.regularizer, loss)
+
+
+@pytest.mark.parametrize("mu", [0.0, -1.0, np.inf, np.nan])
+def test_regularizer_modulus_must_be_positive_and_finite(mu):
+    with pytest.raises(ValidationError, match="modulus mu must be positive and finite"):
+        SquaredL2(mu, 2)
+    with pytest.raises(ValidationError, match="modulus mu must be positive and finite"):
+        SquaredL2Box(mu, np.zeros(2), np.ones(2))
+
+
+def test_instance_rejects_zero_modulus_of_any_regularizer():
+    class Flat(Regularizer):
+        mu, dim = 0.0, 2
+
     prob = _svm_instance()
-    assert validate_instance(prob) is prob
-
-
-def test_validate_instance_shape_mismatch():
-    prob = _svm_instance()
-    bad = ProblemInstance(prob.operator, SquaredL2(1.0, 3), prob.loss)
-    with pytest.raises(ValidationError):
-        validate_instance(bad)
-
-
-def test_validate_instance_zero_modulus():
-    prob = _svm_instance()
-    degenerate = ProblemInstance(prob.operator, SquaredL2(0.0, 2), prob.loss)
-    validate_instance(degenerate)  # fine without strong convexity
-    with pytest.raises(ValidationError):
-        validate_instance(degenerate, require_strong_convexity=True)
+    with pytest.raises(ValidationError, match="regularizer modulus mu=0.0 must be positive"):
+        ProblemInstance(prob.operator, Flat(), prob.loss)
 
 
 def test_clamp_gap():

@@ -27,7 +27,7 @@ from pdcg import (
     run_sweep,
     trace_csv,
 )
-from pdcg.harness import sweep_cells, thread_budget
+from pdcg.harness import sweep_cells
 
 
 # --------------------------------------------------------------------------
@@ -283,19 +283,6 @@ def test_sweep_unknown_schedule_creates_no_directory(tmp_path):
     with pytest.raises(ConfigurationError):
         run_sweep(cfg, ["bogus"], [0], str(out_dir), workers=1)
     assert not out_dir.exists()
-
-
-def test_thread_budget_env(monkeypatch):
-    monkeypatch.setenv("PDCG_THREADS", "3")
-    assert thread_budget() == 3
-    monkeypatch.setenv("PDCG_THREADS", "zero")
-    with pytest.raises(ConfigurationError):
-        thread_budget()
-    monkeypatch.setenv("PDCG_THREADS", "0")
-    with pytest.raises(ConfigurationError):
-        thread_budget()
-    monkeypatch.delenv("PDCG_THREADS")
-    assert thread_budget() >= 1
 
 
 def test_prepare_run_end_to_end_deterministic():

@@ -20,11 +20,13 @@ R^2, so a small slice at n=20, p=10, scale 20/n (the largest box whose
 R^2 is exact) adds, for the same 12 loss/regularizer mixes, ``certify``
 for each bound id and JSON ``solve`` under line search (gcg) and
 sqrt-decay (ns-md), and one JSON ``sweep`` of lad + squared_l2 over
-three schedules and two seeds on 2 workers: 961 outputs.  Five
+three schedules and two seeds on 2 workers: 961 outputs.  Eight
 malformed inputs follow, each of which must exit 2 and write nothing:
 ``solve --seed -2``, ``sweep --seeds=-2:0``, ``sweep --seed`` (a flag
-``sweep`` does not take), ``"seed": -1`` in the config, and a config
-file that is not UTF-8.  That makes 966 outputs in all.
+``sweep`` does not take), ``"seed": -1`` in the config, ``"mu": 0`` on
+a box under ns-md, ``sweep --seeds 1,1`` (two cells, one file), a
+``sweep`` whose ``sqrt-decay`` cells ``solve`` rejects on squared_l2,
+and a config file that is not UTF-8.  That makes 969 outputs in all.
 
 For each one the manifest records stdout, stderr, the exit code, an
 escaped exception and the sha256 of the written file (for the sweep, of
@@ -155,6 +157,14 @@ def grid_calls(workdir: str):
         "--out-dir", out_path, "--workers", "1"]
     yield (cfg_path, dict(config, seed=-1)), "malformed/config-negative-seed", [
         "solve", "--config", cfg_path, "--out", out_path]
+    zero_mu = dict(config, regularizer="squared_l2_box", algorithm="ns-md", mu=0)
+    yield (cfg_path, zero_mu), "malformed/config-zero-mu", ["solve", "--config", cfg_path, "--out", out_path]
+    yield setup, "malformed/sweep-repeated-seeds", [
+        "sweep", "--config", cfg_path, "--seeds", "1,1", "--schedules", "one-over-t",
+        "--out-dir", out_path, "--workers", "1"]
+    yield setup, "malformed/sweep-unpaired-schedule", [
+        "sweep", "--config", cfg_path, "--seeds", "0", "--schedules", "two-over-t-plus-one,sqrt-decay",
+        "--out-dir", out_path, "--workers", "1"]
     # raw bytes: the config file itself is malformed
     yield (cfg_path, b'{"seed": 3\xff}'), "malformed/config-not-utf8", [
         "solve", "--config", cfg_path, "--out", out_path]
