@@ -85,20 +85,26 @@ class GeometryConstants:
 
     ``r2_primal`` is diam(A^T C)^2 (used by the strongly convex bounds);
     ``r2_origin`` is max_{y in C} ||A^T y||^2 (used by the compact-domain
-    bound).  ``mode`` records whether the values are exact vertex maxima
-    or norm upper bounds; the bounds remain valid with any upper bound.
+    bound); a variant that was not computed is None.  ``mode`` records
+    whether the values are exact vertex maxima or norm upper bounds; the
+    bounds remain valid with any upper bound.
     """
 
-    r2_primal: float
-    r2_origin: float
+    r2_primal: Optional[float]
+    r2_origin: Optional[float]
     mode: str
     delta2: Optional[float] = None
 
 
-def geometry_constants(problem: ProblemInstance) -> GeometryConstants:
-    """Both R^2 variants, and delta^2 at the interior start when compact, as the instance keeps them."""
-    r2_primal, mode_d = problem.r2("diameter")
-    r2_origin, mode_o = problem.r2("origin")
+def geometry_constants(problem: ProblemInstance, bound_id: Optional[str] = None) -> GeometryConstants:
+    """Both R^2 variants, and delta^2 at the interior start when compact, as the instance keeps them.
+
+    Given a ``bound_id``, only the variant that bound reads is computed
+    (the origin R^2 for the compact-domain bound, the diameter R^2 for
+    the others); on a small dual box each one is an exact enumeration.
+    """
+    r2_primal, mode_d = (None, MODE_EXACT) if bound_id == COMPACT_BOUND else problem.r2("diameter")
+    r2_origin, mode_o = (None, MODE_EXACT) if bound_id not in (None, COMPACT_BOUND) else problem.r2("origin")
     mode = MODE_EXACT if mode_d == mode_o == MODE_EXACT else MODE_BOUND
     delta2 = problem.delta2 if problem.regularizer.domain.compact else None
     return GeometryConstants(r2_primal=r2_primal, r2_origin=r2_origin, mode=mode, delta2=delta2)
@@ -218,11 +224,14 @@ def check_bound(
         tol = reference.certified_gap if reference_tolerance is None else reference_tolerance
     trace = result.trace
     t = np.array([rec.t for rec in trace], dtype=np.float64)
+    r2 = constants.r2_origin if which == COMPACT_BOUND else constants.r2_primal
+    if r2 is None:
+        raise ConfigurationError(f"{which} requires the R^2 it reads in the constants")
     if which == COMPACT_BOUND:
         if constants.delta2 is None:
             raise ConfigurationError("compact-averaged-gap requires delta^2 in the constants")
         sched = result.schedule
-        radius = float(np.sqrt(constants.r2_origin))
+        radius = float(np.sqrt(r2))
         delta = float(np.sqrt(constants.delta2))
         if sched.radius > radius * (1.0 + 1e-12) + 1e-12:
             raise ConfigurationError(
@@ -232,7 +241,7 @@ def check_bound(
             raise ConfigurationError("schedule delta disagrees with the certified delta^2")
         bounds = row.coef * radius * delta / np.sqrt(t)
     else:
-        bounds = row.coef * constants.r2_primal / (mu * (t + row.shift)) + tol
+        bounds = row.coef * r2 / (mu * (t + row.shift)) + tol
     column = [getattr(rec, row.column) for rec in trace]
     if any(v is None for v in column):
         raise ConfigurationError(f"trace lacks the {row.column} column; rerun with a reference")

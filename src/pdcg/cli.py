@@ -159,7 +159,7 @@ def _cmd_certify(args) -> int:
             )
     result = experiment.run(reference)
     report = check_bound(
-        result, geometry_constants(problem), problem.regularizer.mu, args.prop, reference=reference
+        result, geometry_constants(problem, args.prop), problem.regularizer.mu, args.prop, reference=reference
     )
     status = "PASS" if report.passed else "FAIL"
     print(

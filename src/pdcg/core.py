@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
@@ -56,7 +56,7 @@ def as_vector(x, length: Optional[int] = None, name: str = "vector") -> np.ndarr
     non-finite sum, which finite entries near the float64 limit can also
     produce (numpy then warns of the overflow), runs the entrywise scan.
     """
-    v = x if type(x) is np.ndarray and x.dtype == _FLOAT64 else np.asarray(x, dtype=np.float64)
+    v = x if type(x) is np.ndarray and x.dtype is _FLOAT64 else np.asarray(x, dtype=np.float64)
     if v.ndim != 1:
         raise DimensionMismatch(f"{name} must be 1-D, got shape {v.shape}")
     if length is not None and v.shape[0] != length:
@@ -88,8 +88,8 @@ class LinearOperator:
 
     ``apply`` computes A x, ``adjoint_apply`` computes A^T y; both are
     deterministic and the pair satisfies <A x, y> = <x, A^T y> to
-    round-off.  Row norms are cached for the norm bound on R^2 over a
-    large dual box.
+    round-off.  The transposed view and the row norms (for the norm
+    bound on R^2 over a large dual box) are kept with the matrix.
     """
 
     def __init__(self, matrix) -> None:
@@ -103,6 +103,7 @@ class LinearOperator:
         m = m.copy()
         m.setflags(write=False)
         self.matrix = m
+        self._transpose = m.T
         self.n, self.p = m.shape
         self.row_norms = np.linalg.norm(m, axis=1)
 
@@ -112,7 +113,7 @@ class LinearOperator:
 
     def adjoint_apply(self, y) -> np.ndarray:
         y = as_vector(y, self.n, "y")
-        return self.matrix.T @ y
+        return self._transpose @ y
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LinearOperator(n={self.n}, p={self.p})"
@@ -172,8 +173,7 @@ class ProblemInstance:
         return self.regularizer.delta2()
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """Per-iteration certificate row.
 
     ``primal_value``, ``dual_value`` and ``gap`` are evaluated at the
@@ -186,6 +186,10 @@ class TraceRecord:
     when a reference is supplied.  ``avg_gap`` pairs that average with
     y_t under 2/(t+1), with the uniform average of the oracle outputs
     under 1/t and for ns-md, and is None under line search.
+
+    A record is a tuple: it equals the plain tuple of its values, JSON
+    writes it as a list, and ``_asdict``/``_replace``/``_fields`` stand
+    in for the ``dataclasses`` helpers, which raise ``TypeError`` on it.
     """
 
     t: int

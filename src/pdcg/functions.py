@@ -22,9 +22,18 @@ f*(y) = s * sum_i l_i*(y_i / s) with C scaled accordingly.
 
 Tie-breaking in every argmax is deterministic so that two recursions
 calling the same oracle see bit-identical outputs.
+
+The three regularizers and the lad and logistic losses run on every
+iteration of the timed benchmark, so each of their quantities takes one
+numpy pass: reductions call the ufunc's ``reduce`` directly instead of
+the ndarray methods (``sum``, ``max``, ``all``) and their Python
+wrappers, and range checks are one min and one max.  Hinge and the
+gauge keep their plain expressions until a workload times them.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +42,9 @@ from .core import ConfigurationError, DomainError, LinearOperator, ValidationErr
 # Points this far outside a dual domain are treated as members and the
 # conjugate is evaluated at the clamped point; further out it is +inf.
 MEMBERSHIP_TOL = 1e-9
+
+# Default tolerance of the domains' membership tests.
+_TOL = 1e-12
 
 _COMPACT_ONLY = "compact-domain recursion supports entropy and box regularizers only"
 
@@ -43,18 +55,28 @@ MODE_EXACT = "exact-vertex"
 MODE_BOUND = "column-norm-bound"
 
 
-def _xlogx(v: np.ndarray) -> np.ndarray:
-    """Entrywise v*log(v) with the convention 0*log(0) = 0."""
-    mask = v > 1e-300
-    w = np.where(mask, v, 1.0)
-    return np.where(mask, w * np.log(w), 0.0)
+def _xlogx(v: np.ndarray, v_min: float = 0.0) -> np.ndarray:
+    """Entrywise v*log(v) with the convention 0*log(0) = 0.
+
+    Entries at or below 1e-300 (negative ones too) become w = 1, whose
+    w*log(w) is already +0.0.  A caller that knows min(v) passes it as
+    ``v_min``; above 1e-300 no entry needs the substitution.
+    """
+    w = v if v_min > 1e-300 else np.where(v > 1e-300, v, 1.0)
+    out = np.log(w)
+    out *= w
+    return out
+
+
+def _range(v: np.ndarray) -> tuple:
+    """(min, max) of v in two reductions; (inf, -inf) when v is empty, which passes every range check."""
+    return np.minimum.reduce(v, initial=np.inf), np.maximum.reduce(v, initial=-np.inf)
 
 
 def _sigmoid(u: np.ndarray) -> np.ndarray:
     """Entrywise 1/(1 + exp(-u)), with exp taken of -|u| only, so it never overflows."""
     e = np.exp(-np.abs(u))
-    d = 1.0 + e
-    return np.where(u >= 0, 1.0 / d, e / d)
+    return np.where(u >= 0, 1.0, e) / (1.0 + e)
 
 
 def _vertex_images(matrix: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -105,7 +127,7 @@ class RealSpace:
     def __init__(self, dim: int) -> None:
         self.dim = int(dim)
 
-    def contains(self, v, tol: float = 1e-12) -> bool:
+    def contains(self, v, tol: float = _TOL) -> bool:
         return True
 
 
@@ -127,6 +149,11 @@ class Box:
         self.upper = hi
         self.dim = lo.shape[0]
 
+    @cached_property
+    def _slack_bounds(self) -> tuple:
+        """The bounds contains() compares with at its default tolerance (kept once used)."""
+        return self.lower - _TOL, self.upper + _TOL
+
     @property
     def widths(self) -> np.ndarray:
         return self.upper - self.lower
@@ -141,17 +168,19 @@ class Box:
         """Per-coordinate max(|lower|, |upper|)."""
         return np.maximum(np.abs(self.lower), np.abs(self.upper))
 
-    def contains(self, v, tol: float = 1e-12) -> bool:
+    def contains(self, v, tol: float = _TOL) -> bool:
         v = np.asarray(v, dtype=np.float64)
-        return bool((v >= self.lower - tol).all() and (v <= self.upper + tol).all())
+        lo, hi = self._slack_bounds if tol == _TOL else (self.lower - tol, self.upper + tol)
+        return bool(np.logical_and.reduce(v >= lo, axis=None) and np.logical_and.reduce(v <= hi, axis=None))
 
     def clip(self, v) -> np.ndarray:
-        return np.asarray(v).clip(self.lower, self.upper)
+        # ndarray.clip with array bounds, bit for bit with signed zeros (np.maximum(lower, v) is not)
+        return np.minimum(np.maximum(v, self.lower), self.upper)
 
     def support(self, z) -> float:
         """Support function max_{v in box} <v, z>."""
         z = np.asarray(z, dtype=np.float64)
-        return float(np.maximum(self.lower * z, self.upper * z).sum())
+        return float(np.add.reduce(np.maximum(self.lower * z, self.upper * z), axis=None))
 
     def r2(self, op: LinearOperator, which: str) -> tuple[float, str]:
         """Exact over the vertices (where a convex maximum lies) up to
@@ -175,17 +204,20 @@ class Simplex:
         if self.dim < 1:
             raise ValidationError("simplex dimension must be positive")
 
-    def contains(self, v, tol: float = 1e-12) -> bool:
-        v = np.asarray(v, dtype=np.float64)
-        return bool(v.min() >= -tol and abs(float(v.sum()) - 1.0) <= max(tol, tol * self.dim))
+    def _sum_is_one(self, v: np.ndarray, tol: float) -> bool:
+        return abs(float(np.add.reduce(v, axis=None)) - 1.0) <= max(tol, tol * self.dim)
 
-    def interior_contains(self, v, tol: float = 1e-12) -> bool:
+    def contains(self, v, tol: float = _TOL) -> bool:
         v = np.asarray(v, dtype=np.float64)
-        return bool(v.min() > 0.0 and abs(float(v.sum()) - 1.0) <= max(tol, tol * self.dim))
+        return bool(np.minimum.reduce(v, axis=None) >= -tol and self._sum_is_one(v, tol))
+
+    def interior_contains(self, v, tol: float = _TOL) -> bool:
+        v = np.asarray(v, dtype=np.float64)
+        return bool(np.minimum.reduce(v, axis=None) > 0.0 and self._sum_is_one(v, tol))
 
     def support(self, z) -> float:
         """Support function max_{v in simplex} <v, z> = max_i z_i."""
-        return float(np.asarray(z, dtype=np.float64).max())
+        return float(np.maximum.reduce(np.asarray(z, dtype=np.float64), axis=None))
 
 
 class L1Ball:
@@ -199,7 +231,7 @@ class L1Ball:
         if self.radius < 0:
             raise ValidationError("l1-ball radius must be nonnegative")
 
-    def contains(self, v, tol: float = 1e-12) -> bool:
+    def contains(self, v, tol: float = _TOL) -> bool:
         v = np.asarray(v, dtype=np.float64)
         return bool(np.abs(v).sum() <= self.radius + tol * (1.0 + self.radius))
 
@@ -311,7 +343,7 @@ class SquaredL2Box(Regularizer):
         # attained at the clamp of z/mu.
         z = as_vector(z, self.dim, "z")
         c = self.domain.clip(z / self.mu)
-        return float(c @ z - 0.5 * self.mu * (c @ c))
+        return float(c @ z) - 0.5 * self.mu * float(c @ c)
 
     def conj_grad(self, z) -> np.ndarray:
         z = as_vector(z, self.dim, "z")
@@ -354,17 +386,18 @@ class NegativeEntropySimplex(Regularizer):
         x = as_vector(x, self.dim, "x")
         if not self.domain.contains(x):
             return float("inf")
-        return float(_xlogx(np.maximum(x, 0.0)).sum())
+        # _xlogx maps the tiny negatives contains() admits to 0, as it does 0
+        return float(np.add.reduce(_xlogx(x)))
 
     def conj_value(self, z) -> float:
         z = as_vector(z, self.dim, "z")
-        m = float(z.max())
-        return m + float(np.log(np.exp(z - m).sum()))
+        m = float(np.maximum.reduce(z))
+        return m + float(np.log(np.add.reduce(np.exp(z - m))))
 
     def conj_grad(self, z) -> np.ndarray:
         z = as_vector(z, self.dim, "z")
-        e = np.exp(z - z.max())
-        return e / e.sum()
+        e = np.exp(z - np.maximum.reduce(z))
+        return e / np.add.reduce(e)
 
     def bregman(self, x1, x2) -> float:
         # Kullback-Leibler divergence on the simplex; x2 must be interior.
@@ -374,9 +407,9 @@ class NegativeEntropySimplex(Regularizer):
             raise DomainError("Bregman divergence requires an interior second argument")
         if not self.domain.contains(x1):
             return float("inf")
-        x1c = np.maximum(x1, 0.0)
-        mask = x1c > 1e-300
-        return float((x1c[mask] * (np.log(x1c[mask]) - np.log(x2[mask]))).sum())
+        mask = x1 > 1e-300
+        x1m = x1[mask]
+        return float(np.add.reduce(x1m * (np.log(x1m) - np.log(x2[mask]))))
 
     def interior_point(self) -> np.ndarray:
         return np.full(self.dim, 1.0 / self.dim)
@@ -387,8 +420,8 @@ class NegativeEntropySimplex(Regularizer):
     def prox_step(self, x, aty, rho: float) -> np.ndarray:
         # renormalized multiplicative update
         logits = np.log(x) - rho * aty
-        e = np.exp(logits - logits.max())
-        return e / e.sum()
+        e = np.exp(logits - np.maximum.reduce(logits))
+        return e / np.add.reduce(e)
 
     def delta2(self) -> float:
         """max_x KL(x || x0), attained at a vertex: -log(min_i x0_i) at the barycenter x0."""
@@ -510,14 +543,18 @@ class LeastAbsoluteDeviation(Loss):
 
     def value(self, z) -> float:
         z = as_vector(z, self.dim, "z")
-        return self.scale * float(np.abs(z - self.targets).sum())
+        return self.scale * float(np.add.reduce(np.abs(z - self.targets)))
 
     def conj_value(self, y) -> float:
         y = as_vector(y, self.dim, "y")
-        atol = MEMBERSHIP_TOL * (1.0 + self.scale)
-        if (np.abs(y) > self.scale + atol).any():
+        s = self.scale
+        lo, hi = _range(y)
+        atol = MEMBERSHIP_TOL * (1.0 + s)
+        if hi > s + atol or lo < -(s + atol):
             return float("inf")
-        return float(y.clip(-self.scale, self.scale) @ self.targets)
+        # the clip also makes y contiguous: OpenBLAS sums a strided dot
+        # product in another order, so a strided y would change its bits
+        return float(y.clip(-s, s) @ self.targets)
 
     def subgradient(self, z) -> np.ndarray:
         z = as_vector(z, self.dim, "z")
@@ -541,21 +578,40 @@ class Logistic(_LabelLoss):
 
     open_domain = True
 
+    # -label and -s*label, kept once an oracle has used them.  Both are
+    # exact sign flips, so a product with either has the bits of the
+    # product with the negated factor.
+
+    @cached_property
+    def _neg_labels(self) -> np.ndarray:
+        return -self.labels
+
+    @cached_property
+    def _neg_scaled(self) -> np.ndarray:
+        return -self.scale * self.labels
+
     def value(self, z) -> float:
         z = as_vector(z, self.dim, "z")
-        return self.scale * float(np.logaddexp(0.0, -self.labels * z).sum())
+        return self.scale * float(np.add.reduce(np.logaddexp(0.0, self._neg_labels * z)))
 
     def conj_value(self, y) -> float:
         y = as_vector(y, self.dim, "y")
-        gamma = -y * self.labels / self.scale
-        if (gamma < -MEMBERSHIP_TOL).any() or (gamma > 1.0 + MEMBERSHIP_TOL).any():
+        # -y*label/s: dividing by -s*label flips the same signs exactly
+        g = y / self._neg_scaled
+        lo, hi = _range(g)
+        if lo < -MEMBERSHIP_TOL or hi > 1.0 + MEMBERSHIP_TOL:
             return float("inf")
-        g = gamma.clip(0.0, 1.0)
-        return self.scale * float((_xlogx(g) + _xlogx(1.0 - g)).sum())
+        # the clip would leave an in-range g as it is, signed zeros included
+        if lo < 0.0 or hi > 1.0:
+            g = g.clip(0.0, 1.0)
+        # one _xlogx pass over g and 1 - g, summed as the entrywise pairs;
+        # rounding is monotone, so min(1 - g) is 1 - max(g)
+        e = _xlogx(np.concatenate((g, 1.0 - g)), min(lo, 1.0 - hi))
+        return self.scale * float(np.add.reduce(e[: self.dim] + e[self.dim :]))
 
     def subgradient(self, z) -> np.ndarray:
         z = as_vector(z, self.dim, "z")
-        return -self.scale * self.labels * _sigmoid(-self.labels * z)
+        return self._neg_scaled * _sigmoid(self._neg_labels * z)
 
     def conj_grad(self, y) -> np.ndarray:
         g = (-y * self.labels / self.scale).clip(1e-12, 1.0 - 1e-12)

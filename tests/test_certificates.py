@@ -344,6 +344,19 @@ def test_check_bound_passes_and_is_monotone_in_r2():
     assert check_bound(res, bigger, 1.0, "gcg-fixed-min-gap").passed
 
 
+def test_geometry_for_one_bound_holds_only_the_r2_it_reads():
+    prob, ref, geo = _checked_setup()
+    res = run(prob, "gcg", FixedTwoOverTPlusOne(), max_iters=20)
+    diameter_only = geometry_constants(prob, "gcg-fixed-min-gap")
+    assert (diameter_only.r2_primal, diameter_only.r2_origin) == (geo.r2_primal, None)
+    rep = check_bound(res, diameter_only, 1.0, "gcg-fixed-min-gap")
+    assert rep.bounds.tolist() == check_bound(res, geo, 1.0, "gcg-fixed-min-gap").bounds.tolist()
+    origin_only = geometry_constants(prob, "compact-averaged-gap")
+    assert (origin_only.r2_primal, origin_only.r2_origin) == (None, geo.r2_origin)
+    with pytest.raises(ConfigurationError, match="requires the R\\^2 it reads"):
+        check_bound(res, origin_only, 1.0, "gcg-fixed-min-gap")
+
+
 def test_bound_ordering_linesearch_below_fixed():
     t = np.arange(1, 1001, dtype=float)
     assert np.all(2.0 / (t + 3.0) <= 2.0 / (t + 1.0))

@@ -305,8 +305,8 @@ def test_sqrt_decay_on_unbounded_domain_exits_two(tmp_path, config_path, argv, c
 
 R2_CALLS = {
     # command and flags -> the R^2 variants the domain computes, each at most once
-    "certify-linesearch": (["certify", "--prop", "gcg-linesearch-dual-subopt"], ["diameter", "origin"]),
-    "certify-compact": (["certify", "--prop", "compact-averaged-gap"], ["diameter", "origin"]),
+    "certify-linesearch": (["certify", "--prop", "gcg-linesearch-dual-subopt"], ["diameter"]),
+    "certify-compact": (["certify", "--prop", "compact-averaged-gap"], ["origin"]),
     "solve-linesearch-csv": (["solve", "--schedule", "line-search"], ["diameter"]),
     "solve-linesearch-json": (["solve", "--schedule", "line-search", "--format", "json"], ["diameter", "origin"]),
     "solve-sqrt-json": (

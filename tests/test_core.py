@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,12 @@ from pdcg import (
     Regularizer,
     SquaredL2,
     SquaredL2Box,
+    TraceRecord,
     ValidationError,
     as_vector,
 )
 from pdcg.core import clamp_gap, check_gap_floor, GapInconsistencyError
+from pdcg.harness import TRACE_COLUMNS
 
 
 def test_apply_identity():
@@ -117,6 +121,75 @@ def test_as_vector_coerces_to_float64():
     assert w.dtype == np.float64 and w.tolist() == [0.5, 1.5]
     u = np.array([0.25, 4.0])
     assert as_vector(u) is u
+
+
+# the forms as_vector meets: a native array goes through as it is, the
+# others are converted to a native float64 array first
+VECTOR_FORMS = {
+    "list": list,
+    "array": np.array,
+    "strided-view": lambda v: np.array(v).repeat(2)[::2],
+    "big-endian": lambda v: np.array(v, dtype=">f8"),
+    "little-endian": lambda v: np.array(v, dtype="<f8"),
+}
+NON_FINITE = {
+    "nan": [1.0, np.nan],
+    "inf": [np.inf],
+    "minus-inf": [2.0, -np.inf],
+    "inf-minus-inf": [np.inf, -np.inf],
+    "nan-near-limit": [1e308, 1e308, np.nan],
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("form", list(VECTOR_FORMS))
+@pytest.mark.parametrize("values", list(NON_FINITE))
+def test_as_vector_rejects_non_finite_in_every_form(form, values):
+    with pytest.raises(ValidationError) as exc:
+        as_vector(VECTOR_FORMS[form](NON_FINITE[values]), name="v")
+    assert str(exc.value) == "v contains non-finite entries"
+
+
+@pytest.mark.parametrize("form", list(VECTOR_FORMS))
+def test_as_vector_accepts_entries_near_the_float64_limit(form):
+    values = [1e308, -1.7e308, 1.5e308, 1e308, -1e308]
+    x = VECTOR_FORMS[form](values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the sum overflows; the entrywise scan decides
+        v = as_vector(x, 5)
+    assert v.dtype == np.float64 and v.dtype.isnative and v.tolist() == values
+    if form in ("array", "strided-view", "little-endian"):
+        assert v is x
+
+
+@pytest.mark.parametrize("form", list(VECTOR_FORMS))
+def test_as_vector_finiteness_proof_raises_no_warning_below_overflow(form):
+    # a square-based proof such as v.dot(v) would warn from about 1.3e154 on
+    rows = [[1e300] * 8, [1e300, -1e300, 1e154, -1.3e154, 5e-324, -0.0], [1.3e154] * 3, [1e-300, 5e-324]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for values in rows:
+            assert as_vector(VECTOR_FORMS[form](values)).tolist() == values
+
+
+def test_as_vector_shape_messages():
+    with pytest.raises(DimensionMismatch) as exc:
+        as_vector(np.ones((2, 2)), name="v")
+    assert str(exc.value) == "v must be 1-D, got shape (2, 2)"
+    with pytest.raises(DimensionMismatch) as exc:
+        as_vector([1.0], 2, "v")
+    assert str(exc.value) == "v has length 1, expected 2"
+    assert as_vector([], 0).shape == (0,)
+
+
+def test_trace_record_is_an_immutable_record():
+    rec = TraceRecord(t=1, rho=1.0, primal_value=2.0, dual_value=1.0, gap=1.0, avg_primal_value=2.0)
+    with pytest.raises(AttributeError):
+        rec.gap = 0.0
+    assert TraceRecord._fields == (*TRACE_COLUMNS.values(), "avg_gap")
+    optional = ("dual_suboptimality", "bregman_to_ref", "avg_gap")
+    assert TraceRecord._field_defaults == dict.fromkeys(optional)
+    assert all(getattr(rec, name) is None for name in optional)
 
 
 def _svm_instance(n=4, p=2):

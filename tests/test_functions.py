@@ -450,3 +450,267 @@ def test_no_checks_on_concrete_schedule_kinds():
     kinds = {"FixedTwoOverTPlusOne", "FixedOneOverT", "LineSearch", "SqrtDecay"}
     assert _isinstance_hits(kinds) == []
     assert {cls.__name__ for cls in pdcg.algorithms.StepSchedule.__subclasses__()} == kinds
+
+
+# --------------------------------------------------------------------------
+# the oracle kernels, bit for bit against the expressions they replaced
+#
+# Each ``_old_*`` below is the earlier expression, kept verbatim.  The
+# rewritten oracles take fewer numpy passes; every output (float.hex of a
+# scalar, the int64 view of an array, the truth value of a membership
+# test) must be the same on edge inputs: signed zeros and subnormals,
+# entries around the 1e-300 mask of _xlogx, logistic gamma exactly 0 and
+# 1 and just inside and outside MEMBERSHIP_TOL, u = 0 for the sigmoid,
+# points on and just off the box bounds, length-1 vectors and n = 20000,
+# each also passed as a strided view (BLAS sums a strided dot product in
+# another order, so an oracle must not hand one to a dot product where
+# the old expression made a contiguous copy).
+
+MASK = 1e-300
+TOL = pdcg.functions.MEMBERSHIP_TOL
+EDGE = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308, MASK, -MASK,
+        np.nextafter(MASK, 0.0), np.nextafter(MASK, 1.0), 0.25, -0.75]
+
+
+def _old_xlogx(v):
+    mask = v > 1e-300
+    w = np.where(mask, v, 1.0)
+    return np.where(mask, w * np.log(w), 0.0)
+
+
+def _old_sigmoid(u):
+    e = np.exp(-np.abs(u))
+    d = 1.0 + e
+    return np.where(u >= 0, 1.0 / d, e / d)
+
+
+def _old_box_contains(box, v, tol=1e-12):
+    v = np.asarray(v, dtype=np.float64)
+    return bool((v >= box.lower - tol).all() and (v <= box.upper + tol).all())
+
+
+def _old_box_clip(box, v):
+    return np.asarray(v).clip(box.lower, box.upper)
+
+
+def _old_simplex_contains(simplex, v, tol=1e-12):
+    v = np.asarray(v, dtype=np.float64)
+    return bool(v.min() >= -tol and abs(float(v.sum()) - 1.0) <= max(tol, tol * simplex.dim))
+
+
+def _old_box_value(reg, x):
+    if not _old_box_contains(reg.domain, x):
+        return float("inf")
+    return 0.5 * reg.mu * float(x @ x)
+
+
+def _old_box_conj_value(reg, z):
+    c = _old_box_clip(reg.domain, z / reg.mu)
+    return float(c @ z - 0.5 * reg.mu * (c @ c))
+
+
+def _old_entropy_value(reg, x):
+    if not _old_simplex_contains(reg.domain, x):
+        return float("inf")
+    return float(_old_xlogx(np.maximum(x, 0.0)).sum())
+
+
+def _old_entropy_conj_value(reg, z):
+    m = float(z.max())
+    return m + float(np.log(np.exp(z - m).sum()))
+
+
+def _old_entropy_conj_grad(reg, z):
+    e = np.exp(z - z.max())
+    return e / e.sum()
+
+
+def _old_entropy_bregman(reg, x1, x2):
+    if not _old_simplex_contains(reg.domain, x1):
+        return float("inf")
+    x1c = np.maximum(x1, 0.0)
+    mask = x1c > 1e-300
+    return float((x1c[mask] * (np.log(x1c[mask]) - np.log(x2[mask]))).sum())
+
+
+def _old_entropy_prox_step(reg, x, aty, rho):
+    logits = np.log(x) - rho * aty
+    e = np.exp(logits - logits.max())
+    return e / e.sum()
+
+
+def _old_lad_conj_value(loss, y):
+    atol = TOL * (1.0 + loss.scale)
+    if (np.abs(y) > loss.scale + atol).any():
+        return float("inf")
+    return float(y.clip(-loss.scale, loss.scale) @ loss.targets)
+
+
+def _old_logistic_conj_value(loss, y):
+    gamma = -y * loss.labels / loss.scale
+    if (gamma < -TOL).any() or (gamma > 1.0 + TOL).any():
+        return float("inf")
+    g = gamma.clip(0.0, 1.0)
+    return loss.scale * float((_old_xlogx(g) + _old_xlogx(1.0 - g)).sum())
+
+
+def _labels(k):
+    return np.where(np.arange(k) % 2 == 0, 1.0, -1.0)
+
+
+def _big(k=20000, spread=3.0):
+    return spread * np.random.default_rng(k).standard_normal(k)
+
+
+def _generic():
+    """Vectors on R^k: edge entries, length-1 vectors and n = 20000."""
+    return [np.array(EDGE), np.array([0.0]), np.array([-0.0]), np.array([MASK]), np.array([-1.5]), _big()]
+
+
+def _gammas():
+    """Logistic gamma = -y label / s: exactly 0 and 1, the mask, and the tolerance band."""
+    inside = [0.0, -0.0, 1.0, 5e-324, MASK, np.nextafter(MASK, 0.0), np.nextafter(MASK, 1.0), 0.5,
+              np.nextafter(1.0, 0.0), 1.0 - MASK, -TOL, -0.5 * TOL, 1.0 + TOL, 1.0 + 0.5 * TOL]
+    return [np.array(inside), np.array([0.3, 0.7]), np.array([np.nextafter(MASK, 1.0), 0.5]),
+            np.array([0.0]), np.array([1.0]), np.array([-0.0]), np.array([0.5]),
+            np.array([0.5, -2.0 * TOL]), np.array([0.5, 1.0 + 2.0 * TOL]), np.array([np.nextafter(-TOL, -1.0)]),
+            np.random.default_rng(1).random(20000)]
+
+
+def _lad_duals(s):
+    atol = TOL * (1.0 + s)
+    inside = [0.0, -0.0, s, -s, 5e-324, s + 0.5 * atol, -s - 0.5 * atol, np.nextafter(s, 0.0)]
+    return [np.array(inside), np.array([-0.0]), np.array([s]), np.array([-s - 0.5 * atol]),
+            np.array([s + atol]), np.array([-(s + atol)]), np.array([0.0, s + 2.0 * atol]), np.array([-s - 2.0 * atol]),
+            s * (2.0 * np.random.default_rng(3).random(20000) - 1.0)]
+
+
+def _box_points(lower, upper):
+    """Points on the bounds, just inside and outside them, and signed zeros."""
+    lo, hi = float(lower), float(upper)
+    vals = [lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), np.nextafter(lo, np.inf),
+            np.nextafter(hi, -np.inf), 0.0, -0.0, 5e-324, -5e-324, lo - 1e-12, hi + 1e-12, lo - 2e-12]
+    return [np.array(vals), np.array([lo]), np.array([hi]), np.array([-0.0]), np.array([0.0]),
+            np.random.default_rng(4).uniform(lo - 0.5, hi + 0.5, 20000)]
+
+
+BOXES = [(0.0, 1.0), (-1.0, 0.0), (-0.0, 1.0), (-2.0, 3.0)]
+
+
+def _simplex_points():
+    k = 6
+    pts = [np.full(k, 1.0 / k), np.eye(k)[0], np.where(np.eye(k)[1] == 0.0, -0.0, 1.0),
+           np.array([0.5, 0.5 - 1e-13, 1e-13, 0.0, -0.0, 5e-324]), np.array([0.5, 0.5 + 1e-13, -1e-13, 0.0, 0.0, 0.0]),
+           np.array([0.5, 0.5, MASK, np.nextafter(MASK, 0.0), 0.0, -5e-324]),
+           np.array([0.5, 0.5, -2e-12, 0.0, 0.0, 0.0]),
+           np.array([1.0]), np.array([-0.0])]
+    big = np.random.default_rng(5).random(20000)
+    return pts + [big / big.sum()]
+
+
+def _cases():
+    """(id, old, new, argument tuples) for every rewritten oracle."""
+    F = pdcg.functions
+    cases = [
+        ("xlogx", _old_xlogx, F._xlogx, [(v,) for v in _generic() + _gammas()]),
+        ("xlogx-with-min", _old_xlogx, lambda v: F._xlogx(v, np.min(v)), [(v,) for v in _generic() + _gammas()]),
+        ("sigmoid", _old_sigmoid, F._sigmoid, [(v,) for v in _generic() + [np.array([0.0, -0.0, 800.0, -800.0])]]),
+    ]
+    for lo, hi in BOXES:
+        tag = f"box[{lo!r},{hi!r}]"
+        pts = _box_points(lo, hi)
+        boxes = [F.Box(np.full(v.size, lo), np.full(v.size, hi)) for v in pts]
+        regs = [SquaredL2Box(0.5, b.lower, b.upper) for b in boxes]
+        cases += [
+            (f"{tag}-contains", _old_box_contains, F.Box.contains, list(zip(boxes, pts))),
+            (f"{tag}-contains-tol", lambda b, v: _old_box_contains(b, v, 1e-9), lambda b, v: b.contains(v, 1e-9),
+             list(zip(boxes, pts))),
+            (f"{tag}-clip", _old_box_clip, F.Box.clip, list(zip(boxes, pts))),
+            (f"{tag}-support", lambda b, z: float(np.maximum(b.lower * z, b.upper * z).sum()), F.Box.support,
+             list(zip(boxes, pts))),
+            (f"{tag}-value", _old_box_value, SquaredL2Box.value, list(zip(regs, pts))),
+            (f"{tag}-conj-value", _old_box_conj_value, SquaredL2Box.conj_value, list(zip(regs, pts))),
+            (f"{tag}-conj-grad", lambda r, z: _old_box_clip(r.domain, z / r.mu), SquaredL2Box.conj_grad,
+             list(zip(regs, pts))),
+            (f"{tag}-prox-step", lambda r, x, a, rho: _old_box_clip(r.domain, x - (rho / r.mu) * a),
+             SquaredL2Box.prox_step, [(r, v, v[::-1].copy(), 0.5) for r, v in zip(regs, pts)]),
+        ]
+    simplex_pts = _simplex_points()
+    ents = [NegativeEntropySimplex(v.size) for v in simplex_pts]
+    generic = _generic()
+    gen_ents = [NegativeEntropySimplex(v.size) for v in generic]
+    cases += [
+        ("simplex-contains", _old_simplex_contains, pdcg.functions.Simplex.contains,
+         [(e.domain, v) for e, v in zip(ents, simplex_pts)]),
+        ("simplex-interior-contains",
+         lambda s, v: bool(v.min() > 0.0 and abs(float(v.sum()) - 1.0) <= max(1e-12, 1e-12 * s.dim)),
+         pdcg.functions.Simplex.interior_contains, [(e.domain, v) for e, v in zip(ents, simplex_pts)]),
+        ("simplex-support", lambda s, z: float(np.asarray(z, dtype=np.float64).max()), pdcg.functions.Simplex.support,
+         [(e.domain, v) for e, v in zip(gen_ents, generic)]),
+        ("entropy-value", _old_entropy_value, NegativeEntropySimplex.value, list(zip(ents, simplex_pts))),
+        ("entropy-conj-value", _old_entropy_conj_value, NegativeEntropySimplex.conj_value,
+         list(zip(gen_ents, generic))),
+        ("entropy-conj-grad", _old_entropy_conj_grad, NegativeEntropySimplex.conj_grad, list(zip(gen_ents, generic))),
+        ("entropy-bregman", _old_entropy_bregman, NegativeEntropySimplex.bregman,
+         [(e, v, e.interior_point()) for e, v in zip(ents, simplex_pts)]),
+        ("entropy-prox-step", _old_entropy_prox_step, NegativeEntropySimplex.prox_step,
+         [(e, e.interior_point(), z, 0.5) for e, z in zip(gen_ents, generic)]),
+        ("l2-value", lambda r, x: 0.5 * r.mu * float(x @ x), SquaredL2.value,
+         [(SquaredL2(0.5, v.size), v) for v in generic]),
+        ("l2-conj-value", lambda r, z: float(z @ z) / (2.0 * r.mu), SquaredL2.conj_value,
+         [(SquaredL2(0.5, v.size), v) for v in generic]),
+        ("l2-bregman", lambda r, a, b: 0.5 * r.mu * float((a - b) @ (a - b)), SquaredL2.bregman,
+         [(SquaredL2(0.5, v.size), v, v[::-1].copy()) for v in generic]),
+    ]
+    for s in (1.0, 0.1):
+        lg = [(Logistic(_labels(g.size), s), -g * s * _labels(g.size)) for g in _gammas()]
+        zs = [(Logistic(_labels(v.size), s), v) for v in generic]
+        ly = [(LeastAbsoluteDeviation(_big(y.size, 1.0), s), y) for y in _lad_duals(s)]
+        lz = [(LeastAbsoluteDeviation(_big(v.size, 1.0), s), v) for v in generic]
+        cases += [
+            (f"logistic-{s}-value", lambda f, z: f.scale * float(np.logaddexp(0.0, -f.labels * z).sum()),
+             Logistic.value, zs),
+            (f"logistic-{s}-conj-value", _old_logistic_conj_value, Logistic.conj_value, lg),
+            (f"logistic-{s}-subgradient", lambda f, z: -f.scale * f.labels * _old_sigmoid(-f.labels * z),
+             Logistic.subgradient, zs),
+            (f"lad-{s}-value", lambda f, z: f.scale * float(np.abs(z - f.targets).sum()),
+             LeastAbsoluteDeviation.value, lz),
+            (f"lad-{s}-conj-value", _old_lad_conj_value, LeastAbsoluteDeviation.conj_value, ly),
+        ]
+    shapes = ((1, 1), (3, 2), (200, 40), (20000, 5))
+    ops = [pdcg.LinearOperator(np.random.default_rng(n).standard_normal((n, p))) for n, p in shapes]
+    ops.append(pdcg.LinearOperator([[1.0]]))
+    def _inputs(k):
+        return [np.random.default_rng(0).standard_normal(k), np.full(k, -0.0), np.zeros(k)]
+    cases += [
+        ("operator-apply", lambda op, x: op.matrix @ x, pdcg.LinearOperator.apply,
+         [(op, x) for op in ops for x in _inputs(op.p)]),
+        ("operator-adjoint-apply", lambda op, y: op.matrix.T @ y, pdcg.LinearOperator.adjoint_apply,
+         [(op, y) for op in ops for y in _inputs(op.n)]),
+    ]
+    return cases
+
+
+def _bits(out):
+    if isinstance(out, np.ndarray):
+        return out.dtype.str, out.shape, out.view(np.int64).tolist() if out.dtype == np.float64 else out.tolist()
+    if isinstance(out, (bool, np.bool_)):
+        return bool(out)
+    assert type(out) is float  # an oracle's scalar is a Python float
+    return out.hex()
+
+
+def _strided(a):
+    """The same entries as a non-contiguous view; any other argument as it is."""
+    return np.repeat(a, 2)[::2] if isinstance(a, np.ndarray) and a.ndim == 1 else a
+
+
+KERNEL_CASES = {case[0]: case for case in _cases()}
+
+
+@pytest.mark.parametrize("name", list(KERNEL_CASES))
+def test_oracle_kernels_match_the_replaced_expressions_bit_for_bit(name):
+    _, old, new, arg_sets = KERNEL_CASES[name]
+    for contiguous in arg_sets:
+        for args in (contiguous, tuple(_strided(a) for a in contiguous)):
+            assert _bits(new(*args)) == _bits(old(*args)), (name, args[-1][:8] if hasattr(args[-1], "__len__") else args)
