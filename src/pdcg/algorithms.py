@@ -19,11 +19,14 @@ Three recursions are provided:
 
 Steppers are pure state transitions that carry the recursion only;
 ``run`` drives them, keeps the running sums the schedule's averages
-need, and appends one certificate row per iteration.
+need, and appends one certificate row per iteration.  Each public
+stepper checks the state vectors it reads and calls its kernel (same
+name, leading underscore), which ``run`` and the other loops call.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Optional
@@ -38,6 +41,7 @@ from .core import (
     ValidationError,
     as_vector,
     check_gap_floor,
+    contiguous_vector,
 )
 
 MD = "md"
@@ -190,20 +194,19 @@ def init_state(problem: ProblemInstance, y0) -> SolverState:
     x_0 = (h*)'(-A^T y_0) and the carried subgradient is -A^T y_0, so the
     primal and dual recursions trace identical trajectories.
     """
-    y0 = as_vector(y0, problem.n, "y0")
+    y0 = contiguous_vector(y0, problem.n, "y0")
     if not problem.loss.dual_domain.contains(y0, 1e-10):
         raise FeasibilityError("y0 lies outside the dual domain C")
-    aty0 = problem.operator.adjoint_apply(y0)
-    carried = -aty0
-    x0 = problem.regularizer.conj_grad(carried)
-    ax0 = problem.operator.apply(x0)
+    carried = -as_vector(problem.operator.adjoint_apply(y0), name="aty")
+    x0 = problem.regularizer._conj_grad(carried)
+    ax0 = as_vector(problem.operator.apply(x0), name="ax")
     return SolverState(t=0, x=x0, ax=ax0, y=y0.copy(), carried_h_sub=carried)
 
 
 def init_state_compact(problem: ProblemInstance) -> SolverState:
     """Start for the compact-domain recursion at the interior point of its domain."""
     x0 = problem.regularizer.interior_point()
-    return SolverState(t=0, x=x0, ax=problem.operator.apply(x0), y=np.zeros(problem.n))
+    return SolverState(t=0, x=x0, ax=as_vector(problem.operator.apply(x0), name="ax"), y=np.zeros(problem.n))
 
 
 def _check_rho(rho: float) -> float:
@@ -211,6 +214,48 @@ def _check_rho(rho: float) -> float:
     if not (0.0 <= rho <= 1.0):
         raise ValueError(f"step size must lie in [0, 1], got {rho}")
     return rho
+
+
+def _checked(problem: ProblemInstance, state: SolverState, *fields: str) -> SolverState:
+    """``state`` with the named vectors checked, as a public stepper or evaluator reads them."""
+    length = {"x": problem.p, "carried_h_sub": problem.p, "ax": problem.n, "y": problem.n}
+    return dataclasses.replace(state, **{f: contiguous_vector(getattr(state, f), length[f], f) for f in fields})
+
+
+# Step kernels: the state's vectors are checked, and each vector made here
+# that can overflow float64 is scanned once, where it is made (the matvecs
+# scan x and y as inputs).  Loss-oracle outputs lie in the compact C, and
+# md/gcg's y is a convex combination of them, so they are bounded.
+
+
+def _md_step(problem: ProblemInstance, state: SolverState, rho: float) -> SolverState:
+    op, loss = problem.operator, problem.loss
+    ybar = loss._subgradient(state.ax)
+    g = as_vector((1.0 - rho) * state.carried_h_sub - rho * op.adjoint_apply(ybar), name="g")
+    x = problem.regularizer._conj_grad(g)
+    ax = as_vector(op.apply(x), name="ax")
+    y = (1.0 - rho) * state.y + rho * ybar
+    return SolverState(t=state.t + 1, x=x, ax=ax, y=y, carried_h_sub=g, y_bar=ybar)
+
+
+def _gcg_step(problem: ProblemInstance, state: SolverState, rho: float) -> SolverState:
+    op = problem.operator
+    ybar = problem.loss._subgradient(state.ax)
+    y = (1.0 - rho) * state.y + rho * ybar
+    carried = -as_vector(op.adjoint_apply(y), name="aty")
+    x = problem.regularizer._conj_grad(carried)
+    ax = as_vector(op.apply(x), name="ax")
+    return SolverState(t=state.t + 1, x=x, ax=ax, y=y, carried_h_sub=carried, y_bar=ybar)
+
+
+def _ns_md_step(problem: ProblemInstance, state: SolverState, rho: float) -> SolverState:
+    # A^T y is not scanned: the prox step keeps x finite on a box or
+    # makes it NaN on the simplex, and the matvec then rejects x
+    op = problem.operator
+    y = problem.loss._subgradient(state.ax)
+    aty = op.adjoint_apply(y)
+    x = problem.regularizer._prox_step(state.x, aty, rho)
+    return SolverState(t=state.t + 1, x=x, ax=as_vector(op.apply(x), name="ax"), y=y, last_aty=aty)
 
 
 def md_step(problem: ProblemInstance, state: SolverState, rho: float) -> SolverState:
@@ -224,15 +269,7 @@ def md_step(problem: ProblemInstance, state: SolverState, rho: float) -> SolverS
     rho = _check_rho(rho)
     if state.carried_h_sub is None:
         raise ValueError("mirror descent state has no carried subgradient; use init_state")
-    op, reg, loss = problem.operator, problem.regularizer, problem.loss
-    t = state.t + 1
-    ybar = loss.subgradient(state.ax)
-    aty_bar = op.adjoint_apply(ybar)
-    g = (1.0 - rho) * state.carried_h_sub - rho * aty_bar
-    x = reg.conj_grad(g)
-    ax = op.apply(x)
-    y = (1.0 - rho) * state.y + rho * ybar
-    return SolverState(t=t, x=x, ax=ax, y=y, carried_h_sub=g, y_bar=ybar)
+    return _md_step(problem, _checked(problem, state, "ax"), rho)
 
 
 def gcg_step(problem: ProblemInstance, state: SolverState, rho: float) -> SolverState:
@@ -244,15 +281,7 @@ def gcg_step(problem: ProblemInstance, state: SolverState, rho: float) -> Solver
     carried subgradient -A^T y_t are refreshed from the new dual point.
     """
     rho = _check_rho(rho)
-    op, reg, loss = problem.operator, problem.regularizer, problem.loss
-    t = state.t + 1
-    ybar = loss.subgradient(state.ax)
-    y = (1.0 - rho) * state.y + rho * ybar
-    aty = op.adjoint_apply(y)
-    carried = -aty
-    x = reg.conj_grad(carried)
-    ax = op.apply(x)
-    return SolverState(t=t, x=x, ax=ax, y=y, carried_h_sub=carried, y_bar=ybar)
+    return _gcg_step(problem, _checked(problem, state, "ax"), rho)
 
 
 def ns_md_step(problem: ProblemInstance, state: SolverState, rho: float) -> SolverState:
@@ -264,13 +293,9 @@ def ns_md_step(problem: ProblemInstance, state: SolverState, rho: float) -> Solv
     a clamped gradient step on a box.
     """
     rho = _check_rho(rho)
-    op = problem.operator
-    t = state.t + 1
-    y = problem.loss.subgradient(state.ax)
-    aty = op.adjoint_apply(y)
-    x = problem.regularizer.prox_step(state.x, aty, rho)
-    ax = op.apply(x)
-    return SolverState(t=t, x=x, ax=ax, y=y, last_aty=aty)
+    # only a compact domain's prox step reads x; the others raise there
+    read = ("ax", "x") if problem.regularizer.domain.compact else ("ax",)
+    return _ns_md_step(problem, _checked(problem, state, *read), rho)
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +313,16 @@ class RunResult:
     termination: str  # "budget" | "gap_tolerance"
 
 
+def _values(problem: ProblemInstance, state: SolverState) -> tuple[float, float]:
+    reg, loss = problem.regularizer, problem.loss
+    primal = reg._value(state.x) + loss._value(state.ax)
+    dual = -reg._conj_value(state.carried_h_sub) - loss._conj_value(state.y)
+    return primal, dual
+
+
 def primal_dual_values(problem: ProblemInstance, state: SolverState) -> tuple[float, float]:
     """Primal/dual objective at the state's (x, y); -A^T y is the carried vector."""
-    reg, loss = problem.regularizer, problem.loss
-    primal = reg.value(state.x) + loss.value(state.ax)
-    dual = -reg.conj_value(state.carried_h_sub) - loss.conj_value(state.y)
-    return primal, dual
+    return _values(problem, _checked(problem, state, "x", "ax", "carried_h_sub", "y"))
 
 
 def run(
@@ -333,12 +362,15 @@ def run(
 
     if strongly_convex:
         state = init_state(problem, resolve_initial_dual(problem, y0=y0))
-        stepper = md_step if algorithm == MD else gcg_step
+        stepper = _md_step if algorithm == MD else _gcg_step
         # the post-step pair of one iteration is the pre-step pair of the next
-        values = primal_dual_values(problem, state)
+        values = _values(problem, state)
+        # x* enters every row's Bregman column, so it is checked once
+        if reference is not None and max_iters:
+            x_star = contiguous_vector(reference.x_star, problem.p, "x_star")
     else:
         state = init_state_compact(problem)
-        stepper = ns_md_step
+        stepper = _ns_md_step
 
     # running sums of the averaged iterates, oracle outputs and A^T y.  A
     # weighted schedule adds x_{u-1} with weight u and scales the sum by
@@ -363,50 +395,39 @@ def run(
             norm = 2.0 / (t * (t + 1.0)) if weighted else t
             sum_x += t * state.x if weighted else state.x
             sum_ax += t * state.ax if weighted else state.ax
-            state = stepper(problem, state, rho)
-            values = primal_dual_values(problem, state)
+            state = stepper(problem, state, _check_rho(rho))
+            values = _values(problem, state)
             post_dual = values[1]
-            avg_primal = reg.value(average(sum_x, norm)) + loss.value(average(sum_ax, norm))
+            avg_x = as_vector(average(sum_x, norm), name="avg_x")
+            avg_primal = reg._value(avg_x) + loss._value(as_vector(average(sum_ax, norm), name="avg_ax"))
             avg_gap = None
             if schedule.avg_dual == "y":
                 avg_gap = check_gap_floor(avg_primal - post_dual)
             elif schedule.avg_dual == "oracle":
                 sum_ybar += t * state.y_bar if weighted else state.y_bar
                 ybar_avg = average(sum_ybar, norm)
-                aty_avg = problem.operator.adjoint_apply(ybar_avg)
-                dual_avg = -reg.conj_value(-aty_avg) - loss.conj_value(ybar_avg)
+                aty_avg = as_vector(problem.operator.adjoint_apply(ybar_avg), name="aty")
+                dual_avg = -reg._conj_value(-aty_avg) - loss._conj_value(ybar_avg)
                 avg_gap = check_gap_floor(avg_primal - dual_avg)
             if reference is not None:
                 dual_subopt = reference.primal_value - post_dual
-                bregman_ref = reg.bregman(reference.x_star, state.x)
+                bregman_ref = reg._bregman(x_star, state.x)
         else:
             rho = step_size(schedule, t)
             # objective of min_{x in K} f(A x); the dual uses the support
             # function of K in place of the conjugate of h
-            primal = loss.value(state.ax)
+            primal = loss._value(state.ax)
             sum_ax += state.ax
-            state = stepper(problem, state, rho)
+            state = stepper(problem, state, _check_rho(rho))
             sum_ybar += state.y
             sum_aty += state.last_aty
-            dual = -reg.domain.support(-state.last_aty) - loss.conj_value(state.y)
+            dual = -reg.domain.support(-state.last_aty) - loss._conj_value(state.y)
             gap = check_gap_floor(primal - dual)
-            avg_primal = loss.value(sum_ax / t)
-            avg_gap = check_gap_floor(
-                avg_primal + reg.domain.support(-(sum_aty / t)) + loss.conj_value(sum_ybar / t)
-            )
-        records.append(
-            TraceRecord(
-                t=t,
-                rho=rho,
-                primal_value=primal,
-                dual_value=dual,
-                gap=gap,
-                avg_primal_value=avg_primal,
-                dual_suboptimality=dual_subopt,
-                bregman_to_ref=bregman_ref,
-                avg_gap=avg_gap,
-            )
-        )
+            avg_primal = loss._value(as_vector(sum_ax / t, name="avg_ax"))
+            avg_y = as_vector(sum_ybar / t, name="avg_y")
+            avg_gap = check_gap_floor(avg_primal + reg.domain.support(-(sum_aty / t)) + loss._conj_value(avg_y))
+        # positional: a NamedTuple builds from keywords about three times slower
+        records.append(TraceRecord(t, rho, primal, dual, gap, avg_primal, dual_subopt, bregman_ref, avg_gap))
         if gap <= gap_tol:
             termination = "gap_tolerance"
             break

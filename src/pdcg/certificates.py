@@ -40,7 +40,7 @@ from .algorithms import (
     RunResult,
     SqrtDecay,
 )
-from .core import ConfigurationError, ProblemInstance, as_vector, clamp_gap
+from .core import ConfigurationError, ProblemInstance, as_vector, clamp_gap, contiguous_vector
 from .functions import MODE_BOUND, MODE_EXACT
 
 
@@ -50,20 +50,24 @@ from .functions import MODE_BOUND, MODE_EXACT
 
 def primal_objective(problem: ProblemInstance, x) -> float:
     """h(x) + f(A x); +inf outside the primal domain."""
-    x = as_vector(x, problem.p, "x")
-    hv = problem.regularizer.value(x)
+    x = contiguous_vector(x, problem.p, "x")
+    hv = problem.regularizer._value(x)
     if hv == float("inf"):
         return float("inf")
-    return hv + problem.loss.value(problem.operator.apply(x))
+    return hv + problem.loss._value(as_vector(problem.operator.apply(x), name="ax"))
 
 
 def dual_objective(problem: ProblemInstance, y) -> float:
     """-h*(-A^T y) - f*(y); -inf outside the closure of C."""
-    y = as_vector(y, problem.n, "y")
-    fc = problem.loss.conj_value(y)
+    return _dual_objective(problem, contiguous_vector(y, problem.n, "y"))
+
+
+def _dual_objective(problem: ProblemInstance, y: np.ndarray) -> float:
+    """``dual_objective`` at a checked y; A^T y, which can overflow, is scanned."""
+    fc = problem.loss._conj_value(y)
     if fc == float("inf"):
         return float("-inf")
-    return -problem.regularizer.conj_value(-problem.operator.adjoint_apply(y)) - fc
+    return -problem.regularizer._conj_value(-as_vector(problem.operator.adjoint_apply(y), name="aty")) - fc
 
 
 def duality_gap(problem: ProblemInstance, x, y) -> float:

@@ -66,6 +66,16 @@ def as_vector(x, length: Optional[int] = None, name: str = "vector") -> np.ndarr
     return v
 
 
+def contiguous_vector(x, length: Optional[int] = None, name: str = "vector") -> np.ndarray:
+    """``as_vector``, copied to C order when the caller's vector is strided.
+
+    OpenBLAS sums a strided dot product or matvec in another order; the
+    oracles and matvecs take their vectors through here, so equal values
+    give equal bits whatever the caller's memory layout.
+    """
+    return np.ascontiguousarray(as_vector(x, length, name))
+
+
 def clamp_gap(gap: float) -> float:
     """Zero out round-off negativity of a duality gap; reject real negativity."""
     return max(check_gap_floor(gap), 0.0)
@@ -108,12 +118,10 @@ class LinearOperator:
         self.row_norms = np.linalg.norm(m, axis=1)
 
     def apply(self, x) -> np.ndarray:
-        x = as_vector(x, self.p, "x")
-        return self.matrix @ x
+        return self.matrix @ contiguous_vector(x, self.p, "x")
 
     def adjoint_apply(self, y) -> np.ndarray:
-        y = as_vector(y, self.n, "y")
-        return self._transpose @ y
+        return self._transpose @ contiguous_vector(y, self.n, "y")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LinearOperator(n={self.n}, p={self.p})"

@@ -23,10 +23,11 @@ from .algorithms import (
     GCG,
     MD,
     StepSchedule,
-    gcg_step,
+    _check_rho,
+    _gcg_step,
+    _md_step,
+    _values,
     init_state,
-    md_step,
-    primal_dual_values,
     step_size,
 )
 from .core import ConfigurationError, ProblemInstance, clamp_gap
@@ -64,18 +65,19 @@ def verify_equivalence(
         raise ConfigurationError("iterations and tolerance must be nonnegative")
     if MD not in schedule.recursions or GCG not in schedule.recursions:
         raise ConfigurationError(schedule.pairing_error)
-    md_state = init_state(problem, y0)
-    cg_state = init_state(problem, y0)
+    # a step never writes to the state it reads, so both start from one
+    md_state = cg_state = init_state(problem, y0)
     max_x = 0.0
     max_dual = 0.0
     for t in range(1, iterations + 1):
         if schedule.needs_gap:
-            primal, dual = primal_dual_values(problem, cg_state)
+            primal, dual = _values(problem, cg_state)
             rho = step_size(schedule, t, current_gap=clamp_gap(primal - dual))
         else:
             rho = step_size(schedule, t)
-        md_state = md_step(problem, md_state, rho)
-        cg_state = gcg_step(problem, cg_state, rho)
+        rho = _check_rho(rho)
+        md_state = _md_step(problem, md_state, rho)
+        cg_state = _gcg_step(problem, cg_state, rho)
         max_x = max(max_x, float(np.max(np.abs(md_state.x - cg_state.x))))
         # gcg carries -A^T y_t computed by an actual matvec, so this is
         # the identity carried^MD = -A^T y^GCG checked to round-off

@@ -1,8 +1,11 @@
 """Oracle bundles for strongly convex regularizers h and Lipschitz losses f.
 
 This is the only module that knows the regularizer and loss kinds: the
-other modules call the methods below, and a new kind implements them.
-An oracle a kind does not support raises ``ConfigurationError``.
+other modules call the methods below.  A public vector oracle checks
+its vectors in the base class and calls the kind's kernel (same name,
+leading underscore), which a new kind implements and the recursions
+call directly.  An oracle a kind does not support raises
+``ConfigurationError``.
 
 Each regularizer exposes h, its conjugate h*, the conjugate gradient
 (h*)' and the Bregman divergence D(x1, x2) = h(x1) - h(x2) - <x1 - x2,
@@ -37,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ConfigurationError, DomainError, LinearOperator, ValidationError, as_vector
+from .core import ConfigurationError, DomainError, LinearOperator, ValidationError, as_vector, contiguous_vector
 
 # Points this far outside a dual domain are treated as members and the
 # conjugate is evaluated at the clamped point; further out it is +inf.
@@ -253,26 +256,29 @@ def _check_mu(mu: float) -> float:
 
 
 class Regularizer:
-    """Oracle bundle for a mu-strongly convex h with domain K; mu > 0."""
+    """Oracle bundle for a mu-strongly convex h with domain K; mu > 0.
+
+    A kernel takes finite C-contiguous float64 vectors of length ``dim``.
+    """
 
     mu: float
     dim: int
 
     def value(self, x) -> float:
         """h(x); +inf outside K."""
-        raise NotImplementedError
+        return self._value(contiguous_vector(x, self.dim, "x"))
 
     def conj_value(self, z) -> float:
         """h*(z) = max_x <x, z> - h(x)."""
-        raise NotImplementedError
+        return self._conj_value(contiguous_vector(z, self.dim, "z"))
 
     def conj_grad(self, z) -> np.ndarray:
         """(h*)'(z); the unique maximizer of <x, z> - h(x), always in K."""
-        raise NotImplementedError
+        return self._conj_grad(contiguous_vector(z, self.dim, "z"))
 
     def bregman(self, x1, x2) -> float:
         """D(x1, x2) = h(x1) - h(x2) - <x1 - x2, h'(x2)> >= 0."""
-        raise NotImplementedError
+        return self._bregman(contiguous_vector(x1, self.dim, "x1"), contiguous_vector(x2, self.dim, "x2"))
 
     def interior_point(self) -> np.ndarray:
         """A canonical strictly feasible point of K."""
@@ -284,6 +290,11 @@ class Regularizer:
 
     def prox_step(self, x, aty, rho: float) -> np.ndarray:
         """argmin_{x' in K} (1/rho) D(x', x) + <x' - x, aty>, in closed form."""
+        if not self.domain.compact:
+            raise ConfigurationError(_COMPACT_ONLY)
+        return self._prox_step(contiguous_vector(x, self.dim, "x"), contiguous_vector(aty, self.dim, "aty"), rho)
+
+    def _prox_step(self, x, aty, rho: float) -> np.ndarray:
         raise ConfigurationError(_COMPACT_ONLY)
 
     def delta2(self) -> float:
@@ -299,21 +310,16 @@ class SquaredL2(Regularizer):
         self.dim = int(dim)
         self.domain = RealSpace(self.dim)
 
-    def value(self, x) -> float:
-        x = as_vector(x, self.dim, "x")
+    def _value(self, x) -> float:
         return 0.5 * self.mu * float(x @ x)
 
-    def conj_value(self, z) -> float:
-        z = as_vector(z, self.dim, "z")
+    def _conj_value(self, z) -> float:
         return float(z @ z) / (2.0 * self.mu)
 
-    def conj_grad(self, z) -> np.ndarray:
-        z = as_vector(z, self.dim, "z")
+    def _conj_grad(self, z) -> np.ndarray:
         return z / self.mu
 
-    def bregman(self, x1, x2) -> float:
-        x1 = as_vector(x1, self.dim, "x1")
-        x2 = as_vector(x2, self.dim, "x2")
+    def _bregman(self, x1, x2) -> float:
         d = x1 - x2
         return 0.5 * self.mu * float(d @ d)
 
@@ -332,26 +338,21 @@ class SquaredL2Box(Regularizer):
         self.domain = Box(lower, upper)
         self.dim = self.domain.dim
 
-    def value(self, x) -> float:
-        x = as_vector(x, self.dim, "x")
+    def _value(self, x) -> float:
         if not self.domain.contains(x):
             return float("inf")
         return 0.5 * self.mu * float(x @ x)
 
-    def conj_value(self, z) -> float:
+    def _conj_value(self, z) -> float:
         # Separable: per coordinate max over [lo, hi] of x*z - (mu/2) x^2,
         # attained at the clamp of z/mu.
-        z = as_vector(z, self.dim, "z")
         c = self.domain.clip(z / self.mu)
         return float(c @ z) - 0.5 * self.mu * float(c @ c)
 
-    def conj_grad(self, z) -> np.ndarray:
-        z = as_vector(z, self.dim, "z")
+    def _conj_grad(self, z) -> np.ndarray:
         return self.domain.clip(z / self.mu)
 
-    def bregman(self, x1, x2) -> float:
-        x1 = as_vector(x1, self.dim, "x1")
-        x2 = as_vector(x2, self.dim, "x2")
+    def _bregman(self, x1, x2) -> float:
         if not self.domain.contains(x1):
             return float("inf")
         d = x1 - x2
@@ -360,7 +361,7 @@ class SquaredL2Box(Regularizer):
     def interior_point(self) -> np.ndarray:
         return self.domain.center()
 
-    def prox_step(self, x, aty, rho: float) -> np.ndarray:
+    def _prox_step(self, x, aty, rho: float) -> np.ndarray:
         # clamped gradient step
         return self.domain.clip(x - (rho / self.mu) * aty)
 
@@ -382,27 +383,22 @@ class NegativeEntropySimplex(Regularizer):
         self.dim = int(dim)
         self.domain = Simplex(self.dim)
 
-    def value(self, x) -> float:
-        x = as_vector(x, self.dim, "x")
+    def _value(self, x) -> float:
         if not self.domain.contains(x):
             return float("inf")
         # _xlogx maps the tiny negatives contains() admits to 0, as it does 0
         return float(np.add.reduce(_xlogx(x)))
 
-    def conj_value(self, z) -> float:
-        z = as_vector(z, self.dim, "z")
+    def _conj_value(self, z) -> float:
         m = float(np.maximum.reduce(z))
         return m + float(np.log(np.add.reduce(np.exp(z - m))))
 
-    def conj_grad(self, z) -> np.ndarray:
-        z = as_vector(z, self.dim, "z")
+    def _conj_grad(self, z) -> np.ndarray:
         e = np.exp(z - np.maximum.reduce(z))
         return e / np.add.reduce(e)
 
-    def bregman(self, x1, x2) -> float:
+    def _bregman(self, x1, x2) -> float:
         # Kullback-Leibler divergence on the simplex; x2 must be interior.
-        x1 = as_vector(x1, self.dim, "x1")
-        x2 = as_vector(x2, self.dim, "x2")
         if not self.domain.interior_contains(x2):
             raise DomainError("Bregman divergence requires an interior second argument")
         if not self.domain.contains(x1):
@@ -417,7 +413,7 @@ class NegativeEntropySimplex(Regularizer):
     def conj_hess(self, z, x) -> np.ndarray:
         return np.diag(x) - np.outer(x, x)
 
-    def prox_step(self, x, aty, rho: float) -> np.ndarray:
+    def _prox_step(self, x, aty, rho: float) -> np.ndarray:
         # renormalized multiplicative update
         logits = np.log(x) - rho * aty
         e = np.exp(logits - np.maximum.reduce(logits))
@@ -433,7 +429,7 @@ class NegativeEntropySimplex(Regularizer):
 
 
 class Loss:
-    """Oracle bundle for a Lipschitz f with compact dual domain C."""
+    """Oracle bundle for a Lipschitz f with compact dual domain C; kernels as for ``Regularizer``."""
 
     dim: int
     dual_domain: object
@@ -446,15 +442,15 @@ class Loss:
 
     def value(self, z) -> float:
         """f(z)."""
-        raise NotImplementedError
+        return self._value(contiguous_vector(z, self.dim, "z"))
 
     def conj_value(self, y) -> float:
         """f*(y); +inf outside the closure of C."""
-        raise NotImplementedError
+        return self._conj_value(contiguous_vector(y, self.dim, "y"))
 
     def subgradient(self, z) -> np.ndarray:
         """A deterministic maximizer of <y, z> - f*(y) over C."""
-        raise NotImplementedError
+        return self._subgradient(contiguous_vector(z, self.dim, "z"))
 
     def conj_grad(self, y) -> np.ndarray:
         """Gradient of f* on the interior of C."""
@@ -501,20 +497,17 @@ class Hinge(_LabelLoss):
     subgradient oracle returns the margin-active extreme -s*label_i.
     """
 
-    def value(self, z) -> float:
-        z = as_vector(z, self.dim, "z")
+    def _value(self, z) -> float:
         return self.scale * float(np.maximum(1.0 - self.labels * z, 0.0).sum())
 
-    def conj_value(self, y) -> float:
-        y = as_vector(y, self.dim, "y")
+    def _conj_value(self, y) -> float:
         beta = y * self.labels
         atol = MEMBERSHIP_TOL * (1.0 + self.scale)
         if (beta > atol).any() or (beta < -self.scale - atol).any():
             return float("inf")
         return float(beta.clip(-self.scale, 0.0).sum())
 
-    def subgradient(self, z) -> np.ndarray:
-        z = as_vector(z, self.dim, "z")
+    def _subgradient(self, z) -> np.ndarray:
         margin = 1.0 - self.labels * z
         return np.where(margin >= 0.0, -self.scale * self.labels, 0.0)
 
@@ -535,29 +528,24 @@ class LeastAbsoluteDeviation(Loss):
     box_polish = True
 
     def __init__(self, targets, scale: float = 1.0) -> None:
-        self.targets = as_vector(targets, name="targets")
+        self.targets = contiguous_vector(targets, name="targets")
         self.scale = _check_scale(scale)
         self.dim = self.targets.shape[0]
         s = np.full(self.dim, self.scale)
         self.dual_domain = Box(-s, s)
 
-    def value(self, z) -> float:
-        z = as_vector(z, self.dim, "z")
+    def _value(self, z) -> float:
         return self.scale * float(np.add.reduce(np.abs(z - self.targets)))
 
-    def conj_value(self, y) -> float:
-        y = as_vector(y, self.dim, "y")
+    def _conj_value(self, y) -> float:
         s = self.scale
         lo, hi = _range(y)
         atol = MEMBERSHIP_TOL * (1.0 + s)
         if hi > s + atol or lo < -(s + atol):
             return float("inf")
-        # the clip also makes y contiguous: OpenBLAS sums a strided dot
-        # product in another order, so a strided y would change its bits
         return float(y.clip(-s, s) @ self.targets)
 
-    def subgradient(self, z) -> np.ndarray:
-        z = as_vector(z, self.dim, "z")
+    def _subgradient(self, z) -> np.ndarray:
         return self.scale * np.sign(z - self.targets)
 
     def conj_grad(self, y) -> np.ndarray:
@@ -590,12 +578,10 @@ class Logistic(_LabelLoss):
     def _neg_scaled(self) -> np.ndarray:
         return -self.scale * self.labels
 
-    def value(self, z) -> float:
-        z = as_vector(z, self.dim, "z")
+    def _value(self, z) -> float:
         return self.scale * float(np.add.reduce(np.logaddexp(0.0, self._neg_labels * z)))
 
-    def conj_value(self, y) -> float:
-        y = as_vector(y, self.dim, "y")
+    def _conj_value(self, y) -> float:
         # -y*label/s: dividing by -s*label flips the same signs exactly
         g = y / self._neg_scaled
         lo, hi = _range(g)
@@ -609,8 +595,7 @@ class Logistic(_LabelLoss):
         e = _xlogx(np.concatenate((g, 1.0 - g)), min(lo, 1.0 - hi))
         return self.scale * float(np.add.reduce(e[: self.dim] + e[self.dim :]))
 
-    def subgradient(self, z) -> np.ndarray:
-        z = as_vector(z, self.dim, "z")
+    def _subgradient(self, z) -> np.ndarray:
         return self._neg_scaled * _sigmoid(self._neg_labels * z)
 
     def conj_grad(self, y) -> np.ndarray:
@@ -642,18 +627,15 @@ class DualNormGauge(Loss):
             raise ValidationError("lam must be nonnegative and finite")
         self.dual_domain = L1Ball(self.dim, self.omega0)
 
-    def value(self, z) -> float:
-        z = as_vector(z, self.dim, "z")
+    def _value(self, z) -> float:
         return self.omega0 * max(float(np.abs(z).max()) - self.lam, 0.0)
 
-    def conj_value(self, y) -> float:
-        y = as_vector(y, self.dim, "y")
+    def _conj_value(self, y) -> float:
         if not self.dual_domain.contains(y, MEMBERSHIP_TOL):
             return float("inf")
         return self.lam * float(np.abs(y).sum())
 
-    def subgradient(self, z) -> np.ndarray:
-        z = as_vector(z, self.dim, "z")
+    def _subgradient(self, z) -> np.ndarray:
         out = np.zeros(self.dim)
         a = np.abs(z)
         m = float(a.max())

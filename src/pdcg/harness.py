@@ -28,14 +28,15 @@ from .algorithms import (
     RunResult,
     SqrtDecay,
     StepSchedule,
-    gcg_step,
+    _check_rho,
+    _gcg_step,
+    _values,
     init_state,
-    primal_dual_values,
     resolve_initial_dual,
     run,
     step_size,
 )
-from .certificates import GeometryConstants, dual_objective
+from .certificates import GeometryConstants, _dual_objective
 from .core import ConfigurationError, LinearOperator, ProblemInstance, clamp_gap
 from .functions import (
     DualNormGauge,
@@ -274,7 +275,7 @@ def _polish_box_dual(problem: ProblemInstance, y: np.ndarray, tol: float, max_it
     for k in range(max_iter):
         used = k + 1
         state = init_state(problem, y)
-        primal, dual = primal_dual_values(problem, state)
+        primal, dual = _values(problem, state)
         gap = clamp_gap(primal - dual)
         if gap < best_gap:
             best_gap, best_y = gap, state.y
@@ -302,7 +303,7 @@ def _polish_box_dual(problem: ProblemInstance, y: np.ndarray, tol: float, max_it
                 cand = np.clip(y + alpha * step_dir, lo, hi)
                 if loss.open_domain:
                     cand = np.clip(cand, lo + 1e-15 * widths, hi - 1e-15 * widths)
-                if dual_objective(problem, cand) > dual:
+                if _dual_objective(problem, cand) > dual:
                     return cand
                 alpha *= 0.5
             return None
@@ -339,13 +340,13 @@ def reference_solution(problem: ProblemInstance, tol: float = 1e-9, cap: int = 1
     iters = 0
     warm = min(cap, 500)
     for t in range(1, warm + 1):
-        primal, dual = primal_dual_values(problem, state)
+        primal, dual = _values(problem, state)
         gap = clamp_gap(primal - dual)
         if gap < best_gap:
             best_gap, best_y = gap, state.y.copy()
         if gap <= tol:
             break
-        state = gcg_step(problem, state, step_size(schedule, t, current_gap=gap))
+        state = _gcg_step(problem, state, _check_rho(step_size(schedule, t, current_gap=gap)))
         iters = t
     if best_gap > tol and iters < cap and problem.loss.box_polish:
         y_pol, gap_pol, used = _polish_box_dual(
@@ -355,7 +356,7 @@ def reference_solution(problem: ProblemInstance, tol: float = 1e-9, cap: int = 1
         if gap_pol < best_gap:
             best_gap, best_y = gap_pol, y_pol
     final = init_state(problem, best_y)
-    primal, dual = primal_dual_values(problem, final)
+    primal, dual = _values(problem, final)
     certified_gap = clamp_gap(primal - dual)
     return ReferenceSolution(
         x_star=final.x,

@@ -1,11 +1,14 @@
 import dataclasses
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import pdcg.core
 from pdcg import (
     ConfigurationError,
+    DimensionMismatch,
     ExperimentConfig,
     FixedOneOverT,
     FixedTwoOverTPlusOne,
@@ -26,10 +29,13 @@ from pdcg import (
     init_state_compact,
     md_step,
     ns_md_step,
+    reference_solution,
     resolve_initial_dual,
     run,
     step_size,
+    verify_equivalence,
 )
+from pdcg.algorithms import primal_dual_values
 
 
 # --------------------------------------------------------------------------
@@ -202,6 +208,20 @@ def _svm_problem(n=30, p=6, seed=3, mu=1.0):
     return generate_problem(cfg)
 
 
+def test_primal_dual_values_checks_the_state_it_reads():
+    prob = _svm_problem(seed=4)
+    state = init_state(prob, np.zeros(prob.n))
+    first = run(prob, "gcg", FixedTwoOverTPlusOne(), max_iters=1).trace[0]
+    assert primal_dual_values(prob, state) == (first.primal_value, first.dual_value)
+    # the same pair from a strided copy of every vector, to the bit
+    strided = {f: np.repeat(getattr(state, f), 2)[::2] for f in ("x", "ax", "y", "carried_h_sub")}
+    assert primal_dual_values(prob, dataclasses.replace(state, **strided)) == (first.primal_value, first.dual_value)
+    with pytest.raises(DimensionMismatch, match="ax has length 29, expected 30"):
+        primal_dual_values(prob, dataclasses.replace(state, ax=state.ax[:-1]))
+    with pytest.raises(ValidationError, match="carried_h_sub contains non-finite entries"):
+        primal_dual_values(prob, dataclasses.replace(state, carried_h_sub=np.full(prob.p, np.nan)))
+
+
 def test_run_zero_budget():
     prob = _svm_problem()
     res = run(prob, "gcg", FixedTwoOverTPlusOne(), max_iters=0)
@@ -332,13 +352,89 @@ def test_run_evaluates_each_primal_dual_pair_once(algorithm, schedule, calls_per
     prob = generate_problem(cfg)
     sched = build_schedule(cfg, prob)
     reference = SimpleNamespace(x_star=np.zeros(prob.p), primal_value=1.0) if with_reference else None
-    conj_value = prob.loss.conj_value
+    # run() calls the loss's conjugate kernel, not the checking entry point
+    conj_value = prob.loss._conj_value
     calls = []
-    monkeypatch.setattr(prob.loss, "conj_value", lambda y: calls.append(1) or conj_value(y))
+    monkeypatch.setattr(prob.loss, "_conj_value", lambda y: calls.append(1) or conj_value(y))
     iters = 20
     res = run(prob, algorithm, sched, max_iters=iters, gap_tol=-np.inf, reference=reference)
     assert len(res.trace) == iters
     assert len(calls) == calls_per_iter * iters + 1
+
+
+def _count_as_vector(monkeypatch):
+    """Count ``as_vector`` calls the way the benchmark's tracer does: through every module attribute."""
+    calls = []
+    original = pdcg.core.as_vector
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "pdcg" or name.startswith("pdcg.")) and vars(module).get("as_vector") is original:
+            monkeypatch.setattr(module, "as_vector", counted)
+    return calls
+
+
+@pytest.mark.parametrize("algorithm", ["md", "gcg"])
+def test_run_scans_at_most_six_vectors_per_iteration(algorithm, monkeypatch):
+    # one scan where each vector that can overflow is made: the two matvec
+    # inputs, A x, the carried g or A^T y, and the two averaged points
+    cfg = ExperimentConfig(loss="lad", regularizer="squared_l2", n=30, p=6, scale=20.0 / 30, seed=3,
+                           algorithm=algorithm, schedule="two-over-t-plus-one")
+    prob = generate_problem(cfg)
+    calls = _count_as_vector(monkeypatch)
+    counts = []
+    for iters in (20, 40):
+        calls.clear()
+        run(prob, algorithm, FixedTwoOverTPlusOne(), max_iters=iters, gap_tol=-np.inf)
+        counts.append(len(calls))
+    assert (counts[1] - counts[0]) / 20 <= 6
+
+
+def _overflowing(loss="lad", reg="squared_l2", mu=None, a_scale=1.0, box=(0.0, 1.0)):
+    cfg = ExperimentConfig(loss=loss, regularizer=reg, n=30, p=6, scale=20.0 / 30, seed=3,
+                           box_lower=box[0], box_upper=box[1])
+    prob = generate_problem(cfg)
+    h = prob.regularizer
+    if mu is not None:
+        h = SquaredL2(mu, 6) if reg == "squared_l2" else SquaredL2Box(mu, h.domain.lower, h.domain.upper)
+    return ProblemInstance(LinearOperator(a_scale * prob.operator.matrix), h, prob.loss)
+
+
+# x = g/mu overflows at mu = 1e-310, and A^T y and A x do with A scaled by 1e307
+# (by 1e307 on a box of half-width 1000 for the compact-domain recursion)
+OVERFLOWING = {
+    "md-small-mu": lambda: run(_overflowing(mu=1e-310), "md", FixedTwoOverTPlusOne(), 20),
+    "gcg-small-mu": lambda: run(_overflowing(mu=1e-310), "gcg", FixedOneOverT(), 20),
+    "md-large-a": lambda: run(_overflowing(a_scale=1e307), "md", FixedTwoOverTPlusOne(), 20),
+    "gcg-large-a": lambda: run(_overflowing(a_scale=1e307), "gcg", FixedTwoOverTPlusOne(), 20),
+    "ns-md-large-a": lambda: run(_overflowing(reg="squared_l2_box", a_scale=1e307, box=(-1e3, 1e3)), "ns-md",
+                                 SqrtDecay(delta=1.0, radius=1.0), 20),
+    "reference-small-mu": lambda: reference_solution(_overflowing(mu=1e-310)),
+    "reference-large-a": lambda: reference_solution(_overflowing(a_scale=1e307)),
+    "equivalence-small-mu": lambda: verify_equivalence(_overflowing(mu=1e-310), np.zeros(30),
+                                                       FixedTwoOverTPlusOne(), 20),
+    "equivalence-large-a": lambda: verify_equivalence(_overflowing(a_scale=1e307), np.zeros(30),
+                                                      FixedTwoOverTPlusOne(), 20),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", list(OVERFLOWING))
+def test_iterates_that_overflow_raise(case):
+    with pytest.raises(ValidationError, match="contains non-finite entries"):
+        OVERFLOWING[case]()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("algorithm", ["md", "gcg"])
+def test_box_regularizer_at_tiny_mu_stays_finite(algorithm):
+    # g/mu overflows, but the clamp keeps x = clip(g/mu) in the box
+    res = run(_overflowing(reg="squared_l2_box", mu=1e-310), algorithm, FixedTwoOverTPlusOne(), 20)
+    assert len(res.trace) == 20
+    assert all(np.isfinite([rec.primal_value, rec.dual_value, rec.avg_primal_value]).all() for rec in res.trace)
 
 
 @pytest.mark.parametrize(

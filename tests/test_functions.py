@@ -8,10 +8,12 @@ import pdcg.algorithms
 import pdcg.functions
 from pdcg import (
     ConfigurationError,
+    DimensionMismatch,
     DomainError,
     DualNormGauge,
     Hinge,
     LeastAbsoluteDeviation,
+    LinearOperator,
     Logistic,
     NegativeEntropySimplex,
     SquaredL2,
@@ -404,6 +406,47 @@ def test_prox_step_closed_form(reg, x, expected):
 
 
 @pytest.mark.parametrize(
+    "reg,x,aty,error",
+    [
+        # a length-1 aty used to broadcast, a NaN to come back as NaN, an inf to be clipped away
+        (NegativeEntropySimplex(3), [0.2, 0.3, 0.5], [0.5], DimensionMismatch),
+        (NegativeEntropySimplex(3), [0.2, 0.3, 0.5], [0.5, np.nan, 0.0], ValidationError),
+        (SquaredL2Box(2.0, np.zeros(3), np.ones(3)), [0.5, 0.9, 0.1], [1.0, np.inf, 1.0], ValidationError),
+        (SquaredL2Box(2.0, np.zeros(3), np.ones(3)), [0.5], [1.0, -1.0, 1.0], DimensionMismatch),
+        (SquaredL2Box(2.0, np.zeros(3), np.ones(3)), [0.5, -np.inf, 0.1], [1.0, -1.0, 1.0], ValidationError),
+    ],
+    ids=["simplex-short-aty", "simplex-nan-aty", "box-inf-aty", "box-short-x", "box-inf-x"],
+)
+def test_prox_step_checks_its_vectors_like_every_oracle(reg, x, aty, error):
+    with pytest.raises(error):
+        reg.prox_step(np.array(x), np.array(aty), 0.5)
+
+
+def test_prox_step_needs_a_compact_domain_whatever_its_vectors():
+    with pytest.raises(ConfigurationError, match="compact-domain recursion supports"):
+        SquaredL2(1.0, 3).prox_step([np.nan], [0.0, 1.0], 0.5)
+
+
+def test_oracle_and_matvec_bits_do_not_depend_on_memory_layout():
+    # a strided view gives the bits of the same values laid out contiguously
+    hits = 0
+    for n in (40, 200, 1001):
+        reg = SquaredL2(0.5, n)
+        op = LinearOperator(np.random.default_rng(n).standard_normal((7, n)))
+        for seed in range(20):
+            x = np.random.default_rng(seed).standard_normal(n)
+            strided = np.repeat(x, 2)[::2]
+            hits += strided @ strided != x @ x  # the layout does reach BLAS's summation order
+            assert reg.value(strided).hex() == reg.value(x).hex()
+            assert reg.conj_value(strided).hex() == reg.conj_value(x).hex()
+            assert reg.bregman(strided, x[::-1]).hex() == reg.bregman(x, x[::-1].copy()).hex()
+            y = x[:7]
+            assert op.apply(strided).tobytes() == op.apply(x).tobytes()
+            assert op.adjoint_apply(np.repeat(y, 2)[::2]).tobytes() == op.adjoint_apply(y.copy()).tobytes()
+    assert hits > 0
+
+
+@pytest.mark.parametrize(
     "oracle,call",
     [
         (SquaredL2Box(1.0, np.zeros(3), np.ones(3)), lambda reg: reg.conj_hess(np.zeros(3), np.full(3, 0.5))),
@@ -462,9 +505,10 @@ def test_no_checks_on_concrete_schedule_kinds():
 # entries around the 1e-300 mask of _xlogx, logistic gamma exactly 0 and
 # 1 and just inside and outside MEMBERSHIP_TOL, u = 0 for the sigmoid,
 # points on and just off the box bounds, length-1 vectors and n = 20000,
-# each also passed as a strided view (BLAS sums a strided dot product in
-# another order, so an oracle must not hand one to a dot product where
-# the old expression made a contiguous copy).
+# each also passed as a strided view, which must give the bits of the old
+# expression on the contiguous input (BLAS sums a strided dot product in
+# another order, so the checking entry points and the matvecs hand their
+# kernels a contiguous copy).
 
 MASK = 1e-300
 TOL = pdcg.functions.MEMBERSHIP_TOL
@@ -712,5 +756,6 @@ KERNEL_CASES = {case[0]: case for case in _cases()}
 def test_oracle_kernels_match_the_replaced_expressions_bit_for_bit(name):
     _, old, new, arg_sets = KERNEL_CASES[name]
     for contiguous in arg_sets:
+        expected = _bits(old(*contiguous))
         for args in (contiguous, tuple(_strided(a) for a in contiguous)):
-            assert _bits(new(*args)) == _bits(old(*args)), (name, args[-1][:8] if hasattr(args[-1], "__len__") else args)
+            assert _bits(new(*args)) == expected, (name, args[-1][:8] if hasattr(args[-1], "__len__") else args)
