@@ -217,8 +217,8 @@ def _check_rho(rho: float) -> float:
 
 
 def _checked(problem: ProblemInstance, state: SolverState, *fields: str) -> SolverState:
-    """``state`` with the named vectors checked, as a public stepper or evaluator reads them."""
-    length = {"x": problem.p, "carried_h_sub": problem.p, "ax": problem.n, "y": problem.n}
+    """``state`` with the named vectors checked, as a public stepper reads them."""
+    length = {"x": problem.p, "ax": problem.n}
     return dataclasses.replace(state, **{f: contiguous_vector(getattr(state, f), length[f], f) for f in fields})
 
 
@@ -318,11 +318,6 @@ def _values(problem: ProblemInstance, state: SolverState) -> tuple[float, float]
     primal = reg._value(state.x) + loss._value(state.ax)
     dual = -reg._conj_value(state.carried_h_sub) - loss._conj_value(state.y)
     return primal, dual
-
-
-def primal_dual_values(problem: ProblemInstance, state: SolverState) -> tuple[float, float]:
-    """Primal/dual objective at the state's (x, y); -A^T y is the carried vector."""
-    return _values(problem, _checked(problem, state, "x", "ax", "carried_h_sub", "y"))
 
 
 def run(

@@ -12,14 +12,17 @@ Each regularizer exposes h, its conjugate h*, the conjugate gradient
 h'(x2)>; the recursions carry their own subgradient of h.  Compact
 domains add the closed-form Bregman-proximal step ``prox_step`` and the
 radius bound ``delta2`` at ``interior_point``, where the compact-domain
-recursion starts; a smooth h* adds its Hessian ``conj_hess`` for the
-reference solver's Newton polish.
+recursion starts; an h* that is smooth everywhere declares
+``smooth_conj`` and adds its Hessian ``conj_hess``.
 
 Each loss exposes f, its conjugate f*, and the argmax-subgradient oracle
 f'(z) = argmax_{y in C} <y, z> - f*(y) over the compact dual domain C,
-plus ``conj_grad``/``conj_hess_diag`` of f* inside a box C for the polish
-(declared by ``box_polish``).  Each dual domain C gives R^2 under an
-operator A through ``r2(op, which)``, together with its mode string.
+plus ``conj_grad``/``conj_hess_diag`` of f* inside a box C (declared by
+``box_polish``).  The reference solver polishes the dual by Newton steps
+on a ``box_polish`` loss: from the dual start under a ``smooth_conj`` h*,
+after its conditional-gradient steps otherwise.  Each dual domain C
+gives R^2 under an operator A through ``r2(op, which)``, together with
+its mode string.
 Separable losses are scaled as f = s * sum_i l_i, whose conjugate is
 f*(y) = s * sum_i l_i*(y_i / s) with C scaled accordingly.
 
@@ -263,6 +266,9 @@ class Regularizer:
 
     mu: float
     dim: int
+    # True when h* is smooth everywhere with ``conj_hess``, so the reference
+    # solver's Newton polish of a box C can start at the dual start
+    smooth_conj = False
 
     def value(self, x) -> float:
         """h(x); +inf outside K."""
@@ -304,6 +310,8 @@ class Regularizer:
 
 class SquaredL2(Regularizer):
     """h(x) = (mu/2) ||x||^2 on all of R^p."""
+
+    smooth_conj = True
 
     def __init__(self, mu: float, dim: int) -> None:
         self.mu = _check_mu(mu)
@@ -377,6 +385,8 @@ class NegativeEntropySimplex(Regularizer):
     h* is the log-sum-exp function and (h*)' the softmax map, both
     computed with max-subtraction for stability.
     """
+
+    smooth_conj = True
 
     def __init__(self, dim: int) -> None:
         self.mu = 1.0

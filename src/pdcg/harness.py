@@ -22,19 +22,17 @@ import numpy as np
 
 from .algorithms import (
     ALGORITHMS,
+    GCG,
     FixedOneOverT,
     FixedTwoOverTPlusOne,
     LineSearch,
     RunResult,
     SqrtDecay,
     StepSchedule,
-    _check_rho,
-    _gcg_step,
     _values,
     init_state,
     resolve_initial_dual,
     run,
-    step_size,
 )
 from .certificates import GeometryConstants, _dual_objective
 from .core import ConfigurationError, LinearOperator, ProblemInstance, clamp_gap
@@ -255,11 +253,11 @@ class ReferenceSolution:
 def _polish_box_dual(problem: ProblemInstance, y: np.ndarray, tol: float, max_iter: int):
     """Active-set projected Newton ascent on the dual over a box C.
 
-    The conditional-gradient warm start gets within zigzag range of the
-    optimum; this stage identifies the active face and solves the
-    remaining smooth concave program to gap <= tol.  Used only as a
-    reference engine; the returned pair is certified by its gap, not by
-    this procedure.
+    Each pass identifies the active face at y and takes a backtracked
+    Newton step on the remaining smooth concave program, until the gap
+    is <= tol.  Returns the best dual point of its passes and their count.
+    Used only as a reference engine; the returned pair is certified by
+    its gap, not by this procedure.
     """
     op, reg, loss = problem.operator, problem.regularizer, problem.loss
     box = loss.dual_domain
@@ -314,53 +312,42 @@ def _polish_box_dual(problem: ProblemInstance, y: np.ndarray, tol: float, max_it
         if nxt is None:
             break
         y = nxt
-    return best_y, best_gap, used
+    return best_y, used
 
 
 def reference_solution(problem: ProblemInstance, tol: float = 1e-9, cap: int = 10**6) -> ReferenceSolution:
     """High-accuracy primal-dual pair, certified by its duality gap.
 
-    Warm-starts with the line-search conditional gradient, then (for a
-    loss that declares ``box_polish``) switches to an active-set Newton
-    polish of the dual over its box; the best pair seen is kept, and
-    x_star is always recomputed as (h*)'(-A^T y_star).  If the gap
-    tolerance is not reached within the budget, the result is returned
-    marked uncertified rather than raising.  A ``tol`` that is not >= 0
-    (NaN included) can never be met and a negative ``cap`` is no budget,
-    so both raise ConfigurationError.
+    A loss that declares ``box_polish`` under an h* with a Hessian
+    (``smooth_conj``) is solved by the active-set Newton polish of the
+    dual over its box, from the dual start.  Every other instance takes
+    ``run``'s line-search conditional gradient for up to 500 steps
+    (stopping at gap ``tol``), and a box C then polishes its final dual
+    point.  x_star is always recomputed as (h*)'(-A^T y_star).  If the
+    gap tolerance is not reached within the budget, the result is
+    returned marked uncertified rather than raising.  A ``tol`` that is
+    not >= 0 (NaN included) can never be met and a negative ``cap`` is
+    no budget, so both raise ConfigurationError.
     """
     if not tol >= 0:
         raise ConfigurationError(f"reference tolerance must be >= 0, got {tol!r}")
     if cap < 0:
         raise ConfigurationError(f"reference budget must be >= 0, got {cap!r}")
-    schedule = LineSearch(mu=problem.regularizer.mu, r2=problem.r2("diameter")[0])
-    state = init_state(problem, resolve_initial_dual(problem))
-    # the first warm-start pass evaluates the start pair
-    best_y, best_gap = state.y, float("inf")
-    iters = 0
-    warm = min(cap, 500)
-    for t in range(1, warm + 1):
-        primal, dual = _values(problem, state)
-        gap = clamp_gap(primal - dual)
-        if gap < best_gap:
-            best_gap, best_y = gap, state.y.copy()
-        if gap <= tol:
-            break
-        state = _gcg_step(problem, state, _check_rho(step_size(schedule, t, current_gap=gap)))
-        iters = t
-    if best_gap > tol and iters < cap and problem.loss.box_polish:
-        y_pol, gap_pol, used = _polish_box_dual(
-            problem, best_y, tol, max_iter=min(200, cap - iters)
-        )
+    reg, loss = problem.regularizer, problem.loss
+    y, iters = resolve_initial_dual(problem), 0
+    if not (loss.box_polish and reg.smooth_conj):
+        schedule = LineSearch(mu=reg.mu, r2=problem.r2("diameter")[0])
+        result = run(problem, GCG, schedule, min(cap, 500), gap_tol=tol)
+        y, iters = result.state.y, len(result.trace)
+    if loss.box_polish and iters < cap:
+        y, used = _polish_box_dual(problem, y, tol, max_iter=min(200, cap - iters))
         iters += used
-        if gap_pol < best_gap:
-            best_gap, best_y = gap_pol, y_pol
-    final = init_state(problem, best_y)
+    final = init_state(problem, y)
     primal, dual = _values(problem, final)
     certified_gap = clamp_gap(primal - dual)
     return ReferenceSolution(
         x_star=final.x,
-        y_star=best_y,
+        y_star=final.y,
         certified_gap=certified_gap,
         iterations=iters,
         certified=bool(certified_gap <= tol),

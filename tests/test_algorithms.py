@@ -8,7 +8,6 @@ import pytest
 import pdcg.core
 from pdcg import (
     ConfigurationError,
-    DimensionMismatch,
     ExperimentConfig,
     FixedOneOverT,
     FixedTwoOverTPlusOne,
@@ -35,7 +34,6 @@ from pdcg import (
     step_size,
     verify_equivalence,
 )
-from pdcg.algorithms import primal_dual_values
 
 
 # --------------------------------------------------------------------------
@@ -206,20 +204,6 @@ def test_ns_md_rejects_noncompact():
 def _svm_problem(n=30, p=6, seed=3, mu=1.0):
     cfg = ExperimentConfig(loss="hinge", regularizer="squared_l2", n=n, p=p, mu=mu, seed=seed)
     return generate_problem(cfg)
-
-
-def test_primal_dual_values_checks_the_state_it_reads():
-    prob = _svm_problem(seed=4)
-    state = init_state(prob, np.zeros(prob.n))
-    first = run(prob, "gcg", FixedTwoOverTPlusOne(), max_iters=1).trace[0]
-    assert primal_dual_values(prob, state) == (first.primal_value, first.dual_value)
-    # the same pair from a strided copy of every vector, to the bit
-    strided = {f: np.repeat(getattr(state, f), 2)[::2] for f in ("x", "ax", "y", "carried_h_sub")}
-    assert primal_dual_values(prob, dataclasses.replace(state, **strided)) == (first.primal_value, first.dual_value)
-    with pytest.raises(DimensionMismatch, match="ax has length 29, expected 30"):
-        primal_dual_values(prob, dataclasses.replace(state, ax=state.ax[:-1]))
-    with pytest.raises(ValidationError, match="carried_h_sub contains non-finite entries"):
-        primal_dual_values(prob, dataclasses.replace(state, carried_h_sub=np.full(prob.p, np.nan)))
 
 
 def test_run_zero_budget():

@@ -164,6 +164,29 @@ def test_reference_certifies_all_loss_regularizer_mixes():
         assert ref.certified, (loss, reg, ref.certified_gap)
         # dual value never exceeds primal value at the certified pair
         assert ref.dual_value <= ref.primal_value + 1e-12
+        # the Newton polish starts at the dual start: no 500-step warm start
+        assert ref.iterations < 500, (loss, reg, ref.iterations)
+
+
+# mixes the Newton polish cannot start on: run's line-search GCG comes
+# first, and a box C then polishes its final dual point
+@pytest.mark.parametrize(
+    "loss, reg, scale, certified",
+    [("hinge", "squared_l2_box", None, True), ("lad", "squared_l2_box", 20.0 / 60, None), ("gauge", "entropy", None, False)],
+    ids=["hinge-box-certifies", "lad-box-raises", "gauge-entropy-uncertified"],
+)
+def test_reference_without_newton_start_runs_gcg_first(loss, reg, scale, certified):
+    prob = generate_problem(ExperimentConfig(loss=loss, regularizer=reg, n=60, p=10, seed=3, scale=scale))
+    if certified is None:
+        with pytest.raises(ConfigurationError, match="no smooth dual model for SquaredL2Box"):
+            reference_solution(prob, tol=1e-9)
+        return
+    ref = reference_solution(prob, tol=1e-9)
+    assert ref.certified == certified, ref.certified_gap
+    if not certified:
+        # the whole min(cap, 500) GCG budget, and no polish on an l1-ball C
+        assert ref.iterations == 500
+        assert reference_solution(prob, tol=1e-9, cap=40).iterations == 40
 
 
 # --------------------------------------------------------------------------

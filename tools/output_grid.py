@@ -46,6 +46,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -189,12 +190,32 @@ def digest(manifest: dict) -> str:
 
 
 def diff(path_a: str, path_b: str) -> list:
-    """Keys whose entries differ (or exist on one side only)."""
+    """(key, entry in A, entry in B) for every key whose entries differ; a missing entry is None."""
     with open(path_a, encoding="utf-8") as fh:
         a = json.load(fh)
     with open(path_b, encoding="utf-8") as fh:
         b = json.load(fh)
-    return [key for key in sorted(set(a) | set(b)) if a.get(key) != b.get(key)]
+    return [(key, a.get(key), b.get(key)) for key in sorted(set(a) | set(b)) if a.get(key) != b.get(key)]
+
+
+def _first_line(text) -> str:
+    return (text or "").split("\n", 1)[0]
+
+
+def verdict(entry):
+    """(exit code, first PASS/FAIL word of stdout) of an entry; None for a missing one."""
+    if entry is None:
+        return None
+    word = re.search(r"\b(PASS|FAIL)\b", entry["stdout"] or "")
+    return entry["code"], word and word.group(1)
+
+
+def describe(entry) -> str:
+    """Exit code, first stdout and stderr lines and any exception of one side, on one line."""
+    if entry is None:
+        return "absent"
+    text = f"exit={entry['code']} stdout={_first_line(entry['stdout'])!r} stderr={_first_line(entry['stderr'])!r}"
+    return text + (f" exception={entry['exception']!r}" if entry["exception"] else "")
 
 
 def main(argv=None) -> int:
@@ -202,14 +223,20 @@ def main(argv=None) -> int:
     parser.add_argument("--workdir", default=os.path.join(tempfile.gettempdir(), "pdcg-output-grid"),
                         help="directory for the config and the one output path")
     parser.add_argument("--out", default=None, help="write the manifest as JSON")
-    parser.add_argument("--diff", nargs=2, metavar=("A", "B"), help="list the entries two manifests differ in")
+    parser.add_argument("--diff", nargs=2, metavar=("A", "B"),
+                        help="list the entries two manifests differ in, with each side's exit code and first "
+                        "output lines, and count the changed verdicts")
     args = parser.parse_args(argv)
     if args.diff:
-        keys = diff(*args.diff)
-        for key in keys:
-            print(key)
-        print(f"{len(keys)} entries differ")
-        return 1 if keys else 0
+        entries = diff(*args.diff)
+        for key, a, b in entries:
+            fields = sorted(f for f in set(a or {}) | set(b or {}) if (a or {}).get(f) != (b or {}).get(f))
+            print(f"{key}  (differs in {', '.join(fields)})")
+            print(f"  A: {describe(a)}")
+            print(f"  B: {describe(b)}")
+        changed = sum(verdict(a) != verdict(b) for _, a, b in entries)
+        print(f"{len(entries)} entries differ; {changed} change their exit code or PASS/FAIL verdict")
+        return 1 if entries else 0
     manifest = build_manifest(args.workdir)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
