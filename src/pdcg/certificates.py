@@ -141,11 +141,11 @@ class BoundReport:
 class BoundPairing:
     """A certified bound: the run it applies to and how its trace is read.
 
-    The strongly convex bounds are ``coef R^2 / (mu (t + shift))``, plus
-    the reference tolerance when ``needs_reference``.  The observed value
-    is the trace ``column`` (less the reference dual value for a primal
-    objective column), or its running minimum with ``running_min``.
-    ``compact-averaged-gap`` is ``coef R delta / sqrt(t)`` instead.
+    The strongly convex bounds are exactly ``coef R^2 / (mu (t + shift))``
+    and ``compact-averaged-gap`` is ``coef R delta / sqrt(t)``, with no
+    slack added.  The observed value is the trace ``column`` (less the
+    reference dual value for a primal objective column), or its running
+    minimum with ``running_min``.
     """
 
     algorithm: str
@@ -199,16 +199,17 @@ def check_bound(
     mu: float,
     which: str,
     reference=None,
-    reference_tolerance: Optional[float] = None,
 ) -> BoundReport:
     """Compare a finished trace against one certified bound.
 
     ``reference`` (needed by the suboptimality variants) is an object
-    exposing ``dual_value``, ``primal_value`` and ``certified_gap``; the
-    reference tolerance (default: its certified gap) is added to the
-    bound, since the optimum is only known up to that gap.  Gap-based
-    variants need no reference.  The run must have been produced by the
-    matching algorithm and schedule.
+    exposing ``dual_value``, against which a primal objective column is
+    measured.  By weak duality a dual value is at most the optimum, so
+    the measured suboptimality over-estimates the true one and no
+    tolerance is added to the bound.  ``md-distance`` is measured to the
+    reference point and certifies nothing beyond that point's own
+    distance to x*.  Gap-based variants need no reference.  The run must
+    have been produced by the matching algorithm and schedule.
     """
     if which not in BOUND_PAIRING:
         raise ConfigurationError(f"unknown bound id {which!r}; expected one of {BOUND_IDS}")
@@ -221,11 +222,8 @@ def check_bound(
         raise ConfigurationError(
             f"{which} applies to schedule {row.schedule!r}, trace used {result.schedule.name!r}"
         )
-    tol = 0.0
-    if row.needs_reference:
-        if reference is None:
-            raise ConfigurationError(f"{which} requires a reference solution")
-        tol = reference.certified_gap if reference_tolerance is None else reference_tolerance
+    if row.needs_reference and reference is None:
+        raise ConfigurationError(f"{which} requires a reference solution")
     trace = result.trace
     t = np.array([rec.t for rec in trace], dtype=np.float64)
     r2 = constants.r2_origin if which == COMPACT_BOUND else constants.r2_primal
@@ -245,7 +243,7 @@ def check_bound(
             raise ConfigurationError("schedule delta disagrees with the certified delta^2")
         bounds = row.coef * radius * delta / np.sqrt(t)
     else:
-        bounds = row.coef * r2 / (mu * (t + row.shift)) + tol
+        bounds = row.coef * r2 / (mu * (t + row.shift))
     column = [getattr(rec, row.column) for rec in trace]
     if any(v is None for v in column):
         raise ConfigurationError(f"trace lacks the {row.column} column; rerun with a reference")

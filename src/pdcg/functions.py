@@ -13,16 +13,17 @@ h'(x2)>; the recursions carry their own subgradient of h.  Compact
 domains add the closed-form Bregman-proximal step ``prox_step`` and the
 radius bound ``delta2`` at ``interior_point``, where the compact-domain
 recursion starts; an h* that is smooth everywhere declares
-``smooth_conj`` and adds its Hessian ``conj_hess``.
+``smooth_conj`` and adds the kernel ``_conj_hess`` (its Hessian).
 
 Each loss exposes f, its conjugate f*, and the argmax-subgradient oracle
-f'(z) = argmax_{y in C} <y, z> - f*(y) over the compact dual domain C,
-plus ``conj_grad``/``conj_hess_diag`` of f* inside a box C (declared by
-``box_polish``).  The reference solver polishes the dual by Newton steps
-on a ``box_polish`` loss: from the dual start under a ``smooth_conj`` h*,
-after its conditional-gradient steps otherwise.  Each dual domain C
-gives R^2 under an operator A through ``r2(op, which)``, together with
-its mode string.
+f'(z) = argmax_{y in C} <y, z> - f*(y) over the compact dual domain C.
+A loss whose C is a box declares ``box_polish`` and adds the kernels
+``_conj_grad``/``_conj_hess_diag`` of f* there.  The reference solver
+polishes the dual by Newton steps on a ``box_polish`` loss: from the
+dual start under a ``smooth_conj`` h*, after its conditional-gradient
+steps otherwise; these three kernels serve that polish only and have
+no public entry.  Each dual domain C gives R^2 under an operator A
+through ``r2(op, which)``, together with its mode string.
 Separable losses are scaled as f = s * sum_i l_i, whose conjugate is
 f*(y) = s * sum_i l_i*(y_i / s) with C scaled accordingly.
 
@@ -266,7 +267,7 @@ class Regularizer:
 
     mu: float
     dim: int
-    # True when h* is smooth everywhere with ``conj_hess``, so the reference
+    # True when h* is smooth everywhere with ``_conj_hess``, so the reference
     # solver's Newton polish of a box C can start at the dual start
     smooth_conj = False
 
@@ -290,7 +291,7 @@ class Regularizer:
         """A canonical strictly feasible point of K."""
         raise NotImplementedError
 
-    def conj_hess(self, z, x) -> np.ndarray:
+    def _conj_hess(self, z, x) -> np.ndarray:
         """Hessian of h* at z, given x = (h*)'(z)."""
         raise ConfigurationError(f"no smooth dual model for {type(self).__name__}")
 
@@ -334,7 +335,7 @@ class SquaredL2(Regularizer):
     def interior_point(self) -> np.ndarray:
         return np.zeros(self.dim)
 
-    def conj_hess(self, z, x) -> np.ndarray:
+    def _conj_hess(self, z, x) -> np.ndarray:
         return np.eye(self.dim) / self.mu
 
 
@@ -420,7 +421,7 @@ class NegativeEntropySimplex(Regularizer):
     def interior_point(self) -> np.ndarray:
         return np.full(self.dim, 1.0 / self.dim)
 
-    def conj_hess(self, z, x) -> np.ndarray:
+    def _conj_hess(self, z, x) -> np.ndarray:
         return np.diag(x) - np.outer(x, x)
 
     def _prox_step(self, x, aty, rho: float) -> np.ndarray:
@@ -444,9 +445,9 @@ class Loss:
     dim: int
     dual_domain: object
     # True when the oracle never reaches the boundary of C, so points
-    # handed to ``conj_grad`` must stay strictly inside it
+    # handed to ``_conj_grad`` must stay strictly inside it
     open_domain = False
-    # True when C is a box and f* has ``conj_grad``/``conj_hess_diag``
+    # True when C is a box and f* has ``_conj_grad``/``_conj_hess_diag``
     # there, so the reference solver may polish the dual by Newton steps
     box_polish = False
 
@@ -462,11 +463,11 @@ class Loss:
         """A deterministic maximizer of <y, z> - f*(y) over C."""
         return self._subgradient(contiguous_vector(z, self.dim, "z"))
 
-    def conj_grad(self, y) -> np.ndarray:
+    def _conj_grad(self, y) -> np.ndarray:
         """Gradient of f* on the interior of C."""
         raise ConfigurationError(f"no smooth dual model for {type(self).__name__}")
 
-    def conj_hess_diag(self, y) -> np.ndarray:
+    def _conj_hess_diag(self, y) -> np.ndarray:
         """Diagonal of the (diagonal) Hessian of f* on the interior of C."""
         raise ConfigurationError(f"no smooth dual model for {type(self).__name__}")
 
@@ -521,10 +522,10 @@ class Hinge(_LabelLoss):
         margin = 1.0 - self.labels * z
         return np.where(margin >= 0.0, -self.scale * self.labels, 0.0)
 
-    def conj_grad(self, y) -> np.ndarray:
+    def _conj_grad(self, y) -> np.ndarray:
         return self.labels.copy()
 
-    def conj_hess_diag(self, y) -> np.ndarray:
+    def _conj_hess_diag(self, y) -> np.ndarray:
         return np.zeros(self.dim)
 
 
@@ -558,10 +559,10 @@ class LeastAbsoluteDeviation(Loss):
     def _subgradient(self, z) -> np.ndarray:
         return self.scale * np.sign(z - self.targets)
 
-    def conj_grad(self, y) -> np.ndarray:
+    def _conj_grad(self, y) -> np.ndarray:
         return self.targets.copy()
 
-    def conj_hess_diag(self, y) -> np.ndarray:
+    def _conj_hess_diag(self, y) -> np.ndarray:
         return np.zeros(self.dim)
 
 
@@ -608,11 +609,11 @@ class Logistic(_LabelLoss):
     def _subgradient(self, z) -> np.ndarray:
         return self._neg_scaled * _sigmoid(self._neg_labels * z)
 
-    def conj_grad(self, y) -> np.ndarray:
+    def _conj_grad(self, y) -> np.ndarray:
         g = (-y * self.labels / self.scale).clip(1e-12, 1.0 - 1e-12)
         return -self.labels * np.log(g / (1.0 - g))
 
-    def conj_hess_diag(self, y) -> np.ndarray:
+    def _conj_hess_diag(self, y) -> np.ndarray:
         g = (-y * self.labels / self.scale).clip(1e-12, 1.0 - 1e-12)
         return 1.0 / (self.scale * g * (1.0 - g))
 

@@ -279,14 +279,14 @@ def _polish_box_dual(problem: ProblemInstance, y: np.ndarray, tol: float, max_it
             best_gap, best_y = gap, state.y
         if gap <= tol:
             break
-        grad = state.ax - loss.conj_grad(y)
+        grad = state.ax - loss._conj_grad(y)
         at_lo = (y - lo) <= 1e-12 * widths
         at_hi = (hi - y) <= 1e-12 * widths
         free = ~((at_lo & (grad <= 0.0)) | (at_hi & (grad >= 0.0)))
         direction = np.zeros_like(y)
         if np.any(free):
-            hess = -(op.matrix @ reg.conj_hess(state.carried_h_sub, state.x) @ op.matrix.T)
-            hess[np.diag_indices_from(hess)] -= loss.conj_hess_diag(y)
+            hess = -(op.matrix @ reg._conj_hess(state.carried_h_sub, state.x) @ op.matrix.T)
+            hess[np.diag_indices_from(hess)] -= loss._conj_hess_diag(y)
             sub = -hess[np.ix_(free, free)]
             sub[np.diag_indices_from(sub)] += 1e-12 * (1.0 + np.trace(sub) / sub.shape[0])
             try:

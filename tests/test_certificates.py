@@ -30,6 +30,7 @@ from pdcg import (
     reference_solution,
     run,
 )
+from pdcg.certificates import BOUND_PAIRING
 
 
 def _svm_identity():
@@ -358,8 +359,32 @@ def test_geometry_for_one_bound_holds_only_the_r2_it_reads():
 
 
 def test_bound_ordering_linesearch_below_fixed():
+    # read off the table: the line-search rows are never looser than the fixed-step rows
     t = np.arange(1, 1001, dtype=float)
-    assert np.all(2.0 / (t + 3.0) <= 2.0 / (t + 1.0))
+    for quantity in ("dual-subopt", "min-gap"):
+        fixed, search = BOUND_PAIRING[f"gcg-fixed-{quantity}"], BOUND_PAIRING[f"gcg-linesearch-{quantity}"]
+        assert np.all(search.coef / (t + search.shift) <= fixed.coef / (t + fixed.shift)), quantity
+
+
+@pytest.mark.parametrize("cap", [10**6, 0], ids=["certified", "uncertified"])
+def test_reference_backed_bounds_carry_no_slack(cap):
+    # the reference is a value a column is measured against, never a tolerance on the bound
+    prob = generate_problem(
+        ExperimentConfig(loss="lad", regularizer="squared_l2", n=30, p=6, mu=1.0, seed=4, scale=20.0 / 30)
+    )
+    ref = reference_solution(prob, tol=1e-9, cap=cap)
+    assert ref.certified == (cap > 0) and ref.certified_gap > 0.0
+    geo, mu = geometry_constants(prob), prob.regularizer.mu
+    ids = [wid for wid, row in BOUND_PAIRING.items() if row.needs_reference]
+    assert len(ids) == 5
+    for wid in ids:
+        row = BOUND_PAIRING[wid]
+        sched = LineSearch(mu=mu, r2=geo.r2_primal) if row.schedule == LineSearch.name else FixedTwoOverTPlusOne()
+        res = run(prob, row.algorithm, sched, max_iters=40, reference=ref)
+        t = np.arange(1, len(res.trace) + 1, dtype=np.float64)
+        assert t.size > 0
+        bounds = check_bound(res, geo, mu, wid, reference=ref).bounds
+        assert bounds.tobytes() == (row.coef * geo.r2_primal / (mu * (t + row.shift))).tobytes(), wid
 
 
 def test_check_bound_line_search_pair():
@@ -367,7 +392,7 @@ def test_check_bound_line_search_pair():
     sched = LineSearch(mu=1.0, r2=geo.r2_primal)
     res = run(prob, "gcg", sched, max_iters=400, reference=ref)
     for wid in ("gcg-linesearch-dual-subopt", "gcg-linesearch-min-gap"):
-        rep = check_bound(res, geo, 1.0, wid, reference=ref, reference_tolerance=1e-8)
+        rep = check_bound(res, geo, 1.0, wid, reference=ref)
         assert rep.passed, (wid, rep.worst_margin, rep.worst_iteration)
 
 

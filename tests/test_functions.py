@@ -1,4 +1,5 @@
 import ast
+import inspect
 import pathlib
 
 import numpy as np
@@ -369,21 +370,21 @@ def _inside(loss):
 )
 def test_loss_conj_grad_matches_differences(loss):
     y = _inside(loss)
-    np.testing.assert_allclose(loss.conj_grad(y), _central_differences(loss.conj_value, y), atol=1e-7)
+    np.testing.assert_allclose(loss._conj_grad(y), _central_differences(loss.conj_value, y), atol=1e-7)
 
 
 def test_logistic_conj_hess_diag_matches_differences():
     loss = Logistic([-1.0, 1.0, 1.0], 1.5)
     y = _inside(loss)
-    jac = _central_differences(loss.conj_grad, y)
-    np.testing.assert_allclose(loss.conj_hess_diag(y), np.diag(jac), rtol=1e-6)
+    jac = _central_differences(loss._conj_grad, y)
+    np.testing.assert_allclose(loss._conj_hess_diag(y), np.diag(jac), rtol=1e-6)
     np.testing.assert_allclose(jac - np.diag(np.diag(jac)), 0.0, atol=1e-8)
 
 
 @pytest.mark.parametrize("reg", [SquaredL2(2.0, 3), NegativeEntropySimplex(3)], ids=["l2", "entropy"])
 def test_regularizer_conj_hess_matches_differences(reg):
     z = np.array([0.4, -1.1, 0.7])
-    hess = reg.conj_hess(z, reg.conj_grad(z))
+    hess = reg._conj_hess(z, reg.conj_grad(z))
     np.testing.assert_allclose(hess, _central_differences(reg.conj_grad, z), atol=1e-8)
 
 
@@ -449,9 +450,9 @@ def test_oracle_and_matvec_bits_do_not_depend_on_memory_layout():
 @pytest.mark.parametrize(
     "oracle,call",
     [
-        (SquaredL2Box(1.0, np.zeros(3), np.ones(3)), lambda reg: reg.conj_hess(np.zeros(3), np.full(3, 0.5))),
-        (DualNormGauge(3, 1.0), lambda loss: loss.conj_grad(np.zeros(3))),
-        (DualNormGauge(3, 1.0), lambda loss: loss.conj_hess_diag(np.zeros(3))),
+        (SquaredL2Box(1.0, np.zeros(3), np.ones(3)), lambda reg: reg._conj_hess(np.zeros(3), np.full(3, 0.5))),
+        (DualNormGauge(3, 1.0), lambda loss: loss._conj_grad(np.zeros(3))),
+        (DualNormGauge(3, 1.0), lambda loss: loss._conj_hess_diag(np.zeros(3))),
     ],
     ids=["box-conj-hess", "gauge-conj-grad", "gauge-conj-hess-diag"],
 )
@@ -459,6 +460,54 @@ def test_no_smooth_dual_model(oracle, call):
     with pytest.raises(ConfigurationError) as exc:
         call(oracle)
     assert str(exc.value) == f"no smooth dual model for {type(oracle).__name__}"
+
+
+# every built-in kind at dimension 3; the protocol test checks this list is complete
+ORACLE_KINDS = [
+    SquaredL2(2.0, 3),
+    SquaredL2Box(2.0, np.zeros(3), np.ones(3)),
+    NegativeEntropySimplex(3),
+    Hinge([1.0, -1.0, 1.0], 0.5),
+    LeastAbsoluteDeviation([0.3, -1.2, 0.0], 2.0),
+    Logistic([-1.0, 1.0, 1.0], 1.5),
+    DualNormGauge(3, 1.0),
+]
+VECTOR_PARAMS = ("x", "x1", "x2", "z", "y", "aty")
+
+
+def test_every_public_vector_oracle_checks_its_vectors():
+    # a public method of a kind that takes a vector parameter must refuse a
+    # NaN entry and a wrong length; ConfigurationError counts only for an
+    # oracle the kind lacks, i.e. one that refuses valid vectors too
+    bases = (pdcg.functions.Regularizer, pdcg.functions.Loss)
+    kinds = {
+        cls for cls in vars(pdcg.functions).values()
+        if isinstance(cls, type) and issubclass(cls, bases) and cls not in bases and not cls.__name__.startswith("_")
+    }
+    assert {type(obj) for obj in ORACLE_KINDS} == kinds
+    valid = np.array([0.2, 0.3, 0.5])  # inside every domain, interior to the simplex
+    checked = set()
+    for obj in ORACLE_KINDS:
+        for name in dir(obj):
+            method = getattr(obj, name)
+            if name.startswith("_") or not inspect.ismethod(method):
+                continue
+            params = inspect.signature(method).parameters
+            vectors = [arg for arg in params if arg in VECTOR_PARAMS]
+            if not vectors:
+                continue
+            args = {arg: (valid.copy() if arg in VECTOR_PARAMS else 0.5) for arg in params}
+            try:
+                method(**args)
+                accepted = (ValidationError, DimensionMismatch)
+            except ConfigurationError:
+                accepted = (ValidationError, DimensionMismatch, ConfigurationError)
+            for arg in vectors:
+                for bad in (np.array([0.2, np.nan, 0.5]), np.full(4, 0.25)):
+                    with pytest.raises(accepted):
+                        method(**{**args, arg: bad})
+            checked.add(name)
+    assert {"value", "conj_value", "conj_grad", "bregman", "prox_step", "subgradient"} == checked
 
 
 def _isinstance_hits(kinds, skip=()):

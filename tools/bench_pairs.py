@@ -12,10 +12,15 @@ the machine over time falls on both sides alike.  The last line a run
 prints is its JSON result.  For every end-to-end metric that the
 change's ``BENCHMARK.json`` lists, the report gives the median and
 quartiles of each side, the change's wins (pairs in which it is better)
-and the median's relative move against the metric's bound.  The claim
-rule holds for a metric when the change wins at least 9 pairs in 10
-and its median is better than the parent's by more than the parent's
-interquartile range.  ``--workload`` may be given more than once.  Not
+and the median's relative move against the metric's bound.  A metric
+reads ``within`` or ``BEYOND`` its bound by that move, but
+``unresolved`` when the parent's interquartile range, relative to its
+median, is wider than the bound: such runs spread too widely to tell a
+move of the bound's size.  Every change run reading better than every
+parent run settles it as ``within`` all the same.  The claim rule holds
+for a metric when the change wins at least 9 pairs in 10 and its median
+is better than the parent's by more than the parent's interquartile
+range.  ``--workload`` may be given more than once.  Not
 part of the test suite; it writes nothing under either ``bench/`` but
 the reports ``bench/run.py`` itself leaves in ``bench/out/``.
 """
@@ -53,8 +58,17 @@ def quartiles(values: list) -> tuple:
     return q1, q3
 
 
+def verdict(old: list, new: list, spread: float, worse: float, bound: float, lower: bool) -> str:
+    """``within``, ``BEYOND`` or ``unresolved`` (see the module docstring)."""
+    if (max(new) < min(old)) if lower else (min(new) > max(old)):
+        return "within"
+    if spread > bound:
+        return "unresolved"
+    return "within" if worse <= bound else "BEYOND"
+
+
 def summarize(pairs: list, spec: dict) -> list:
-    """One row per end-to-end metric: medians, quartiles, wins and the claim rule."""
+    """One row per end-to-end metric: medians, quartiles, wins, verdict and the claim rule."""
     rows = []
     for metric in spec["end_to_end"]:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -66,10 +80,12 @@ def summarize(pairs: list, spec: dict) -> list:
         move = (m_new - m_old) / m_old if m_old else 0.0
         worse = move if lower else -move
         gap = (m_old - m_new) if lower else (m_new - m_old)
+        spread = (q3 - q1) / abs(m_old) if m_old else float("inf")
         rows.append({
             "metric": name, "parent_median": m_old, "parent_q1": q1, "parent_q3": q3,
             "change_median": m_new, "change_q": quartiles(new), "wins": wins, "pairs": len(pairs),
-            "relative_move": move, "bound": metric["bound"], "within_bound": worse <= metric["bound"],
+            "relative_move": move, "parent_spread": spread, "bound": metric["bound"],
+            "verdict": verdict(old, new, spread, worse, metric["bound"], lower),
             "claim_holds": wins >= 0.9 * len(pairs) and gap > q3 - q1,
         })
     return rows
@@ -105,7 +121,7 @@ def main(argv=None) -> int:
         for r in rows:
             print(f"{workload} {r['metric']}: {r['parent_median']:.6g} [{r['parent_q1']:.6g}-{r['parent_q3']:.6g}]"
                   f" -> {r['change_median']:.6g}, wins {r['wins']}/{r['pairs']}, move {100 * r['relative_move']:+.2f}%"
-                  f" ({'within' if r['within_bound'] else 'BEYOND'} bound {100 * r['bound']:.0f}%),"
+                  f" ({r['verdict']} bound {100 * r['bound']:.0f}%, parent spread {100 * r['parent_spread']:.1f}%),"
                   f" claim rule {'holds' if r['claim_holds'] else 'does not hold'}", flush=True)
         report[workload] = {"pairs": pairs, "summary": rows}
     if args.out:
