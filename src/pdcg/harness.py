@@ -4,15 +4,20 @@ Everything is synthetic and seeded: a config plus a seed determines the
 problem instance, the run, and the serialized trace byte-for-byte.
 Traces are written as CSV (fixed column set, 17 significant digits) or
 JSON (same record fields plus a header with the config echo, geometry
-constants and termination reason).
+constants and termination reason).  A JSON trace is
+``json.dumps(trace_json_obj(...), indent=1)`` plus a newline, byte for
+byte; ``tests/test_harness.py::test_json_trace_matches_json_dumps``
+holds the writer to that.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import numbers
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -35,7 +40,7 @@ from .algorithms import (
     run,
 )
 from .certificates import GeometryConstants, _dual_objective
-from .core import ConfigurationError, LinearOperator, ProblemInstance, clamp_gap
+from .core import ConfigurationError, LinearOperator, ProblemInstance, TraceRecord, clamp_gap
 from .functions import (
     DualNormGauge,
     Hinge,
@@ -62,6 +67,8 @@ TRACE_COLUMNS = {
     "bregman_ref": "bregman_to_ref",
 }
 CSV_HEADER = ",".join(TRACE_COLUMNS)
+# one TraceRecord -> its values in TRACE_COLUMNS order
+_trace_row = operator.itemgetter(*(TraceRecord._fields.index(field) for field in TRACE_COLUMNS.values()))
 
 # JSON values accepted for each declared config field type
 _CONFIG_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real}
@@ -399,17 +406,39 @@ def prepare(config: ExperimentConfig) -> Experiment:
 # Trace serialization
 
 
-def _fmt(v: Optional[float]) -> str:
-    return "" if v is None else format(float(v), ".17g")
+_is_none = functools.partial(operator.is_, None)
+
+# json.dumps(..., indent=1) layout of one record; each %s takes a value's JSON token
+_JSON_RECORD = "  {\n" + ",\n".join(f"   {json.dumps(col)}: %s" for col in TRACE_COLUMNS) + "\n  }"
+# json takes its C encoder only without indent; record values are numbers and
+# None, so their tokens hold no "," and one split separates them
+_JSON_VALUES = json.JSONEncoder(separators=(",", ":"))
 
 
 def trace_csv(result: RunResult) -> str:
     """CSV text for a trace: fixed header plus one row per iteration."""
-    # 17 significant digits print every iteration index t < 1e17 as an integer
-    lines = [CSV_HEADER] + [
-        ",".join(_fmt(getattr(rec, field)) for field in TRACE_COLUMNS.values()) for rec in result.trace
-    ]
+    # %.17g prints what format(float(v), ".17g") does, so every iteration
+    # index t < 1e17 as an integer; %.0s prints a None column as nothing
+    templates = {}
+    lines = [CSV_HEADER]
+    for row in map(_trace_row, result.trace):
+        nones = tuple(map(_is_none, row))
+        template = templates.get(nones)
+        if template is None:
+            template = templates[nones] = ",".join("%.0s" if none else "%.17g" for none in nones)
+        lines.append(template % row)
     return "\n".join(lines) + "\n"
+
+
+def _trace_header(result: RunResult, config: Optional[ExperimentConfig], geometry: Optional[GeometryConstants]) -> dict:
+    return {
+        "algorithm": result.algorithm,
+        "schedule": result.schedule.name,
+        "termination": result.termination,
+        "iterations": len(result.trace),
+        "config": config.to_dict() if config is not None else None,
+        "geometry": None if geometry is None else dataclasses.asdict(geometry),
+    }
 
 
 def trace_json_obj(
@@ -418,16 +447,18 @@ def trace_json_obj(
     geometry: Optional[GeometryConstants] = None,
 ) -> dict:
     """JSON object mirroring the CSV fields plus a header."""
-    header = {
-        "algorithm": result.algorithm,
-        "schedule": result.schedule.name,
-        "termination": result.termination,
-        "iterations": len(result.trace),
-        "config": config.to_dict() if config is not None else None,
-        "geometry": None if geometry is None else dataclasses.asdict(geometry),
-    }
     records = [{col: getattr(rec, field) for col, field in TRACE_COLUMNS.items()} for rec in result.trace]
-    return {"header": header, "records": records}
+    return {"header": _trace_header(result, config, geometry), "records": records}
+
+
+def _trace_json(result: RunResult, config: Optional[ExperimentConfig], geometry: Optional[GeometryConstants]) -> str:
+    """``json.dumps(trace_json_obj(result, config, geometry), indent=1)``, byte for byte."""
+    text = json.dumps({"header": _trace_header(result, config, geometry), "records": []}, indent=1)
+    if not result.trace:
+        return text
+    tokens = _JSON_VALUES.encode(list(map(_trace_row, result.trace)))[2:-2].replace("],[", ",").split(",")
+    records = ",\n".join([_JSON_RECORD] * len(result.trace)) % tuple(tokens)
+    return text[: -len("[]\n}")] + "[\n" + records + "\n ]\n}"
 
 
 def emit_trace(
@@ -441,7 +472,7 @@ def emit_trace(
     if output_format == "csv":
         text = trace_csv(result)
     elif output_format == "json":
-        text = json.dumps(trace_json_obj(result, config, geometry), indent=1) + "\n"
+        text = _trace_json(result, config, geometry) + "\n"
     else:
         raise ConfigurationError(f"unknown output format {output_format!r}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -479,17 +510,24 @@ def _run_cell(payload) -> str:
 def run_sweep(config: ExperimentConfig, schedules, seeds, out_dir: str, workers: Optional[int] = None):
     """Run the grid; cells are independent, so order never affects bytes.
 
-    ``workers`` defaults to the machine's cores and must be at least 1.
-    Every argument is checked before ``out_dir`` is created: one cell
-    per schedule runs with a zero budget, which makes every check
-    ``solve`` makes and takes no step.
+    ``workers`` defaults to the cores this process may run on
+    (``os.sched_getaffinity`` where the platform has it, else
+    ``os.cpu_count()``) and must be at least 1.  Every argument is
+    checked before ``out_dir`` is created: each schedule runs with a
+    zero budget on the instance of the last seed, generated once, which
+    makes every check ``solve`` makes and takes no step.
     """
-    workers = (os.cpu_count() or 1) if workers is None else workers
+    if workers is None:
+        workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     cells = sweep_cells(config, schedules, seeds, out_dir)
-    for cfg in {cfg.schedule: cfg for cfg, _ in cells}.values():
-        prepare(dataclasses.replace(cfg, max_iters=0)).run()
+    if cells:
+        last = cells[-1][0]  # cells differ only in schedule and seed
+        problem = generate_problem(last)
+        for sched in dict.fromkeys(cfg.schedule for cfg, _ in cells):
+            cfg = dataclasses.replace(last, schedule=sched, max_iters=0)
+            Experiment(cfg, problem, build_schedule(cfg, problem)).run()
     os.makedirs(out_dir, exist_ok=True)
     payloads = [(cfg.to_dict(), path) for cfg, path in cells]
     if workers == 1 or len(payloads) <= 1:

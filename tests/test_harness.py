@@ -1,5 +1,7 @@
+import dataclasses
 import gc
 import json
+import math
 import os
 import weakref
 
@@ -16,6 +18,7 @@ from pdcg import (
     ProblemInstance,
     SqrtDecay,
     SquaredL2,
+    TraceRecord,
     build_schedule,
     emit_trace,
     generate_problem,
@@ -26,8 +29,10 @@ from pdcg import (
     run,
     run_sweep,
     trace_csv,
+    trace_json_obj,
 )
-from pdcg.harness import sweep_cells
+from pdcg import harness
+from pdcg.harness import CSV_HEADER, TRACE_COLUMNS, sweep_cells
 
 
 # --------------------------------------------------------------------------
@@ -268,6 +273,79 @@ def test_reference_columns_serialized(tmp_path):
     assert row[7] != "" and float(row[7]) == res.trace[0].bregman_to_ref
 
 
+_SPECIALS = (-0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan)
+
+# every value class a trace column can hold, and both None patterns
+_HAND_BUILT = {
+    "empty": [],
+    "no-reference": [TraceRecord(1, 1.0, 0.75, -0.25, 1.0, 0.75), TraceRecord(2, 2 / 3, 0.5, 0.125, 0.375, 0.625)],
+    "reference": [TraceRecord(1, 1.0, 0.75, -0.25, 1.0, 0.75, 1e-3, 2.5e-7, 0.5)],
+    "mixed": [TraceRecord(1, 1.0, 0.75, -0.25, 1.0, 0.75), TraceRecord(2, 0.5, 0.5, 0.1, 0.4, 0.6, 1e-3, None, 0.2)],
+    # sqrt-decay's rho is an np.float64; t stays an int, up to 1e17 - 1
+    "specials": [
+        TraceRecord(t, np.float64(1 / t), *_SPECIALS[t - 1 :], *_SPECIALS[: t - 1]) for t in range(1, 7)
+    ] + [TraceRecord(10**17 - 1, np.float64(-0.0), np.float64(math.nan), -math.inf, 1e-308, 0.1, None, None)],
+}
+
+
+def _trace_case(kind):
+    """(config, problem, result): a hand-built trace, or a real run with a reference."""
+    if kind in _HAND_BUILT:
+        cfg, res = _small_result(max_iters=0)
+        return cfg, generate_problem(cfg), dataclasses.replace(res, trace=_HAND_BUILT[kind])
+    algorithm, schedule = kind.split(":")
+    cfg = ExperimentConfig(loss="lad", regularizer="entropy", n=12, p=4, seed=2, max_iters=16,
+                           algorithm=algorithm, schedule=schedule, output_format="json")
+    exp = prepare(cfg)
+    return cfg, exp.problem, exp.run(reference=reference_solution(exp.problem))
+
+
+_TRACE_KINDS = sorted(_HAND_BUILT) + ["gcg:two-over-t-plus-one", "ns-md:sqrt-decay"]
+
+
+@pytest.mark.parametrize("kind", ["gcg:two-over-t-plus-one", "ns-md:sqrt-decay"])
+def test_trace_columns_hold_only_numbers_and_none(kind):
+    # the JSON writer splits the C encoder's output of the record values at ","
+    _, _, res = _trace_case(kind)
+    assert res.trace
+    for rec in res.trace:
+        for field in TRACE_COLUMNS.values():
+            value = getattr(rec, field)
+            assert value is None or (isinstance(value, (int, float)) and not isinstance(value, bool)), (field, value)
+    if kind == "ns-md:sqrt-decay":
+        assert isinstance(res.trace[-1].rho, np.float64)
+
+
+@pytest.mark.parametrize("with_geometry", [False, True], ids=["no-geometry", "geometry"])
+@pytest.mark.parametrize("with_config", [False, True], ids=["no-config", "config"])
+@pytest.mark.parametrize("kind", _TRACE_KINDS)
+def test_json_trace_matches_json_dumps(tmp_path, kind, with_config, with_geometry):
+    cfg, problem, res = _trace_case(kind)
+    config = cfg if with_config else None
+    geometry = geometry_constants(problem) if with_geometry else None
+    path = tmp_path / "t.json"
+    emit_trace(res, "json", str(path), config=config, geometry=geometry)
+    expected = json.dumps(trace_json_obj(res, config, geometry), indent=1) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+def _csv_reference(result):
+    """One format(float(v), ".17g") per value; empty for None."""
+    rows = [
+        ",".join("" if v is None else format(float(v), ".17g") for v in (getattr(rec, f) for f in TRACE_COLUMNS.values()))
+        for rec in result.trace
+    ]
+    return "\n".join([CSV_HEADER] + rows) + "\n"
+
+
+@pytest.mark.parametrize("kind", _TRACE_KINDS)
+def test_csv_trace_matches_per_value_format(tmp_path, kind):
+    _, _, res = _trace_case(kind)
+    path = tmp_path / "t.csv"
+    emit_trace(res, "csv", str(path))
+    assert path.read_bytes() == _csv_reference(res).encode("utf-8")
+
+
 # --------------------------------------------------------------------------
 # sweeps
 
@@ -298,6 +376,59 @@ def test_sweep_rejects_nonpositive_workers(tmp_path, workers):
     with pytest.raises(ConfigurationError, match="workers must be >= 1"):
         run_sweep(cfg, ["one-over-t"], [0], str(out_dir), workers=workers)
     assert not out_dir.exists()
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "affinity, cpu_count, pool_size",
+    [({0, 1, 2}, 64, 3), ({5}, 64, None), (None, 2, 2)],
+    ids=["three-usable-cores", "one-usable-core", "no-affinity-call"],
+)
+def test_sweep_default_workers_are_usable_cores(tmp_path, monkeypatch, affinity, cpu_count, pool_size):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity)
+    cfg = ExperimentConfig(loss="logistic", n=12, p=3, max_iters=5)
+    paths = run_sweep(cfg, ["two-over-t-plus-one", "one-over-t"], [0, 1], str(tmp_path / "cells"))
+    assert len(paths) == 4 and all(os.path.exists(p) for p in paths)
+    assert _RecordingPool.sizes == ([] if pool_size is None else [pool_size])
+
+
+def test_sweep_checks_every_schedule_on_one_instance(tmp_path, monkeypatch):
+    seeds_generated = []
+    generate = harness.generate_problem
+
+    def counting_generate(config):
+        seeds_generated.append(config.seed)
+        return generate(config)
+
+    monkeypatch.setattr(harness, "generate_problem", counting_generate)
+    cfg = ExperimentConfig(loss="lad", regularizer="entropy", n=12, p=3, max_iters=5)
+    schedules = ["two-over-t-plus-one", "one-over-t", "line-search"]
+    run_sweep(cfg, schedules, [4, 7], str(tmp_path / "cells"), workers=1)
+    # one instance, of the last seed, checks the three schedules; then one per cell
+    assert seeds_generated == [7] + [4, 7] * len(schedules)
 
 
 def test_sweep_unknown_schedule_creates_no_directory(tmp_path):
