@@ -178,14 +178,8 @@ class SolverState:
 
 
 def resolve_initial_dual(problem: ProblemInstance, y0=None):
-    """Dual start: y0 as given (``init_state`` checks it), else 0 in C, else the oracle at A (h*)'(0)."""
-    loss = problem.loss
-    if y0 is not None:
-        return y0
-    zero = np.zeros(problem.n)
-    if loss.dual_domain.contains(zero, 0.0):
-        return zero
-    return loss.subgradient(problem.operator.apply(problem.regularizer.conj_grad(np.zeros(problem.p))))
+    """Dual start: y0 as given, else 0, which every built-in C contains; ``init_state`` checks either."""
+    return np.zeros(problem.n) if y0 is None else y0
 
 
 def init_state(problem: ProblemInstance, y0) -> SolverState:

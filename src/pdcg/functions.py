@@ -16,14 +16,14 @@ recursion starts; an h* that is smooth everywhere declares
 ``smooth_conj`` and adds the kernel ``_conj_hess`` (its Hessian).
 
 Each loss exposes f, its conjugate f*, and the argmax-subgradient oracle
-f'(z) = argmax_{y in C} <y, z> - f*(y) over the compact dual domain C.
-A loss whose C is a box declares ``box_polish`` and adds the kernels
-``_conj_grad``/``_conj_hess_diag`` of f* there.  The reference solver
-polishes the dual by Newton steps on a ``box_polish`` loss: from the
-dual start under a ``smooth_conj`` h*, after its conditional-gradient
-steps otherwise; these three kernels serve that polish only and have
-no public entry.  Each dual domain C gives R^2 under an operator A
-through ``r2(op, which)``, together with its mode string.
+f'(z) = argmax_{y in C} <y, z> - f*(y) over the compact dual domain C,
+which contains 0, the default dual start.  A loss whose C is a box
+declares ``box_polish`` and adds the kernels ``_conj_grad``/
+``_conj_hess_diag`` of f* there.  The reference solver polishes the
+dual by Newton steps from the dual start on a ``box_polish`` loss under
+a ``smooth_conj`` h*, and only there; these three kernels serve that
+polish only and have no public entry.  Each dual domain C gives R^2
+under an operator A through ``r2(op, which)``, with its mode string.
 Separable losses are scaled as f = s * sum_i l_i, whose conjugate is
 f*(y) = s * sum_i l_i*(y_i / s) with C scaled accordingly.
 
@@ -268,7 +268,7 @@ class Regularizer:
     mu: float
     dim: int
     # True when h* is smooth everywhere with ``_conj_hess``, so the reference
-    # solver's Newton polish of a box C can start at the dual start
+    # solver polishes the dual of a box C by Newton steps from the dual start
     smooth_conj = False
 
     def value(self, x) -> float:
@@ -448,7 +448,7 @@ class Loss:
     # handed to ``_conj_grad`` must stay strictly inside it
     open_domain = False
     # True when C is a box and f* has ``_conj_grad``/``_conj_hess_diag``
-    # there, so the reference solver may polish the dual by Newton steps
+    # there, so under a ``smooth_conj`` h* the reference solver polishes the dual
     box_polish = False
 
     def value(self, z) -> float:

@@ -258,23 +258,21 @@ class ReferenceSolution:
 
 
 def _polish_box_dual(problem: ProblemInstance, y: np.ndarray, tol: float, max_iter: int):
-    """Active-set projected Newton ascent on the dual over a box C.
+    """Active-set projected Newton ascent on the dual over a box C, under a smooth h*.
 
     Each pass identifies the active face at y and takes a backtracked
     Newton step on the remaining smooth concave program, until the gap
     is <= tol.  Returns the best dual point of its passes and their count.
-    Used only as a reference engine; the returned pair is certified by
-    its gap, not by this procedure.
+    The reference engine from the dual start when h* declares
+    ``smooth_conj``; the pair is certified by its gap, not by this procedure.
     """
     op, reg, loss = problem.operator, problem.regularizer, problem.loss
     box = loss.dual_domain
     lo, hi = box.lower, box.upper
     widths = np.maximum(box.widths, 1e-300)
-    y = np.clip(y, lo, hi)
-    if loss.open_domain:
-        margin = 1e-12 * widths
-        y = np.clip(y, lo + margin, hi - margin)
-    # the first pass evaluates the start pair
+    # each point is clipped once; an open C keeps the start 1e-12, a step 1e-15 of the widths inside
+    start, step = ((lo + m * widths, hi - m * widths) if loss.open_domain else (lo, hi) for m in (1e-12, 1e-15))
+    y = np.clip(y, *start)
     best_y, best_gap = y, float("inf")
     used = 0
     for k in range(max_iter):
@@ -292,9 +290,10 @@ def _polish_box_dual(problem: ProblemInstance, y: np.ndarray, tol: float, max_it
         free = ~((at_lo & (grad <= 0.0)) | (at_hi & (grad >= 0.0)))
         direction = np.zeros_like(y)
         if np.any(free):
-            hess = -(op.matrix @ reg._conj_hess(state.carried_h_sub, state.x) @ op.matrix.T)
-            hess[np.diag_indices_from(hess)] -= loss._conj_hess_diag(y)
-            sub = -hess[np.ix_(free, free)]
+            # minus the dual's Hessian: A (h*)'' A^T + diag((f*)'')
+            neg_hess = op.matrix @ reg._conj_hess(state.carried_h_sub, state.x) @ op.matrix.T
+            neg_hess[np.diag_indices_from(neg_hess)] += loss._conj_hess_diag(y)
+            sub = neg_hess[np.ix_(free, free)]
             sub[np.diag_indices_from(sub)] += 1e-12 * (1.0 + np.trace(sub) / sub.shape[0])
             try:
                 d = np.linalg.solve(sub, grad[free])
@@ -305,9 +304,7 @@ def _polish_box_dual(problem: ProblemInstance, y: np.ndarray, tol: float, max_it
         def _try(step_dir):
             alpha = 1.0
             for _ in range(60):
-                cand = np.clip(y + alpha * step_dir, lo, hi)
-                if loss.open_domain:
-                    cand = np.clip(cand, lo + 1e-15 * widths, hi - 1e-15 * widths)
+                cand = np.clip(y + alpha * step_dir, *step)
                 if _dual_objective(problem, cand) > dual:
                     return cand
                 alpha *= 0.5
@@ -325,16 +322,15 @@ def _polish_box_dual(problem: ProblemInstance, y: np.ndarray, tol: float, max_it
 def reference_solution(problem: ProblemInstance, tol: float = 1e-9, cap: int = 10**6) -> ReferenceSolution:
     """High-accuracy primal-dual pair, certified by its duality gap.
 
-    A loss that declares ``box_polish`` under an h* with a Hessian
-    (``smooth_conj``) is solved by the active-set Newton polish of the
-    dual over its box, from the dual start.  Every other instance takes
-    ``run``'s line-search conditional gradient for up to 500 steps
-    (stopping at gap ``tol``), and a box C then polishes its final dual
-    point.  x_star is always recomputed as (h*)'(-A^T y_star).  If the
-    gap tolerance is not reached within the budget, the result is
-    returned marked uncertified rather than raising.  A ``tol`` that is
-    not >= 0 (NaN included) can never be met and a negative ``cap`` is
-    no budget, so both raise ConfigurationError.
+    One engine per instance.  A loss that declares ``box_polish`` under
+    an h* with a Hessian (``smooth_conj``) is solved by the active-set
+    Newton polish of its dual from the dual start; every other instance
+    by ``run``'s line-search conditional gradient alone, for up to 500
+    steps (stopping at gap ``tol``).  x_star is always recomputed as
+    (h*)'(-A^T y_star).  A gap above ``tol`` gives a result marked
+    uncertified, except that a box C under any other h* raises "no
+    smooth dual model" when budget is left.  A ``tol`` that is not >= 0
+    (NaN included) or a negative ``cap`` raises ConfigurationError.
     """
     if not tol >= 0:
         raise ConfigurationError(f"reference tolerance must be >= 0, got {tol!r}")
@@ -342,16 +338,18 @@ def reference_solution(problem: ProblemInstance, tol: float = 1e-9, cap: int = 1
         raise ConfigurationError(f"reference budget must be >= 0, got {cap!r}")
     reg, loss = problem.regularizer, problem.loss
     y, iters = resolve_initial_dual(problem), 0
-    if not (loss.box_polish and reg.smooth_conj):
+    newton = loss.box_polish and reg.smooth_conj
+    if not newton:
         schedule = LineSearch(mu=reg.mu, r2=problem.r2("diameter")[0])
         result = run(problem, GCG, schedule, min(cap, 500), gap_tol=tol)
         y, iters = result.state.y, len(result.trace)
-    if loss.box_polish and iters < cap:
-        y, used = _polish_box_dual(problem, y, tol, max_iter=min(200, cap - iters))
-        iters += used
+    elif cap > 0:
+        y, iters = _polish_box_dual(problem, y, tol, max_iter=min(200, cap))
     final = init_state(problem, y)
     primal, dual = _values(problem, final)
     certified_gap = clamp_gap(primal - dual)
+    if loss.box_polish and not newton and certified_gap > tol and iters < cap:
+        raise ConfigurationError(f"no smooth dual model for {type(reg).__name__}")
     return ReferenceSolution(
         x_star=final.x,
         y_star=final.y,

@@ -7,8 +7,10 @@ import pytest
 
 import pdcg.core
 from pdcg import (
+    Box,
     ConfigurationError,
     ExperimentConfig,
+    FeasibilityError,
     FixedOneOverT,
     FixedTwoOverTPlusOne,
     Hinge,
@@ -239,6 +241,21 @@ def test_run_deterministic_traces():
     for a, b in zip(res1.trace, res2.trace):
         assert a == b
     assert res1.state.x.tobytes() == res2.state.x.tobytes()
+
+
+def test_dual_start_is_zero_and_a_c_without_it_needs_y0():
+    prob = generate_problem(ExperimentConfig(loss="lad", n=8, p=3, seed=1))
+    assert resolve_initial_dual(prob).tobytes() == np.zeros(8).tobytes()
+    y0 = np.full(8, 0.25)
+    assert resolve_initial_dual(prob, y0) is y0
+    # a loss whose C leaves out 0: no fallback start, so the caller passes y0
+    loss = LeastAbsoluteDeviation(prob.loss.targets)
+    loss.dual_domain = Box(np.full(8, 0.5), np.ones(8))
+    shifted = ProblemInstance(prob.operator, prob.regularizer, loss)
+    assert resolve_initial_dual(shifted).tobytes() == np.zeros(8).tobytes()
+    with pytest.raises(FeasibilityError, match="y0 lies outside the dual domain C"):
+        init_state(shifted, resolve_initial_dual(shifted))
+    assert init_state(shifted, np.full(8, 0.75)).y.tolist() == [0.75] * 8
 
 
 def test_run_dual_feasibility():

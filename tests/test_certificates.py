@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -381,6 +382,11 @@ def test_reference_backed_bounds_carry_no_slack(cap):
         row = BOUND_PAIRING[wid]
         sched = LineSearch(mu=mu, r2=geo.r2_primal) if row.schedule == LineSearch.name else FixedTwoOverTPlusOne()
         res = run(prob, row.algorithm, sched, max_iters=40, reference=ref)
+        if wid == "md-distance" and not ref.certified:
+            # the distance to an uncertified point says nothing about x*
+            with pytest.raises(ConfigurationError, match="requires a certified reference"):
+                check_bound(res, geo, mu, wid, reference=ref)
+            continue
         t = np.arange(1, len(res.trace) + 1, dtype=np.float64)
         assert t.size > 0
         bounds = check_bound(res, geo, mu, wid, reference=ref).bounds
@@ -403,4 +409,61 @@ def test_check_bound_reports_margins():
     assert rep.iterations == 50
     assert rep.margins.shape == (50,)
     assert rep.worst_iteration in range(1, 51)
-    assert rep.passed == bool(np.all(rep.margins >= -1e-9 * (1 + np.abs(rep.bounds))))
+    assert rep.passed == bool(np.all(rep.observed <= rep.bounds))
+    assert rep.worst_margin == rep.margins.min() == rep.margins[rep.worst_iteration - 1]
+
+
+def test_one_ulp_over_the_bound_fails_at_that_row():
+    # a hand-built gap column: the bound itself on every row but the 12th,
+    # which is one ulp above it.  The verdict adds nothing to either side.
+    prob, ref, geo = _checked_setup()
+    res = run(prob, "gcg", FixedTwoOverTPlusOne(), max_iters=30)
+    row = BOUND_PAIRING["gcg-fixed-min-gap"]
+    bounds = row.coef * geo.r2_primal / (1.0 * (np.arange(1.0, 31.0) + row.shift))
+
+    def with_gaps(gaps):
+        return dataclasses.replace(res, trace=[rec._replace(gap=float(g)) for rec, g in zip(res.trace, gaps)])
+
+    at_bound = check_bound(with_gaps(bounds), geo, 1.0, "gcg-fixed-min-gap")
+    assert at_bound.passed and at_bound.bounds.tobytes() == bounds.tobytes()
+    assert np.all(at_bound.margins == 0.0)
+    over = bounds.copy()
+    over[11] = np.nextafter(bounds[11], np.inf)
+    rep = check_bound(with_gaps(over), geo, 1.0, "gcg-fixed-min-gap")
+    assert not rep.passed and rep.worst_iteration == 12
+    assert rep.worst_margin == bounds[11] - over[11] < 0.0
+    assert np.count_nonzero(rep.margins) == 1
+
+
+@pytest.mark.parametrize(
+    "field, toward", [("delta", np.inf), ("delta", -np.inf), ("radius", np.inf)],
+    ids=["delta-above", "delta-below", "radius-above"],
+)
+def test_compact_schedule_one_ulp_off_the_instance_raises(field, toward):
+    prob = generate_problem(ExperimentConfig(loss="lad", regularizer="entropy", n=20, p=10, scale=1.0, seed=0))
+    geo = geometry_constants(prob, "compact-averaged-gap")
+    exact = SqrtDecay(delta=float(np.sqrt(geo.delta2)), radius=float(np.sqrt(geo.r2_origin)))
+    assert check_bound(run(prob, "ns-md", exact, max_iters=5), geo, 1.0, "compact-averaged-gap").passed
+    off = dataclasses.replace(exact, **{field: float(np.nextafter(getattr(exact, field), toward))})
+    with pytest.raises(ConfigurationError, match=f"schedule {field}"):
+        check_bound(run(prob, "ns-md", off, max_iters=5), geo, 1.0, "compact-averaged-gap")
+
+
+@pytest.mark.parametrize(
+    "reg, start_gap, worst_margin",
+    [("squared_l2", 20.0, -3.892), ("squared_l2_box", 20.0, -3.892), ("entropy", 19.461, -3.353)],
+)
+def test_line_search_start_gap_over_its_bound_is_reported(reg, start_gap, worst_margin):
+    # exact R^2 (n = 20): the start gap exceeds 2 R^2 / (4 mu) = 16.108 at
+    # t = 1.  Whether the index or the bound is at fault is open; the
+    # check must report the violation, never absorb it.
+    prob = generate_problem(ExperimentConfig(loss="hinge", regularizer=reg, n=20, p=10, scale=1.0, seed=3))
+    geo = geometry_constants(prob, "gcg-linesearch-min-gap")
+    assert geo.mode == "exact-vertex"
+    res = run(prob, "gcg", LineSearch(mu=prob.regularizer.mu, r2=geo.r2_primal), max_iters=150)
+    rep = check_bound(res, geo, prob.regularizer.mu, "gcg-linesearch-min-gap")
+    assert not rep.passed and rep.worst_iteration == 1
+    assert rep.observed[0] == pytest.approx(start_gap, abs=1e-3)
+    assert rep.bounds[0] == pytest.approx(16.108, abs=1e-3)
+    assert rep.worst_margin == pytest.approx(worst_margin, abs=1e-3)
+    assert np.count_nonzero(rep.margins < 0.0) == 1

@@ -161,6 +161,25 @@ def test_certify_reference_based(certify_config_path, capsys):
     assert "certify: PASS" in capsys.readouterr().out
 
 
+def test_certify_md_distance_needs_a_certified_reference(tmp_path, capsys):
+    # gauge + entropy leaves its reference uncertified (gap 3.5e-3): a distance
+    # to that point says nothing about x*, but a value measured against its
+    # dual value still over-estimates the suboptimality
+    cfg = ExperimentConfig(loss="gauge", regularizer="entropy", n=60, p=12, seed=3, max_iters=150)
+    path, out = tmp_path / "c.json", tmp_path / "report.json"
+    cfg.dump(str(path))
+    code = cli_main(["certify", "--config", str(path), "--prop", "md-distance", "--out", str(out)])
+    assert code == 2 and not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "certify: reference uncertified (gap=3.471e-03)",
+        "error: md-distance requires a certified reference; its distance to x* is unknown",
+    ]
+    assert cli_main(["certify", "--config", str(path), "--prop", "md-avg-subopt"]) == 0
+    assert "certify: PASS md-avg-subopt" in capsys.readouterr().out
+
+
 def test_certify_exit_one_on_failed_bound(tmp_path, capsys):
     # unscaled instance whose first-pair gap exceeds the t=1 bound
     cfg = ExperimentConfig(loss="hinge", regularizer="squared_l2", n=30, p=6, seed=3, max_iters=50)

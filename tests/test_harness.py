@@ -139,13 +139,31 @@ def test_reference_degenerate_tolerance():
     assert ref.iterations <= 1
 
 
-def test_reference_zero_budget_uncertified():
+def _count_polish_calls(monkeypatch):
+    calls = []
+    polish = harness._polish_box_dual
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return polish(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "_polish_box_dual", counted)
+    return calls
+
+
+def test_reference_zero_budget_uncertified(monkeypatch):
     cfg = ExperimentConfig(loss="logistic", n=20, p=5, seed=6, scale=0.5)
     prob = generate_problem(cfg)
+    calls = _count_polish_calls(monkeypatch)
     ref = reference_solution(prob, tol=1e-9, cap=0)
     assert not ref.certified
     assert ref.iterations == 0
     assert ref.certified_gap > 1e-9
+    # the unpolished dual start, bit for bit: 0 on the face of the open C, not clipped inside it
+    assert calls == []
+    start = harness.init_state(prob, np.zeros(prob.n))
+    assert ref.y_star.tobytes() == np.zeros(prob.n).tobytes()
+    assert ref.x_star.tobytes() == start.x.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -157,7 +175,8 @@ def test_reference_rejects_bad_tolerance_or_budget(kwargs):
         reference_solution(prob, **kwargs)
 
 
-def test_reference_certifies_all_loss_regularizer_mixes():
+def test_reference_certifies_all_loss_regularizer_mixes(monkeypatch):
+    calls = _count_polish_calls(monkeypatch)
     for loss, reg in [
         ("hinge", "squared_l2"), ("hinge", "entropy"),
         ("lad", "squared_l2"), ("lad", "entropy"),
@@ -171,23 +190,33 @@ def test_reference_certifies_all_loss_regularizer_mixes():
         assert ref.dual_value <= ref.primal_value + 1e-12
         # the Newton polish starts at the dual start: no 500-step warm start
         assert ref.iterations < 500, (loss, reg, ref.iterations)
+    assert len(calls) == 6
 
 
-# mixes the Newton polish cannot start on: run's line-search GCG comes
-# first, and a box C then polishes its final dual point
+# mixes the Newton polish cannot run on: run's line-search GCG is their
+# only engine, and a box C it leaves uncertified with budget left raises
 @pytest.mark.parametrize(
     "loss, reg, scale, certified",
-    [("hinge", "squared_l2_box", None, True), ("lad", "squared_l2_box", 20.0 / 60, None), ("gauge", "entropy", None, False)],
-    ids=["hinge-box-certifies", "lad-box-raises", "gauge-entropy-uncertified"],
+    [("hinge", "squared_l2_box", None, True), ("lad", "squared_l2_box", 20.0 / 60, None), ("gauge", "entropy", None, False),
+     ("gauge", "squared_l2", None, True)],
+    ids=["hinge-box-certifies", "lad-box-raises", "gauge-entropy-uncertified", "gauge-l2-certifies"],
 )
-def test_reference_without_newton_start_runs_gcg_first(loss, reg, scale, certified):
+def test_reference_without_newton_start_runs_gcg_first(loss, reg, scale, certified, monkeypatch):
     prob = generate_problem(ExperimentConfig(loss=loss, regularizer=reg, n=60, p=10, seed=3, scale=scale))
+    calls = _count_polish_calls(monkeypatch)
     if certified is None:
-        with pytest.raises(ConfigurationError, match="no smooth dual model for SquaredL2Box"):
+        with pytest.raises(ConfigurationError, match="^no smooth dual model for SquaredL2Box$"):
             reference_solution(prob, tol=1e-9)
+        # with no budget left the box is not blamed: the result is uncertified
+        assert not reference_solution(prob, tol=1e-9, cap=40).certified
+        assert calls == []
         return
     ref = reference_solution(prob, tol=1e-9)
     assert ref.certified == certified, ref.certified_gap
+    assert calls == []
+    if loss == "hinge":
+        # two GCG steps reach gap 0, and the count is those steps alone
+        assert (ref.iterations, ref.certified_gap) == (2, 0.0)
     if not certified:
         # the whole min(cap, 500) GCG budget, and no polish on an l1-ball C
         assert ref.iterations == 500

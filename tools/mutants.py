@@ -1,0 +1,146 @@
+"""Mutation check: does the test suite notice a broken bound or verdict?
+
+Usage, from anywhere::
+
+    python3 tools/mutants.py [--workdir DIR]
+
+Each mutation names one file under ``src/``, a text that must occur in
+it exactly once, its replacement, and the test files that should catch
+it.  For each mutation the tool copies ``src/`` and ``tests/`` to
+``--workdir/NAME``, applies that one replacement there and runs the
+listed test files with pytest (``-x``, so a killed mutant stops at its
+first failure).  A mutant is ``killed`` when a test fails and
+``survived`` when all pass.  Before any mutant runs, every mutation's
+text is checked to occur exactly once and the unmutated copy must pass
+the union of the listed tests; either failing is an error (exit 2).
+The exit code is 1 if any mutant survived, else 0.  The repository
+itself is never written.  Not part of the test suite: the whole set
+takes a few minutes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CERTIFICATES = "src/pdcg/certificates.py"
+BOUND_TESTS = ("tests/test_certificates.py", "tests/test_cli.py", "tests/test_acceptance.py")
+
+
+class Mutation(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple = BOUND_TESTS
+
+
+def _pairing_row(bound_id: str, args: str) -> str:
+    key = "COMPACT_BOUND" if bound_id == "compact-averaged-gap" else f'"{bound_id}"'
+    return f"    {key}: BoundPairing({args}),\n"
+
+
+# (bound id, BoundPairing arguments as written, the same with coef halved)
+_PAIRING = (
+    ("md-avg-subopt", 'MD, _TWO, True, 1.0, 1.0, "avg_primal_value"', 'MD, _TWO, True, 0.5, 1.0, "avg_primal_value"'),
+    ("md-best-subopt", 'MD, _TWO, True, 1.0, 1.0, "primal_value", running_min=True',
+     'MD, _TWO, True, 0.5, 1.0, "primal_value", running_min=True'),
+    ("md-distance", 'MD, _TWO, True, 1.0, 1.0, "bregman_to_ref"', 'MD, _TWO, True, 0.5, 1.0, "bregman_to_ref"'),
+    ("gcg-fixed-dual-subopt", 'GCG, _TWO, True, 2.0, 1.0, "dual_suboptimality"',
+     'GCG, _TWO, True, 1.0, 1.0, "dual_suboptimality"'),
+    ("gcg-fixed-min-gap", 'GCG, _TWO, False, 8.0, 1.0, "gap", running_min=True',
+     'GCG, _TWO, False, 4.0, 1.0, "gap", running_min=True'),
+    ("gcg-linesearch-dual-subopt", 'GCG, LineSearch.name, True, 2.0, 3.0, "dual_suboptimality"',
+     'GCG, LineSearch.name, True, 1.0, 3.0, "dual_suboptimality"'),
+    ("gcg-linesearch-min-gap", 'GCG, LineSearch.name, False, 2.0, 3.0, "gap", running_min=True',
+     'GCG, LineSearch.name, False, 1.0, 3.0, "gap", running_min=True'),
+    ("compact-averaged-gap", 'NS_MD, SqrtDecay.name, False, 2.0, 0.0, "avg_gap"',
+     'NS_MD, SqrtDecay.name, False, 1.0, 0.0, "avg_gap"'),
+)
+
+MUTATIONS = (
+    Mutation("verdict-slack", CERTIFICATES, "passed=bool(np.all(observed <= bounds)),",
+             "passed=bool(np.all(margins >= -1e-9 * (1.0 + np.abs(bounds)))),"),
+    Mutation("delta-tolerance", CERTIFICATES, "if sched.delta != delta:",
+             "if abs(sched.delta - delta) > 1e-9 * (1.0 + delta):"),
+    Mutation("md-distance-uncertified", CERTIFICATES,
+             '    if row.column == "bregman_to_ref" and not reference.certified:\n'
+             '        raise ConfigurationError(f"{which} requires a certified reference; its distance to x* is unknown")\n',
+             ""),
+    Mutation("reference-tolerance", CERTIFICATES, "bounds = row.coef * r2 / (mu * (t + row.shift))",
+             "bounds = row.coef * r2 / (mu * (t + row.shift)) + (reference.certified_gap if row.needs_reference else 0.0)"),
+    *(Mutation(f"coef-half/{bid}", CERTIFICATES, _pairing_row(bid, old), _pairing_row(bid, new))
+      for bid, old, new in _PAIRING),
+    *(Mutation(f"no-running-min/{bid}", CERTIFICATES, _pairing_row(bid, old),
+               _pairing_row(bid, old.replace(", running_min=True", "")))
+      for bid, old, _ in _PAIRING if "running_min=True" in old),
+)
+
+
+def check_texts(mutations) -> list:
+    """One line per mutation whose old text does not occur exactly once in its file."""
+    problems = []
+    for m in mutations:
+        with open(os.path.join(ROOT, m.path), encoding="utf-8") as fh:
+            count = fh.read().count(m.old)
+        if count != 1:
+            problems.append(f"{m.name}: its text occurs {count} times in {m.path}, not once")
+    return problems
+
+
+def run_tests(workdir: str, name: str, tests, mutation=None) -> int:
+    """pytest's exit code on a fresh copy of src/ and tests/, with ``mutation`` applied."""
+    dest = os.path.join(workdir, name.replace("/", "_"))
+    shutil.rmtree(dest, ignore_errors=True)
+    for sub in ("src", "tests"):
+        shutil.copytree(os.path.join(ROOT, sub), os.path.join(dest, sub),
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    if mutation is not None:
+        path = os.path.join(dest, mutation.path)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text.replace(mutation.old, mutation.new))
+    env = dict(os.environ, PYTHONPATH=os.path.join(dest, "src"), PYTHONDONTWRITEBYTECODE="1")
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.setdefault(var, "1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    code = subprocess.run(cmd, cwd=dest, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+    shutil.rmtree(dest, ignore_errors=True)
+    return code
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workdir", default=os.path.join(tempfile.gettempdir(), "pdcg-mutants"),
+                        help="directory for the mutated copies (each is removed after its run)")
+    args = parser.parse_args(argv)
+    problems = check_texts(MUTATIONS)
+    if problems:
+        print("\n".join(problems), file=sys.stderr)
+        return 2
+    os.makedirs(args.workdir, exist_ok=True)
+    tests = tuple(dict.fromkeys(t for m in MUTATIONS for t in m.tests))
+    if run_tests(args.workdir, "unmutated", tests) != 0:
+        print("the unmutated tests fail; no mutant can be judged", file=sys.stderr)
+        return 2
+    survivors = 0
+    for m in MUTATIONS:
+        code = run_tests(args.workdir, m.name, m.tests, m)
+        if code not in (0, 1):
+            print(f"{m.name}: pytest exited {code}", file=sys.stderr)
+            return 2
+        survivors += code == 0
+        print(f"{'survived' if code == 0 else 'killed':8s} {m.name}", flush=True)
+    print(f"{len(MUTATIONS) - survivors} killed, {survivors} survived of {len(MUTATIONS)}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
