@@ -20,13 +20,11 @@ from .algorithms import (
     RunResult,
     SolverState,
     SqrtDecay,
-    gcg_step,
     init_state,
     init_state_compact,
-    md_step,
-    ns_md_step,
     resolve_initial_dual,
     run,
+    step,
     step_size,
 )
 from .certificates import (

@@ -1,27 +1,28 @@
 """The primal-dual recursions, step-size schedules, and the run loop.
 
-Three recursions are provided:
+Three recursions are provided, each one step of ``step``:
 
-* ``md_step`` - mirror descent on the primal: the loss oracle produces
+* ``md`` - mirror descent on the primal: the loss oracle produces
   ybar_{t-1} at A x_{t-1}, the carried regularizer subgradient is mixed
   as g = (1-rho) g_prev - rho A^T ybar_{t-1}, and x_t = (h*)'(g).  The
   carried vector is never recomputed from x; this is the subgradient
   selection under which the method coincides with the dual recursion
-  even for non-smooth h.
-* ``gcg_step`` - generalized conditional gradient on the dual: linearize
+  even for non-smooth h.  y takes the same convex combination of the
+  oracle outputs, so line searches see a feasible dual point.
+* ``gcg`` - generalized conditional gradient on the dual: linearize
   the smooth part of the dual at y_{t-1}, keep f* exact in the
   subproblem, and take the convex-combination step
   y_t = (1-rho) y_{t-1} + rho ybar_{t-1}.
-* ``ns_md_step`` - mirror descent over a compact domain without strong
+* ``ns-md`` - mirror descent over a compact domain without strong
   convexity in the objective: x_t solves the Bregman-proximal
   subproblem in closed form (multiplicative update on the simplex,
   clamped gradient step on a box).
 
 Steppers are pure state transitions that carry the recursion only;
 ``run`` drives them, keeps the running sums the schedule's averages
-need, and appends one certificate row per iteration.  Each public
-stepper checks the state vectors it reads and calls its kernel (same
-name, leading underscore), which ``run`` and the other loops call.
+need, and appends one certificate row per iteration.  ``step`` checks
+the state vectors a kernel reads (``STEPPERS``) and calls it; the loops
+call the kernels and check their schedule once, on entry.
 """
 
 from __future__ import annotations
@@ -140,12 +141,19 @@ class SqrtDecay(StepSchedule):
         return min(self.delta / (self.radius * np.sqrt(t)), 1.0)
 
 
+def _check_schedule(schedule: StepSchedule, *algorithms: str) -> None:
+    """Raise ConfigurationError unless ``schedule`` is a ``StepSchedule`` paired with every one of ``algorithms``."""
+    if not isinstance(schedule, StepSchedule):
+        raise ConfigurationError(f"unknown schedule {schedule!r}")
+    if any(algorithm not in schedule.recursions for algorithm in algorithms):
+        raise ConfigurationError(schedule.pairing_error)
+
+
 def step_size(schedule: StepSchedule, t: int, current_gap: Optional[float] = None) -> float:
     """Step size rho_t in [0, 1] for iteration t >= 1."""
     if t < 1:
         raise ValueError(f"iteration index must be >= 1, got {t}")
-    if not isinstance(schedule, StepSchedule):
-        raise ConfigurationError(f"unknown schedule {schedule!r}")
+    _check_schedule(schedule)
     return schedule.rho(t, current_gap)
 
 
@@ -210,12 +218,6 @@ def _check_rho(rho: float) -> float:
     return rho
 
 
-def _checked(problem: ProblemInstance, state: SolverState, *fields: str) -> SolverState:
-    """``state`` with the named vectors checked, as a public stepper reads them."""
-    length = {"x": problem.p, "ax": problem.n}
-    return dataclasses.replace(state, **{f: contiguous_vector(getattr(state, f), length[f], f) for f in fields})
-
-
 # Step kernels: the state's vectors are checked, and each vector made here
 # that can overflow float64 is scanned once, where it is made (the matvecs
 # scan x and y as inputs).  Loss-oracle outputs lie in the compact C, and
@@ -252,44 +254,28 @@ def _ns_md_step(problem: ProblemInstance, state: SolverState, rho: float) -> Sol
     return SolverState(t=state.t + 1, x=x, ax=as_vector(op.apply(x), name="ax"), y=y, last_aty=aty)
 
 
-def md_step(problem: ProblemInstance, state: SolverState, rho: float) -> SolverState:
-    """One mirror descent step.
+# recursion -> its kernel and the state vectors it reads, which ``step`` checks;
+# ns-md reads x only on a compact domain (the others raise in its prox step)
+STEPPERS = {
+    MD: (_md_step, ("ax", "y", "carried_h_sub")),
+    GCG: (_gcg_step, ("ax", "y")),
+    NS_MD: (_ns_md_step, ("ax", "x")),
+}
 
-    ybar_{t-1} maximizes <y, A x_{t-1}> - f*(y) over C; the new carried
-    subgradient is g = (1-rho) g_prev - rho A^T ybar_{t-1} and
-    x_t = (h*)'(g).  The dual iterate is advanced by the same convex
-    combination so traces and line searches see a feasible dual point.
-    """
+
+def step(problem: ProblemInstance, algorithm: str, state: SolverState, rho: float) -> SolverState:
+    """One ``algorithm`` step of size ``rho`` from ``state``; checks ``rho`` and the vectors the recursion reads."""
+    if algorithm not in STEPPERS:
+        raise ConfigurationError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    kernel, read = STEPPERS[algorithm]
     rho = _check_rho(rho)
-    if state.carried_h_sub is None:
+    if algorithm == MD and state.carried_h_sub is None:
         raise ValueError("mirror descent state has no carried subgradient; use init_state")
-    return _md_step(problem, _checked(problem, state, "ax"), rho)
-
-
-def gcg_step(problem: ProblemInstance, state: SolverState, rho: float) -> SolverState:
-    """One generalized conditional gradient step.
-
-    Performs the three lines: x_{t-1} = (h*)'(-A^T y_{t-1}) (cached in
-    the state), ybar_{t-1} = argmax_{y in C} <y, A x_{t-1}> - f*(y),
-    y_t = (1-rho) y_{t-1} + rho ybar_{t-1}.  The primal iterate and the
-    carried subgradient -A^T y_t are refreshed from the new dual point.
-    """
-    rho = _check_rho(rho)
-    return _gcg_step(problem, _checked(problem, state, "ax"), rho)
-
-
-def ns_md_step(problem: ProblemInstance, state: SolverState, rho: float) -> SolverState:
-    """One compact-domain mirror descent step.
-
-    y_{t-1} is the loss oracle at A x_{t-1}; x_t solves
-    argmin_{x in K} (1/rho) D(x, x_{t-1}) + <x - x_{t-1}, A^T y_{t-1}>
-    in closed form: a renormalized multiplicative update on the simplex,
-    a clamped gradient step on a box.
-    """
-    rho = _check_rho(rho)
-    # only a compact domain's prox step reads x; the others raise there
-    read = ("ax", "x") if problem.regularizer.domain.compact else ("ax",)
-    return _ns_md_step(problem, _checked(problem, state, *read), rho)
+    if algorithm == NS_MD and not problem.regularizer.domain.compact:
+        read = ("ax",)
+    length = {"ax": problem.n, "y": problem.n, "x": problem.p, "carried_h_sub": problem.p}
+    checked = {f: contiguous_vector(getattr(state, f), length[f], f) for f in read}
+    return kernel(problem, dataclasses.replace(state, **checked), rho)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +320,9 @@ def run(
     recursions; the compact-domain recursion starts from the interior
     point of its domain (simplex barycenter / box center), the point at
     which the instance computes delta^2 (``ProblemInstance.delta2``).
-    A NaN ``gap_tol`` could never be met, so it raises.
+    A NaN ``gap_tol`` could never be met, so it raises, as does a
+    schedule that is not a ``StepSchedule`` paired with ``algorithm``;
+    the schedule is checked once, here, and the loop calls its ``rho``.
     """
     if algorithm not in ALGORITHMS:
         raise ConfigurationError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
@@ -346,12 +334,11 @@ def run(
     strongly_convex = algorithm in (MD, GCG)
     if not strongly_convex and not reg.domain.compact:
         raise ValidationError("algorithm requires a compact primal domain")
-    if algorithm not in schedule.recursions:
-        raise ConfigurationError(schedule.pairing_error)
+    _check_schedule(schedule, algorithm)
 
+    stepper = STEPPERS[algorithm][0]
     if strongly_convex:
         state = init_state(problem, resolve_initial_dual(problem, y0=y0))
-        stepper = _md_step if algorithm == MD else _gcg_step
         # the post-step pair of one iteration is the pre-step pair of the next
         values = _values(problem, state)
         # x* enters every row's Bregman column, so it is checked once
@@ -359,7 +346,6 @@ def run(
             x_star = contiguous_vector(reference.x_star, problem.p, "x_star")
     else:
         state = init_state_compact(problem)
-        stepper = _ns_md_step
 
     # running sums of the averaged iterates, oracle outputs and A^T y.  A
     # weighted schedule adds x_{u-1} with weight u and scales the sum by
@@ -380,7 +366,7 @@ def run(
         if strongly_convex:
             primal, dual = values
             gap = check_gap_floor(primal - dual)
-            rho = step_size(schedule, t, current_gap=gap)
+            rho = schedule.rho(t, gap)
             norm = 2.0 / (t * (t + 1.0)) if weighted else t
             sum_x += t * state.x if weighted else state.x
             sum_ax += t * state.ax if weighted else state.ax
@@ -402,7 +388,7 @@ def run(
                 dual_subopt = reference.primal_value - post_dual
                 bregman_ref = reg._bregman(x_star, state.x)
         else:
-            rho = step_size(schedule, t)
+            rho = schedule.rho(t, None)
             # objective of min_{x in K} f(A x); the dual uses the support
             # function of K in place of the conjugate of h
             primal = loss._value(state.ax)

@@ -26,6 +26,7 @@ R^2 = max_{y in C} ||A^T y||^2 for the compact-domain bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -192,6 +193,15 @@ def _finish_report(bound_id: str, bounds: np.ndarray, observed: np.ndarray) -> B
     )
 
 
+def check_reference(which: str, reference) -> None:
+    """Raise ConfigurationError unless bound ``which`` can read ``reference``; ``pdcg certify`` asks before its run."""
+    row = BOUND_PAIRING[which]
+    if row.needs_reference and reference is None:
+        raise ConfigurationError(f"{which} requires a reference solution")
+    if row.column == "bregman_to_ref" and not reference.certified:
+        raise ConfigurationError(f"{which} requires a certified reference; its distance to x* is unknown")
+
+
 def check_bound(
     result: RunResult,
     constants: GeometryConstants,
@@ -210,7 +220,10 @@ def check_bound(
     gap is certified, so an uncertified reference raises
     ConfigurationError there.  Gap-based variants need no reference.  A
     row passes exactly when its observed value is <= its bound.  The run
-    must have been produced by the matching algorithm and schedule.
+    must have been produced by the matching algorithm and schedule, ``mu``
+    must be positive and finite, and a schedule's constants must be the
+    ones in ``constants`` and ``mu``, compared exactly: line search's
+    ``r2`` and ``mu``, sqrt-decay's ``delta`` (and at most its ``R``).
     """
     if which not in BOUND_PAIRING:
         raise ConfigurationError(f"unknown bound id {which!r}; expected one of {BOUND_IDS}")
@@ -223,22 +236,23 @@ def check_bound(
         raise ConfigurationError(
             f"{which} applies to schedule {row.schedule!r}, trace used {result.schedule.name!r}"
         )
-    if row.needs_reference and reference is None:
-        raise ConfigurationError(f"{which} requires a reference solution")
-    if row.column == "bregman_to_ref" and not reference.certified:
-        raise ConfigurationError(f"{which} requires a certified reference; its distance to x* is unknown")
+    check_reference(which, reference)
+    if not (mu > 0.0 and math.isfinite(mu)):
+        raise ConfigurationError(f"mu must be positive and finite, got {mu!r}")
     trace = result.trace
     t = np.array([rec.t for rec in trace], dtype=np.float64)
     r2 = constants.r2_origin if which == COMPACT_BOUND else constants.r2_primal
     if r2 is None:
         raise ConfigurationError(f"{which} requires the R^2 it reads in the constants")
+    sched = result.schedule
+    # a schedule takes its constants from the instance as ``constants`` do, so they compare exactly
+    if row.schedule == LineSearch.name and (sched.r2 != r2 or sched.mu != mu):
+        raise ConfigurationError("line-search schedule r2 and mu disagree with the certified R^2 and mu")
     if which == COMPACT_BOUND:
         if constants.delta2 is None:
             raise ConfigurationError("compact-averaged-gap requires delta^2 in the constants")
-        sched = result.schedule
         radius = float(np.sqrt(r2))
         delta = float(np.sqrt(constants.delta2))
-        # the schedule takes both from the instance as these constants do, so they compare exactly
         if sched.radius > radius:
             raise ConfigurationError("schedule radius exceeds the certified R; the bound does not apply")
         if sched.delta != delta:

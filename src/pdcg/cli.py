@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .algorithms import ALGORITHMS
-from .certificates import BOUND_IDS, BOUND_PAIRING, check_bound, geometry_constants
+from .certificates import BOUND_IDS, BOUND_PAIRING, check_bound, check_reference, geometry_constants
 from .core import ConfigurationError, FeasibilityError, ValidationError
 from .equivalence import verify_equivalence
 from .harness import SCHEDULE_NAMES, ExperimentConfig, emit_trace, prepare, reference_solution, run_sweep
@@ -86,9 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     keys = {f.name for f in dataclasses.fields(config)}
     updates = {key: val for key, val in vars(args).items() if key in keys and val is not None}
-    if updates:
-        config = dataclasses.replace(config, **updates)
-    return config.validate()
+    return dataclasses.replace(config, **updates) if updates else config
 
 
 def _parse_seeds(spec: str):
@@ -153,6 +151,7 @@ def _cmd_certify(args) -> int:
         )
         if not reference.certified:
             print(f"certify: reference uncertified (gap={reference.certified_gap:.3e})", file=sys.stderr)
+    check_reference(args.prop, reference)  # before the run, which a reference it rejects would waste
     result = experiment.run(reference)
     report = check_bound(
         result, geometry_constants(problem, args.prop), problem.regularizer.mu, args.prop, reference=reference

@@ -24,11 +24,11 @@ from .algorithms import (
     MD,
     StepSchedule,
     _check_rho,
+    _check_schedule,
     _gcg_step,
     _md_step,
     _values,
     init_state,
-    step_size,
 )
 from .core import ConfigurationError, ProblemInstance, clamp_gap
 
@@ -59,23 +59,22 @@ def verify_equivalence(
     the conditional-gradient pair and fed to both steppers, which
     removes round-off asymmetry between the two runs.  Zero iterations
     pass vacuously; a negative count or tolerance, or a schedule that
-    ``run`` rejects for either recursion, is a usage error.
+    ``run`` rejects for either recursion, is a usage error, checked once
+    on entry.
     """
     if iterations < 0 or not tolerance >= 0:
         raise ConfigurationError("iterations and tolerance must be nonnegative")
-    if MD not in schedule.recursions or GCG not in schedule.recursions:
-        raise ConfigurationError(schedule.pairing_error)
+    _check_schedule(schedule, MD, GCG)
     # a step never writes to the state it reads, so both start from one
     md_state = cg_state = init_state(problem, y0)
     max_x = 0.0
     max_dual = 0.0
     for t in range(1, iterations + 1):
+        gap = None
         if schedule.needs_gap:
             primal, dual = _values(problem, cg_state)
-            rho = step_size(schedule, t, current_gap=clamp_gap(primal - dual))
-        else:
-            rho = step_size(schedule, t)
-        rho = _check_rho(rho)
+            gap = clamp_gap(primal - dual)
+        rho = _check_rho(schedule.rho(t, gap))
         md_state = _md_step(problem, md_state, rho)
         cg_state = _gcg_step(problem, cg_state, rho)
         max_x = max(max_x, float(np.max(np.abs(md_state.x - cg_state.x))))

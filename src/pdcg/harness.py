@@ -78,9 +78,9 @@ _CONFIG_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real}
 # Experiment configuration
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Flat, JSON-serializable description of one experiment."""
+    """Flat, JSON-serializable description of one experiment; building it (``replace`` too) runs ``validate``."""
 
     loss: str = "hinge"
     regularizer: str = "squared_l2"
@@ -101,21 +101,15 @@ class ExperimentConfig:
     output_path: Optional[str] = None
     reference_budget: int = 100000
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> "ExperimentConfig":
-        if self.loss not in LOSS_KINDS:
-            raise ConfigurationError(f"loss must be one of {LOSS_KINDS}, got {self.loss!r}")
-        if self.regularizer not in REGULARIZER_KINDS:
-            raise ConfigurationError(
-                f"regularizer must be one of {REGULARIZER_KINDS}, got {self.regularizer!r}"
-            )
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigurationError(
-                f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}"
-            )
-        if self.schedule not in SCHEDULE_NAMES:
-            raise ConfigurationError(
-                f"schedule must be one of {SCHEDULE_NAMES}, got {self.schedule!r}"
-            )
+        """Raise ConfigurationError for an invalid field, else return the config; the constructor calls it."""
+        for key, kinds in (("loss", LOSS_KINDS), ("regularizer", REGULARIZER_KINDS),
+                           ("algorithm", ALGORITHMS), ("schedule", SCHEDULE_NAMES)):
+            if getattr(self, key) not in kinds:
+                raise ConfigurationError(f"{key} must be one of {kinds}, got {getattr(self, key)!r}")
         if self.n < 1 or self.p < 1:
             raise ConfigurationError("n and p must be positive")
         if self.seed < 0:
@@ -148,7 +142,7 @@ class ExperimentConfig:
             allowed = _CONFIG_TYPES[declared.removeprefix("Optional[").rstrip("]")]
             if isinstance(val, bool) or not isinstance(val, allowed):
                 raise ConfigurationError(f"config key {key!r} must be {declared}, got {val!r}")
-        return cls(**data).validate()
+        return cls(**data)
 
     @classmethod
     def load(cls, path: str) -> "ExperimentConfig":
@@ -181,7 +175,6 @@ def generate_problem_with_truth(config: ExperimentConfig):
     The metadata dict records what was planted (labels, x_true, outlier
     indices and mass) for oracle-style tests.
     """
-    config.validate()
     n, p = config.n, config.p
     rng = np.random.default_rng(config.seed)
     scale = config.scale if config.scale is not None else 1.0 / n
@@ -395,7 +388,7 @@ class Experiment:
 
 
 def prepare(config: ExperimentConfig) -> Experiment:
-    """Validate the config, generate its instance and build its schedule (every command starts here)."""
+    """Generate the config's instance and build its schedule (every command starts here)."""
     problem = generate_problem(config)
     return Experiment(config, problem, build_schedule(config, problem))
 
@@ -487,7 +480,6 @@ def sweep_cells(config: ExperimentConfig, schedules, seeds, out_dir: str):
     for sched in schedules:
         for seed in seeds:
             cfg = dataclasses.replace(config, schedule=sched, seed=int(seed))
-            cfg.validate()
             path = os.path.join(out_dir, f"trace_{sched}_{seed}.{cfg.output_format}")
             if path in cells:
                 raise ConfigurationError(
@@ -497,9 +489,8 @@ def sweep_cells(config: ExperimentConfig, schedules, seeds, out_dir: str):
     return [(cfg, path) for path, cfg in cells.items()]
 
 
-def _run_cell(payload) -> str:
-    cfg_dict, path = payload
-    cfg = ExperimentConfig.from_dict(cfg_dict)
+def _run_cell(cell) -> str:
+    cfg, path = cell
     result = prepare(cfg).run()
     emit_trace(result, cfg.output_format, path, config=cfg)
     return path
@@ -527,8 +518,7 @@ def run_sweep(config: ExperimentConfig, schedules, seeds, out_dir: str, workers:
             cfg = dataclasses.replace(last, schedule=sched, max_iters=0)
             Experiment(cfg, problem, build_schedule(cfg, problem)).run()
     os.makedirs(out_dir, exist_ok=True)
-    payloads = [(cfg.to_dict(), path) for cfg, path in cells]
-    if workers == 1 or len(payloads) <= 1:
-        return [_run_cell(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
-        return list(pool.map(_run_cell, payloads))
+    if workers == 1 or len(cells) <= 1:
+        return [_run_cell(cell) for cell in cells]
+    with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
+        return list(pool.map(_run_cell, cells))

@@ -5,7 +5,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import pdcg.algorithms
 import pdcg.core
+import pdcg.equivalence
 from pdcg import (
     Box,
     ConfigurationError,
@@ -24,15 +26,13 @@ from pdcg import (
     SquaredL2Box,
     ValidationError,
     build_schedule,
-    gcg_step,
     generate_problem,
     init_state,
     init_state_compact,
-    md_step,
-    ns_md_step,
     reference_solution,
     resolve_initial_dual,
     run,
+    step,
     step_size,
     verify_equivalence,
 )
@@ -85,7 +85,7 @@ def _single_hinge_problem():
 def test_md_step_hand_simulation():
     prob = _single_hinge_problem()
     state = init_state(prob, np.zeros(1))
-    out = md_step(prob, state, 1.0)
+    out = step(prob, "md", state, 1.0)
     np.testing.assert_array_equal(out.x, [1.0])
     np.testing.assert_array_equal(out.carried_h_sub, [1.0])
     np.testing.assert_array_equal(out.y_bar, [-1.0])
@@ -102,7 +102,7 @@ def test_md_step_matches_subgradient_descent_form():
         expected = state.x - (rho / 1.7) * (
             op.adjoint_apply(prob.loss.subgradient(op.apply(state.x))) + 1.7 * state.x
         )
-        state = md_step(prob, state, rho)
+        state = step(prob, "md", state, rho)
         np.testing.assert_allclose(state.x, expected, atol=1e-14)
 
 
@@ -117,7 +117,7 @@ def test_md_step_entropy_two_line_recursion():
     state = init_state(prob, np.zeros(2))
     h_sub = np.log(x0) + 1.0  # gradient of the entropy at an interior x0
     state = dataclasses.replace(state, x=x0, ax=x0.copy(), carried_h_sub=h_sub)
-    out = md_step(prob, state, 0.5)
+    out = step(prob, "md", state, 0.5)
     ybar = np.sign(x0)  # LAD oracle at Ax0 with zero targets
     g = 0.5 * h_sub - 0.5 * ybar
     expect = np.exp(g - np.max(g))
@@ -128,8 +128,8 @@ def test_md_step_entropy_two_line_recursion():
 def test_zero_step_keeps_iterates():
     prob = _single_hinge_problem()
     state = init_state(prob, np.array([-0.5]))
-    for stepper in (md_step, gcg_step):
-        out = stepper(prob, state, 0.0)
+    for algorithm in ("md", "gcg"):
+        out = step(prob, algorithm, state, 0.0)
         assert out.t == 1
         np.testing.assert_array_equal(out.x, state.x)
         np.testing.assert_array_equal(out.y, state.y)
@@ -138,7 +138,7 @@ def test_zero_step_keeps_iterates():
 def test_gcg_full_step_takes_oracle_vertex():
     prob = _single_hinge_problem()
     state = init_state(prob, np.zeros(1))
-    out = gcg_step(prob, state, 1.0)
+    out = step(prob, "gcg", state, 1.0)
     np.testing.assert_array_equal(out.y, [-1.0])
     np.testing.assert_array_equal(out.x, [1.0])
 
@@ -151,7 +151,7 @@ def test_ns_md_entropy_multiplicative_update():
         LeastAbsoluteDeviation([0.0, 0.5], 1.0),
     )
     state = init_state_compact(prob)  # (0.5, 0.5)
-    out = ns_md_step(prob, state, 1.0)
+    out = step(prob, "ns-md", state, 1.0)
     expected = np.array([np.exp(-1.0), 1.0])
     expected /= expected.sum()
     np.testing.assert_allclose(out.x, expected, atol=1e-12)
@@ -173,7 +173,7 @@ def test_ns_md_entropy_symmetry():
         LeastAbsoluteDeviation([0.5, 0.5], 1.0),
     )
     state = init_state_compact(prob)  # uniform
-    out = ns_md_step(prob, state, 0.7)
+    out = step(prob, "ns-md", state, 0.7)
     np.testing.assert_allclose(out.x, [0.5, 0.5], atol=1e-15)
 
 
@@ -184,10 +184,10 @@ def test_ns_md_box_clamp():
         LeastAbsoluteDeviation([-1.0, 0.8], 1.0),
     )
     state = init_state_compact(prob)  # (0.5, 0.5)
-    out = ns_md_step(prob, state, 0.5)
+    out = step(prob, "ns-md", state, 0.5)
     # A^T y = sign(x - target) = (1, -1); clamp(x - (rho/mu) aty)
     np.testing.assert_allclose(out.x, [0.5 - 0.25, 0.5 + 0.25], atol=1e-15)
-    frozen = ns_md_step(prob, state, 0.0)
+    frozen = step(prob, "ns-md", state, 0.0)
     np.testing.assert_array_equal(frozen.x, state.x)
 
 
@@ -196,7 +196,32 @@ def test_ns_md_rejects_noncompact():
     with pytest.raises(ValidationError, match="algorithm requires a compact primal domain"):
         run(prob, "ns-md", SqrtDecay(delta=1.0, radius=1.0), max_iters=1)
     with pytest.raises(ConfigurationError, match="compact-domain recursion supports"):
-        ns_md_step(prob, init_state_compact(prob), 0.5)
+        step(prob, "ns-md", init_state_compact(prob), 0.5)
+
+
+@pytest.mark.parametrize("bad", ["length-1", "nan"])
+@pytest.mark.parametrize("algorithm,field", [("md", "y"), ("gcg", "y"), ("md", "carried_h_sub")])
+def test_step_checks_each_vector_its_recursion_reads(algorithm, field, bad, monkeypatch):
+    # unchecked, a length-1 vector broadcasts to length n or p and an all-NaN
+    # md y comes back as NaN; the check comes before the kernel's oracle call
+    prob = generate_problem(ExperimentConfig(loss="lad", n=8, p=3, seed=1))
+    state = init_state(prob, np.zeros(prob.n))
+    size = getattr(state, field).shape[0]
+    value, error, message = {
+        "length-1": (np.zeros(1), pdcg.core.DimensionMismatch, f"{field} has length 1, expected {size}"),
+        "nan": (np.full(size, np.nan), ValidationError, f"{field} contains non-finite entries"),
+    }[bad]
+    calls = []
+    monkeypatch.setattr(prob.loss, "_subgradient", lambda z: calls.append(1))
+    with pytest.raises(error, match=message):
+        step(prob, algorithm, dataclasses.replace(state, **{field: value}), 0.5)
+    assert calls == []
+
+
+def test_step_rejects_an_unknown_algorithm():
+    prob = _single_hinge_problem()
+    with pytest.raises(ConfigurationError, match="unknown algorithm 'dogleg'"):
+        step(prob, "dogleg", init_state(prob, np.zeros(1)), 0.5)
 
 
 # --------------------------------------------------------------------------
@@ -272,7 +297,7 @@ def test_convex_combination_identity_short():
     state = init_state(prob, np.zeros(prob.n))
     wsum_ybar = np.zeros(prob.n)
     for t in range(1, 51):
-        state = gcg_step(prob, state, step_size(FixedTwoOverTPlusOne(), t))
+        state = step(prob, "gcg", state, step_size(FixedTwoOverTPlusOne(), t))
         wsum_ybar += t * state.y_bar
         np.testing.assert_allclose(state.y, 2.0 / (t * (t + 1.0)) * wsum_ybar, atol=1e-12)
         assert prob.loss.dual_domain.contains(state.y, 1e-10)
@@ -308,6 +333,28 @@ def test_run_schedule_pairing_errors():
         run(ent, "ns-md", LineSearch(mu=1.0, r2=1.0), max_iters=5)
     with pytest.raises(ConfigurationError):
         run(prob, "dogleg", FixedOneOverT(), max_iters=5)
+
+
+def test_run_and_lockstep_reject_a_schedule_name():
+    # a name is not a StepSchedule: a ConfigurationError on entry, not an AttributeError
+    prob = _svm_problem()
+    with pytest.raises(ConfigurationError, match="unknown schedule 'line-search'"):
+        run(prob, "gcg", "line-search", max_iters=5)
+    with pytest.raises(ConfigurationError, match="unknown schedule 'line-search'"):
+        verify_equivalence(prob, np.zeros(prob.n), "line-search", 5)
+
+
+def test_run_and_lockstep_check_the_schedule_once(monkeypatch):
+    prob = _svm_problem()
+    sched = LineSearch(mu=1.0, r2=prob.r2("diameter")[0])
+    calls = []
+    for module in (pdcg.algorithms, pdcg.equivalence):
+        check = module._check_schedule
+        monkeypatch.setattr(module, "_check_schedule", lambda *args, check=check: calls.append(1) or check(*args))
+    monkeypatch.setattr(pdcg.algorithms, "step_size", lambda *args: pytest.fail("the loop re-checks the schedule"))
+    assert len(run(prob, "gcg", sched, max_iters=20, gap_tol=-np.inf).trace) == 20
+    assert verify_equivalence(prob, np.zeros(prob.n), sched, 20).passed
+    assert len(calls) == 2
 
 
 def test_run_rejects_nan_gap_tol():
@@ -468,7 +515,7 @@ def test_run_averaged_columns_match_a_replay(algorithm, schedule):
         for rec in res.trace:
             t = rec.t
             sum_ax = sum_ax + state.ax
-            state = ns_md_step(prob, state, rec.rho)
+            state = step(prob, "ns-md", state, rec.rho)
             sum_y = sum_y + state.y
             sum_aty = sum_aty + state.last_aty
             primal = loss.value(sum_ax / t)
@@ -476,14 +523,13 @@ def test_run_averaged_columns_match_a_replay(algorithm, schedule):
             avg_gap.append(primal + reg.domain.support(-sum_aty / t) + loss.conj_value(sum_y / t))
     else:
         state = init_state(prob, resolve_initial_dual(prob))
-        stepper = md_step if algorithm == "md" else gcg_step
         sum_x, sum_ax, sum_ybar = np.zeros(prob.p), np.zeros(prob.n), np.zeros(prob.n)
         for rec in res.trace:
             t = rec.t
             if schedule == "two-over-t-plus-one":  # weight u on x_{u-1}
                 sum_x = sum_x + t * state.x
                 sum_ax = sum_ax + t * state.ax
-                state = stepper(prob, state, rec.rho)
+                state = step(prob, algorithm, state, rec.rho)
                 w = 2.0 / (t * (t + 1.0))
                 primal = reg.value(w * sum_x) + loss.value(w * sum_ax)
                 # the averaged pair's dual point is y_t itself
@@ -491,7 +537,7 @@ def test_run_averaged_columns_match_a_replay(algorithm, schedule):
             else:  # uniform weights
                 sum_x = sum_x + state.x
                 sum_ax = sum_ax + state.ax
-                state = stepper(prob, state, rec.rho)
+                state = step(prob, algorithm, state, rec.rho)
                 sum_ybar = sum_ybar + state.y_bar
                 primal = reg.value(sum_x / t) + loss.value(sum_ax / t)
                 ybar_avg = sum_ybar / t

@@ -449,6 +449,38 @@ def test_compact_schedule_one_ulp_off_the_instance_raises(field, toward):
         check_bound(run(prob, "ns-md", off, max_iters=5), geo, 1.0, "compact-averaged-gap")
 
 
+def _lad_line_search_run():
+    # lad 200x40 at scale 20/n, seed 3, gcg line search for 50 steps
+    prob = generate_problem(ExperimentConfig(loss="lad", n=200, p=40, scale=20.0 / 200, seed=3))
+    geo = geometry_constants(prob, "gcg-linesearch-min-gap")
+    return geo, run(prob, "gcg", LineSearch(mu=prob.regularizer.mu, r2=geo.r2_primal), max_iters=50)
+
+
+@pytest.mark.parametrize("mu", [0.0, -1.0, np.nan, np.inf])
+def test_check_bound_rejects_a_mu_that_is_not_positive_and_finite(mu):
+    # mu = 0 made every bound +inf: a PASS with worst_margin inf
+    geo, res = _lad_line_search_run()
+    with pytest.raises(ConfigurationError, match="mu must be positive and finite"):
+        check_bound(res, geo, mu, "gcg-linesearch-min-gap")
+
+
+@pytest.mark.parametrize(
+    "schedule_mu, schedule_r2, mu",
+    [(1.0, 1e-6, 1.0), (1.0, "ulp-above", 1.0), (1.0, "ulp-below", 1.0), (float(np.nextafter(1.0, 2.0)), None, 1.0),
+     (1.0, None, 1e-300)],
+    ids=["relabelled", "r2-ulp-above", "r2-ulp-below", "mu-ulp-above", "check-mu-1e-300"],
+)
+def test_line_search_schedule_must_carry_the_certified_constants(schedule_mu, schedule_r2, mu):
+    # the same trace under other constants used to pass (mu = 1e-300 by 1.2e301)
+    geo, res = _lad_line_search_run()
+    r2 = {None: geo.r2_primal, "ulp-above": float(np.nextafter(geo.r2_primal, np.inf)),
+          "ulp-below": float(np.nextafter(geo.r2_primal, 0.0))}.get(schedule_r2, schedule_r2)
+    check_bound(res, geo, 1.0, "gcg-linesearch-min-gap")  # the run's own constants are accepted
+    relabelled = dataclasses.replace(res, schedule=LineSearch(mu=schedule_mu, r2=r2))
+    with pytest.raises(ConfigurationError, match="line-search schedule r2 and mu disagree"):
+        check_bound(relabelled, geo, mu, "gcg-linesearch-min-gap")
+
+
 @pytest.mark.parametrize(
     "reg, start_gap, worst_margin",
     [("squared_l2", 20.0, -3.892), ("squared_l2_box", 20.0, -3.892), ("entropy", 19.461, -3.353)],

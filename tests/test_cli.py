@@ -4,6 +4,7 @@ import pytest
 
 from pdcg import Box, ExperimentConfig
 from pdcg.cli import cli_main
+from pdcg.harness import Experiment
 
 
 @pytest.fixture()
@@ -178,6 +179,19 @@ def test_certify_md_distance_needs_a_certified_reference(tmp_path, capsys):
     ]
     assert cli_main(["certify", "--config", str(path), "--prop", "md-avg-subopt"]) == 0
     assert "certify: PASS md-avg-subopt" in capsys.readouterr().out
+
+
+def test_certify_md_distance_refuses_the_reference_before_the_run(tmp_path, capsys, monkeypatch):
+    # the same exit and stderr as above, without the 150 md iterations
+    cfg = ExperimentConfig(loss="gauge", regularizer="entropy", n=60, p=12, seed=3, max_iters=150)
+    path = tmp_path / "c.json"
+    cfg.dump(str(path))
+    monkeypatch.setattr(Experiment, "run", lambda self, reference=None: pytest.fail("certify ran the md run"))
+    assert cli_main(["certify", "--config", str(path), "--prop", "md-distance"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "certify: reference uncertified (gap=3.471e-03)",
+        "error: md-distance requires a certified reference; its distance to x* is unknown",
+    ]
 
 
 def test_certify_exit_one_on_failed_bound(tmp_path, capsys):
@@ -367,7 +381,9 @@ NEGATIVE_SEEDS = {
 def test_negative_seed_exits_two(tmp_path, config_path, case, capsys):
     if case == "config":
         config_path = str(tmp_path / "negative.json")
-        ExperimentConfig(n=20, p=4, seed=-1).dump(config_path)
+        # an ExperimentConfig with seed -1 cannot be built, so the file is written directly
+        with open(config_path, "w", encoding="utf-8") as fh:
+            json.dump({"n": 20, "p": 4, "seed": -1}, fh)
     argv, out_flag = NEGATIVE_SEEDS[case]
     out = tmp_path / "out"
     assert cli_main([argv[0], "--config", config_path, *argv[1:], out_flag, str(out)]) == 2

@@ -15,10 +15,9 @@ from pdcg import (
     SquaredL2,
     SqrtDecay,
     SquaredL2Box,
-    gcg_step,
     generate_problem,
     init_state,
-    md_step,
+    step,
     step_size,
     verify_equivalence,
 )
@@ -131,7 +130,7 @@ def test_mismatched_init_diverges():
     dev = 0.0
     for t in range(1, 51):
         rho = step_size(FixedTwoOverTPlusOne(), t)
-        md = md_step(prob, md, rho)
-        cg = gcg_step(prob, cg, rho)
+        md = step(prob, "md", md, rho)
+        cg = step(prob, "gcg", cg, rho)
         dev = max(dev, float(np.max(np.abs(md.x - cg.x))))
     assert dev > 1e-9

@@ -13,6 +13,7 @@ from pdcg import (
     ExperimentConfig,
     FixedTwoOverTPlusOne,
     Hinge,
+    LeastAbsoluteDeviation,
     LinearOperator,
     LineSearch,
     ProblemInstance,
@@ -130,6 +131,20 @@ def test_reference_one_dimensional_hinge():
     assert ref.certified_gap <= 1e-9
     np.testing.assert_allclose(ref.x_star, [1.0], atol=1e-8)
     assert ref.primal_value == pytest.approx(0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("n, mu, s", [(8, 1.0, 0.5), (20, 2.0, 1.0), (50, 0.5, 0.25)])
+def test_reference_reaches_the_closed_form_separable_optimum(n, mu, s):
+    # lad under squared_l2 with A = I separates: min_x mu/2 x^2 + s |x - b| per
+    # coordinate, so x* = clip(b, -s/mu, s/mu).  P is mu-strongly convex, so
+    # mu/2 ||x - x*||^2 <= P(x) - P* <= the certified gap
+    b = 2.0 * np.random.default_rng(n).standard_normal(n)
+    x_exact = np.clip(b, -s / mu, s / mu)
+    assert 0 < np.count_nonzero(x_exact != b) < n  # some coordinates clip, some do not
+    prob = ProblemInstance(LinearOperator(np.eye(n)), SquaredL2(mu, n), LeastAbsoluteDeviation(b, s))
+    ref = reference_solution(prob, tol=1e-9)
+    assert ref.certified
+    assert mu / 2.0 * float(np.sum((ref.x_star - x_exact) ** 2)) <= ref.certified_gap
 
 
 def test_reference_degenerate_tolerance():

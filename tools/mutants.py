@@ -1,4 +1,4 @@
-"""Mutation check: does the test suite notice a broken bound or verdict?
+"""Mutation check: does the test suite notice a broken bound, verdict or entry check?
 
 Usage, from anywhere::
 
@@ -30,7 +30,9 @@ from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CERTIFICATES = "src/pdcg/certificates.py"
+ALGORITHMS = "src/pdcg/algorithms.py"
 BOUND_TESTS = ("tests/test_certificates.py", "tests/test_cli.py", "tests/test_acceptance.py")
+STEP_TESTS = ("tests/test_algorithms.py",)
 
 
 class Mutation(NamedTuple):
@@ -80,6 +82,17 @@ MUTATIONS = (
     *(Mutation(f"no-running-min/{bid}", CERTIFICATES, _pairing_row(bid, old),
                _pairing_row(bid, old.replace(", running_min=True", "")))
       for bid, old, _ in _PAIRING if "running_min=True" in old),
+    # the entry checks: each input is checked once, where it enters
+    Mutation("mu-check-removed", CERTIFICATES,
+             "    if not (mu > 0.0 and math.isfinite(mu)):\n"
+             '        raise ConfigurationError(f"mu must be positive and finite, got {mu!r}")\n', ""),
+    Mutation("line-search-constants-unchecked", CERTIFICATES,
+             "if row.schedule == LineSearch.name and (sched.r2 != r2 or sched.mu != mu):", "if False:"),
+    Mutation("step-reads-only-ax", ALGORITHMS, 'MD: (_md_step, ("ax", "y", "carried_h_sub")),',
+             'MD: (_md_step, ("ax",)),', STEP_TESTS),
+    Mutation("schedule-type-unchecked", ALGORITHMS,
+             "    if not isinstance(schedule, StepSchedule):\n"
+             '        raise ConfigurationError(f"unknown schedule {schedule!r}")\n', "", STEP_TESTS),
 )
 
 

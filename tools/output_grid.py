@@ -36,6 +36,11 @@ the ``--workdir`` prefix is replaced by ``<workdir>`` in all four texts
 and in the file bytes before anything is recorded, so the digest
 depends on the code and the BLAS build only.  The run takes about half
 a minute and is not part of the test suite.
+
+Next to the digest the tool prints the line count of ``src/`` (the
+newlines in its ``.py`` files, as ``wc -l`` counts them), which the
+written manifest keeps under ``src_lines``; the digest and ``--diff``
+cover the outputs only, so the count moves no digest.
 """
 
 from __future__ import annotations
@@ -56,7 +61,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 # argparse wraps its usage text to the terminal width; pin it for the digest
 os.environ["COLUMNS"] = "80"
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+sys.path.insert(0, SRC)
 
 from pdcg.certificates import BOUND_IDS  # noqa: E402
 from pdcg.cli import cli_main  # noqa: E402
@@ -69,6 +75,18 @@ COMPARE_SCHEDULES = ("two-over-t-plus-one", "one-over-t", "line-search")
 
 
 PLACEHOLDER = "<workdir>"
+SRC_LINES = "src_lines"
+
+
+def src_lines() -> int:
+    """Newlines in the ``.py`` files under ``src/``."""
+    total = 0
+    for dirpath, _, names in os.walk(SRC):
+        for name in names:
+            if name.endswith(".py"):
+                with open(os.path.join(dirpath, name), encoding="utf-8") as fh:
+                    total += fh.read().count("\n")
+    return total
 
 
 def _sha256(path: str, workdir: str):
@@ -189,12 +207,17 @@ def digest(manifest: dict) -> str:
     return hashlib.sha256(json.dumps(manifest, sort_keys=True).encode()).hexdigest()
 
 
+def load_outputs(path: str) -> dict:
+    """A written manifest's output entries, without its line count."""
+    with open(path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    manifest.pop(SRC_LINES, None)
+    return manifest
+
+
 def diff(path_a: str, path_b: str) -> list:
     """(key, entry in A, entry in B) for every key whose entries differ; a missing entry is None."""
-    with open(path_a, encoding="utf-8") as fh:
-        a = json.load(fh)
-    with open(path_b, encoding="utf-8") as fh:
-        b = json.load(fh)
+    a, b = load_outputs(path_a), load_outputs(path_b)
     return [(key, a.get(key), b.get(key)) for key in sorted(set(a) | set(b)) if a.get(key) != b.get(key)]
 
 
@@ -238,11 +261,12 @@ def main(argv=None) -> int:
         print(f"{len(entries)} entries differ; {changed} change their exit code or PASS/FAIL verdict")
         return 1 if entries else 0
     manifest = build_manifest(args.workdir)
+    lines = src_lines()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=1, sort_keys=True)
+            json.dump({**manifest, SRC_LINES: lines}, fh, indent=1, sort_keys=True)
             fh.write("\n")
-    print(f"outputs={len(manifest)} digest={digest(manifest)}")
+    print(f"outputs={len(manifest)} digest={digest(manifest)} src_lines={lines}")
     return 0
 
 
