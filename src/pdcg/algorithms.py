@@ -42,6 +42,7 @@ from .core import (
     ValidationError,
     as_vector,
     check_gap_floor,
+    check_gap_floors,
     contiguous_vector,
 )
 
@@ -297,7 +298,24 @@ def _values(problem: ProblemInstance, state: SolverState) -> tuple[float, float]
     reg, loss = problem.regularizer, problem.loss
     primal = reg._value(state.x) + loss._value(state.ax)
     dual = -reg._conj_value(state.carried_h_sub) - loss._conj_value(state.y)
-    return primal, dual
+    return float(primal), float(dual)
+
+
+def _stack(vectors: list) -> np.ndarray:
+    """The vectors as the rows of a (k, dim) stack; a single vector is viewed, not copied."""
+    return vectors[0][None] if len(vectors) == 1 else np.array(vectors)
+
+
+def _partial_sums(sums: np.ndarray, rows: list, weights=None) -> np.ndarray:
+    """The running sum (last row of ``sums``) after each of w_1 r_1, ..., w_k r_k in turn; one row adds in place."""
+    if len(rows) == 1:
+        total = sums[-1]
+        total += rows[0] if weights is None else weights[0] * rows[0]
+        return sums[-1:]
+    out = np.array([sums[-1], *rows])
+    if weights is not None:
+        out[1:] *= weights[:, None]
+    return np.add.accumulate(out, axis=0, out=out)[1:]
 
 
 def run(
@@ -323,6 +341,10 @@ def run(
     A NaN ``gap_tol`` could never be met, so it raises, as does a
     schedule that is not a ``StepSchedule`` paired with ``algorithm``;
     the schedule is checked once, here, and the loop calls its ``rho``.
+
+    The recursion steps row by row; a block of rows takes one kernel call
+    per column on the stacked iterates.  Records, state and the first
+    exception are those of evaluating each row after its step.
     """
     if algorithm not in ALGORITHMS:
         raise ConfigurationError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
@@ -337,75 +359,121 @@ def run(
     _check_schedule(schedule, algorithm)
 
     stepper = STEPPERS[algorithm][0]
+    in_loop = strongly_convex and schedule.needs_gap
     if strongly_convex:
         state = init_state(problem, resolve_initial_dual(problem, y0=y0))
         # the post-step pair of one iteration is the pre-step pair of the next
-        values = _values(problem, state)
+        pair = _values(problem, state)
         # x* enters every row's Bregman column, so it is checked once
         if reference is not None and max_iters:
             x_star = contiguous_vector(reference.x_star, problem.p, "x_star")
     else:
-        state = init_state_compact(problem)
+        state, pair = init_state_compact(problem), None
 
-    # running sums of the averaged iterates, oracle outputs and A^T y.  A
-    # weighted schedule adds x_{u-1} with weight u and scales the sum by
-    # 2/(t(t+1)); otherwise each iterate enters once and the sum is divided
-    # by t.  The compact-domain recursion averages uniformly under every
-    # schedule.
+    # Running sums of the averaged iterates, oracle outputs and A^T y, each the
+    # last row of a stack.  A weighted schedule adds x_{u-1} with weight u and
+    # scales the sum by 2/(t(t+1)); otherwise each iterate enters once and the
+    # sum is divided by t.  The compact-domain recursion averages uniformly.
     weighted = strongly_convex and schedule.weighted
     average = np.multiply if weighted else np.true_divide
-    sum_x, sum_aty = np.zeros(problem.p), np.zeros(problem.p)
-    sum_ax, sum_ybar = np.zeros(problem.n), np.zeros(problem.n)
+    sums = (np.zeros((1, problem.p)), np.zeros((1, problem.n)), np.zeros((1, problem.n)), np.zeros((1, problem.p)))
 
-    records = []
-    termination = "budget"
-    for _ in range(max_iters):
-        t = state.t + 1
-        dual_subopt = None
-        bregman_ref = None
+    def evaluate(states: list, rhos: list, pairs, sums: tuple, pair):
+        """Rows of the steps states[0] -> states[1] -> ..., the running sums after them and the last pair."""
+        sum_x, sum_ax, sum_ybar, sum_aty = sums
+        k, pre, post = len(rhos), states[:-1], states[1:]
+        ts = np.arange(pre[0].t + 1, pre[0].t + k + 1, dtype=np.float64)[:, None]
+        dual_subopt = bregman_ref = avg_gap = [None] * k
         if strongly_convex:
-            primal, dual = values
-            gap = check_gap_floor(primal - dual)
-            rho = schedule.rho(t, gap)
-            norm = 2.0 / (t * (t + 1.0)) if weighted else t
-            sum_x += t * state.x if weighted else state.x
-            sum_ax += t * state.ax if weighted else state.ax
-            state = stepper(problem, state, _check_rho(rho))
-            values = _values(problem, state)
-            post_dual = values[1]
-            avg_x = as_vector(average(sum_x, norm), name="avg_x")
-            avg_primal = reg._value(avg_x) + loss._value(as_vector(average(sum_ax, norm), name="avg_ax"))
-            avg_gap = None
+            x = _stack([s.x for s in post])
+            if pairs is None:
+                primal = np.concatenate(([pair[0]], reg._value(x) + loss._value(_stack([s.ax for s in post]))))
+                dual = np.concatenate(([pair[1]], -reg._conj_value(_stack([s.carried_h_sub for s in post]))
+                                       - loss._conj_value(_stack([s.y for s in post]))))
+            else:
+                primal, dual = np.array(pairs).T
+            gap = check_gap_floors(primal[:-1] - dual[:-1])
+            weights = ts[:, 0] if weighted else None
+            norm = 2.0 / (ts * (ts + 1.0)) if weighted else ts
+            sum_x = _partial_sums(sum_x, [s.x for s in pre], weights)
+            sum_ax = _partial_sums(sum_ax, [s.ax for s in pre], weights)
+            avg_x, avg_ax = average(sum_x, norm), average(sum_ax, norm)
+            as_vector(avg_x.ravel(), name="avg_x")  # one scan of each averaged stack
+            as_vector(avg_ax.ravel(), name="avg_ax")
+            avg_primal = reg._value(avg_x) + loss._value(avg_ax)
             if schedule.avg_dual == "y":
-                avg_gap = check_gap_floor(avg_primal - post_dual)
+                avg_gap = check_gap_floors(avg_primal - dual[1:])
             elif schedule.avg_dual == "oracle":
-                sum_ybar += t * state.y_bar if weighted else state.y_bar
+                sum_ybar = _partial_sums(sum_ybar, [s.y_bar for s in post], weights)
                 ybar_avg = average(sum_ybar, norm)
-                aty_avg = as_vector(problem.operator.adjoint_apply(ybar_avg), name="aty")
-                dual_avg = -reg._conj_value(-aty_avg) - loss._conj_value(ybar_avg)
-                avg_gap = check_gap_floor(avg_primal - dual_avg)
+                aty_avg = _stack([problem.operator.adjoint_apply(v) for v in ybar_avg])
+                as_vector(aty_avg.ravel(), name="aty")
+                avg_gap = check_gap_floors(avg_primal - (-reg._conj_value(-aty_avg) - loss._conj_value(ybar_avg)))
             if reference is not None:
-                dual_subopt = reference.primal_value - post_dual
-                bregman_ref = reg._bregman(x_star, state.x)
+                dual_subopt = (reference.primal_value - dual[1:]).tolist()
+                bregman_ref = reg._bregman(x_star, x).tolist()
+            pair, primal, dual = (float(primal[-1]), float(dual[-1])), primal[:-1], dual[:-1]
         else:
-            rho = schedule.rho(t, None)
+            ax, y, aty = [s.ax for s in pre], [s.y for s in post], [s.last_aty for s in post]
             # objective of min_{x in K} f(A x); the dual uses the support
             # function of K in place of the conjugate of h
-            primal = loss._value(state.ax)
-            sum_ax += state.ax
-            state = stepper(problem, state, _check_rho(rho))
-            sum_ybar += state.y
-            sum_aty += state.last_aty
-            dual = -reg.domain.support(-state.last_aty) - loss._conj_value(state.y)
-            gap = check_gap_floor(primal - dual)
-            avg_primal = loss._value(as_vector(sum_ax / t, name="avg_ax"))
-            avg_y = as_vector(sum_ybar / t, name="avg_y")
-            avg_gap = check_gap_floor(avg_primal + reg.domain.support(-(sum_aty / t)) + loss._conj_value(avg_y))
+            primal = loss._value(_stack(ax))
+            dual = -reg.domain.support(-_stack(aty)) - loss._conj_value(_stack(y))
+            gap = check_gap_floors(primal - dual)
+            sum_ax, sum_ybar, sum_aty = (_partial_sums(t, r) for t, r in ((sum_ax, ax), (sum_ybar, y), (sum_aty, aty)))
+            avg_ax, avg_y = sum_ax / ts, sum_ybar / ts
+            as_vector(avg_ax.ravel(), name="avg_ax")
+            as_vector(avg_y.ravel(), name="avg_y")
+            avg_primal = loss._value(avg_ax)
+            avg_gap = check_gap_floors(avg_primal + reg.domain.support(-(sum_aty / ts)) + loss._conj_value(avg_y))
         # positional: a NamedTuple builds from keywords about three times slower
-        records.append(TraceRecord(t, rho, primal, dual, gap, avg_primal, dual_subopt, bregman_ref, avg_gap))
-        if gap <= gap_tol:
-            termination = "gap_tolerance"
-            break
+        rows = list(map(TraceRecord, range(pre[0].t + 1, pre[0].t + k + 1), rhos, primal.tolist(), dual.tolist(), gap,
+                        avg_primal.tolist(), dual_subopt, bregman_ref, avg_gap))
+        return rows, (sum_x, sum_ax, sum_ybar, sum_aty), pair
+
+    # rows per block: as many as fit 2^14 floats of n + p (under 128 KiB a stack), from 1 to 64
+    block = max(1, min(64, 2**14 // (problem.n + problem.p)))
+    records = []
+    termination = "budget"
+    while termination == "budget" and len(records) < max_iters:
+        # step a block; an exception waits until the rows before it are evaluated
+        states, rhos, pairs, failure = [state], [], [pair] if in_loop else None, None
+        try:
+            while len(rhos) < min(block, max_iters - len(records)):
+                gap = check_gap_floor(pairs[-1][0] - pairs[-1][1]) if in_loop else None
+                rho = schedule.rho(states[-1].t + 1, gap)
+                new = stepper(problem, states[-1], _check_rho(rho))
+                if in_loop:
+                    pairs.append(_values(problem, new))
+                states.append(new)
+                rhos.append(rho)
+                if in_loop and gap <= gap_tol:
+                    break
+        except Exception as exc:
+            failure = exc
+        rows = []
+        if rhos:
+            try:
+                rows, sums, pair = evaluate(states, rhos, pairs, sums, pair)
+            except Exception:
+                if len(rhos) == 1:
+                    raise
+                # row by row: the first row that fails raises, as it would right after its step
+                for i in range(len(rhos)):
+                    one = None if pairs is None else pairs[i : i + 2]
+                    more, sums, pair = evaluate(states[i : i + 2], rhos[i : i + 1], one, sums, pair)
+                    rows += more
+                    if more[0].gap <= gap_tol:
+                        break
+        for record, state in zip(rows, states[1:]):
+            records.append(record)
+            if record.gap <= gap_tol:
+                termination = "gap_tolerance"
+                break
+        if failure is not None and termination == "budget":
+            if strongly_convex:  # the failing row checks its pre-step gap before it steps
+                check_gap_floor(pair[0] - pair[1])
+            raise failure
     return RunResult(
         trace=records,
         state=state,

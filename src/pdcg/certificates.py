@@ -55,7 +55,7 @@ def primal_objective(problem: ProblemInstance, x) -> float:
     hv = problem.regularizer._value(x)
     if hv == float("inf"):
         return float("inf")
-    return hv + problem.loss._value(as_vector(problem.operator.apply(x), name="ax"))
+    return float(hv + problem.loss._value(as_vector(problem.operator.apply(x), name="ax")))
 
 
 def dual_objective(problem: ProblemInstance, y) -> float:
@@ -68,7 +68,7 @@ def _dual_objective(problem: ProblemInstance, y: np.ndarray) -> float:
     fc = problem.loss._conj_value(y)
     if fc == float("inf"):
         return float("-inf")
-    return -problem.regularizer._conj_value(-as_vector(problem.operator.adjoint_apply(y), name="aty")) - fc
+    return float(-problem.regularizer._conj_value(-as_vector(problem.operator.adjoint_apply(y), name="aty")) - fc)
 
 
 def duality_gap(problem: ProblemInstance, x, y) -> float:

@@ -93,6 +93,14 @@ def check_gap_floor(gap: float) -> float:
     return float(gap)
 
 
+def check_gap_floors(gaps: np.ndarray) -> list:
+    """``check_gap_floor`` of every entry, in one comparison; the first bad entry raises.  The gaps as floats."""
+    ok = gaps >= -GAP_CLAMP
+    if not np.logical_and.reduce(ok):
+        raise GapInconsistencyError(f"duality gap {float(gaps[np.argmin(ok)])} < -{GAP_CLAMP}; oracle inconsistency")
+    return gaps.tolist()
+
+
 class LinearOperator:
     """Dense matrix A of shape (n, p) with exact transpose action.
 

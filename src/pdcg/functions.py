@@ -30,12 +30,17 @@ f*(y) = s * sum_i l_i*(y_i / s) with C scaled accordingly.
 Tie-breaking in every argmax is deterministic so that two recursions
 calling the same oracle see bit-identical outputs.
 
+The certificate kernels (``_value``, ``_conj_value``, ``_bregman`` of
+one x1 and a stack of x2, and ``support``) take a C-contiguous (k, dim)
+stack too and return per-row values with the bits of 1-D calls, which
+give numpy scalars; the public oracles return Python floats.
+
 The three regularizers and the lad and logistic losses run on every
 iteration of the timed benchmark, so each of their quantities takes one
 numpy pass: reductions call the ufunc's ``reduce`` directly instead of
 the ndarray methods (``sum``, ``max``, ``all``) and their Python
 wrappers, and range checks are one min and one max.  Hinge and the
-gauge keep their plain expressions until a workload times them.
+gauge are held to that only where it takes no extra code.
 """
 
 from __future__ import annotations
@@ -76,8 +81,20 @@ def _xlogx(v: np.ndarray, v_min: float = 0.0) -> np.ndarray:
 
 
 def _range(v: np.ndarray) -> tuple:
-    """(min, max) of v in two reductions; (inf, -inf) when v is empty, which passes every range check."""
-    return np.minimum.reduce(v, initial=np.inf), np.maximum.reduce(v, initial=-np.inf)
+    """(min, max) of each row of v in two reductions; (inf, -inf) for an empty row, which passes every range check."""
+    return np.minimum.reduce(v, axis=-1, initial=np.inf), np.maximum.reduce(v, axis=-1, initial=-np.inf)
+
+
+def _inf_outside(inside, value):
+    """``value`` where ``inside`` holds and +inf elsewhere, per row of a stack or for one point."""
+    return np.where(inside, value, np.inf) if value.ndim else (value if inside else np.inf)
+
+
+def _dot(a: np.ndarray, b: np.ndarray):
+    """<a, b> per row of two stacks (or of a stack and a vector); each row has the bits of the 1-D ``a @ b``."""
+    if a.ndim == 1 == b.ndim:  # the same bits, with less overhead for one pair
+        return a @ b
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def _sigmoid(u: np.ndarray) -> np.ndarray:
@@ -138,10 +155,17 @@ class RealSpace:
         return True
 
 
-class Box:
-    """Axis-aligned box {v : lower <= v <= upper}."""
+class _CompactDomain:
+    """A compact domain; ``_inside`` tests each row of a stack."""
 
     compact = True
+
+    def contains(self, v, tol: float = _TOL) -> bool:
+        return bool(np.logical_and.reduce(self._inside(np.asarray(v, dtype=np.float64), tol), axis=None))
+
+
+class Box(_CompactDomain):
+    """Axis-aligned box {v : lower <= v <= upper}."""
 
     def __init__(self, lower, upper) -> None:
         lo = np.asarray(lower, dtype=np.float64)
@@ -175,19 +199,19 @@ class Box:
         """Per-coordinate max(|lower|, |upper|)."""
         return np.maximum(np.abs(self.lower), np.abs(self.upper))
 
-    def contains(self, v, tol: float = _TOL) -> bool:
-        v = np.asarray(v, dtype=np.float64)
+    def _inside(self, v: np.ndarray, tol: float = _TOL):
         lo, hi = self._slack_bounds if tol == _TOL else (self.lower - tol, self.upper + tol)
-        return bool(np.logical_and.reduce(v >= lo, axis=None) and np.logical_and.reduce(v <= hi, axis=None))
+        return np.logical_and.reduce(v >= lo, axis=-1) & np.logical_and.reduce(v <= hi, axis=-1)
 
     def clip(self, v) -> np.ndarray:
         # ndarray.clip with array bounds, bit for bit with signed zeros (np.maximum(lower, v) is not)
         return np.minimum(np.maximum(v, self.lower), self.upper)
 
-    def support(self, z) -> float:
-        """Support function max_{v in box} <v, z>."""
+    def support(self, z):
+        """Support function max_{v in box} <v, z>; one value per row of a stack."""
         z = np.asarray(z, dtype=np.float64)
-        return float(np.add.reduce(np.maximum(self.lower * z, self.upper * z), axis=None))
+        s = np.add.reduce(np.maximum(self.lower * z, self.upper * z), axis=-1)
+        return float(s) if s.ndim == 0 else s
 
     def r2(self, op: LinearOperator, which: str) -> tuple[float, str]:
         """Exact over the vertices (where a convex maximum lies) up to
@@ -201,36 +225,27 @@ class Box:
         return float(np.sum(coeff * op.row_norms)) ** 2, MODE_BOUND
 
 
-class Simplex:
+class Simplex(_CompactDomain):
     """Probability simplex {v >= 0, sum(v) = 1}."""
-
-    compact = True
 
     def __init__(self, dim: int) -> None:
         self.dim = int(dim)
         if self.dim < 1:
             raise ValidationError("simplex dimension must be positive")
 
-    def _sum_is_one(self, v: np.ndarray, tol: float) -> bool:
-        return abs(float(np.add.reduce(v, axis=None)) - 1.0) <= max(tol, tol * self.dim)
+    def _inside(self, v: np.ndarray, tol: float = _TOL, interior: bool = False):
+        low = np.minimum.reduce(v, axis=-1)
+        low = low > 0.0 if interior else low >= -tol
+        return low & (np.abs(np.add.reduce(v, axis=-1) - 1.0) <= max(tol, tol * self.dim))
 
-    def contains(self, v, tol: float = _TOL) -> bool:
-        v = np.asarray(v, dtype=np.float64)
-        return bool(np.minimum.reduce(v, axis=None) >= -tol and self._sum_is_one(v, tol))
-
-    def interior_contains(self, v, tol: float = _TOL) -> bool:
-        v = np.asarray(v, dtype=np.float64)
-        return bool(np.minimum.reduce(v, axis=None) > 0.0 and self._sum_is_one(v, tol))
-
-    def support(self, z) -> float:
-        """Support function max_{v in simplex} <v, z> = max_i z_i."""
-        return float(np.maximum.reduce(np.asarray(z, dtype=np.float64), axis=None))
+    def support(self, z):
+        """Support function max_{v in simplex} <v, z> = max_i z_i; one value per row of a stack."""
+        s = np.maximum.reduce(np.asarray(z, dtype=np.float64), axis=-1)
+        return float(s) if s.ndim == 0 else s
 
 
-class L1Ball:
+class L1Ball(_CompactDomain):
     """Scaled l1 ball {v : ||v||_1 <= radius}."""
-
-    compact = True
 
     def __init__(self, dim: int, radius: float) -> None:
         self.dim = int(dim)
@@ -238,9 +253,8 @@ class L1Ball:
         if self.radius < 0:
             raise ValidationError("l1-ball radius must be nonnegative")
 
-    def contains(self, v, tol: float = _TOL) -> bool:
-        v = np.asarray(v, dtype=np.float64)
-        return bool(np.abs(v).sum() <= self.radius + tol * (1.0 + self.radius))
+    def _inside(self, v: np.ndarray, tol: float = _TOL):
+        return np.add.reduce(np.abs(v), axis=-1) <= self.radius + tol * (1.0 + self.radius)
 
     def r2(self, op: LinearOperator, which: str) -> tuple[float, str]:
         """Always exact: the extreme points are +-radius e_i."""
@@ -273,11 +287,11 @@ class Regularizer:
 
     def value(self, x) -> float:
         """h(x); +inf outside K."""
-        return self._value(contiguous_vector(x, self.dim, "x"))
+        return float(self._value(contiguous_vector(x, self.dim, "x")))
 
     def conj_value(self, z) -> float:
         """h*(z) = max_x <x, z> - h(x)."""
-        return self._conj_value(contiguous_vector(z, self.dim, "z"))
+        return float(self._conj_value(contiguous_vector(z, self.dim, "z")))
 
     def conj_grad(self, z) -> np.ndarray:
         """(h*)'(z); the unique maximizer of <x, z> - h(x), always in K."""
@@ -285,7 +299,7 @@ class Regularizer:
 
     def bregman(self, x1, x2) -> float:
         """D(x1, x2) = h(x1) - h(x2) - <x1 - x2, h'(x2)> >= 0."""
-        return self._bregman(contiguous_vector(x1, self.dim, "x1"), contiguous_vector(x2, self.dim, "x2"))
+        return float(self._bregman(contiguous_vector(x1, self.dim, "x1"), contiguous_vector(x2, self.dim, "x2")))
 
     def interior_point(self) -> np.ndarray:
         """A canonical strictly feasible point of K."""
@@ -319,18 +333,18 @@ class SquaredL2(Regularizer):
         self.dim = int(dim)
         self.domain = RealSpace(self.dim)
 
-    def _value(self, x) -> float:
-        return 0.5 * self.mu * float(x @ x)
+    def _value(self, x):
+        return 0.5 * self.mu * _dot(x, x)
 
-    def _conj_value(self, z) -> float:
-        return float(z @ z) / (2.0 * self.mu)
+    def _conj_value(self, z):
+        return _dot(z, z) / (2.0 * self.mu)
 
     def _conj_grad(self, z) -> np.ndarray:
         return z / self.mu
 
-    def _bregman(self, x1, x2) -> float:
+    def _bregman(self, x1, x2):
         d = x1 - x2
-        return 0.5 * self.mu * float(d @ d)
+        return 0.5 * self.mu * _dot(d, d)
 
     def interior_point(self) -> np.ndarray:
         return np.zeros(self.dim)
@@ -347,25 +361,21 @@ class SquaredL2Box(Regularizer):
         self.domain = Box(lower, upper)
         self.dim = self.domain.dim
 
-    def _value(self, x) -> float:
-        if not self.domain.contains(x):
-            return float("inf")
-        return 0.5 * self.mu * float(x @ x)
+    def _value(self, x):
+        return _inf_outside(self.domain._inside(x), 0.5 * self.mu * _dot(x, x))
 
-    def _conj_value(self, z) -> float:
+    def _conj_value(self, z):
         # Separable: per coordinate max over [lo, hi] of x*z - (mu/2) x^2,
         # attained at the clamp of z/mu.
         c = self.domain.clip(z / self.mu)
-        return float(c @ z) - 0.5 * self.mu * float(c @ c)
+        return _dot(c, z) - 0.5 * self.mu * _dot(c, c)
 
     def _conj_grad(self, z) -> np.ndarray:
         return self.domain.clip(z / self.mu)
 
-    def _bregman(self, x1, x2) -> float:
-        if not self.domain.contains(x1):
-            return float("inf")
+    def _bregman(self, x1, x2):
         d = x1 - x2
-        return 0.5 * self.mu * float(d @ d)
+        return _inf_outside(self.domain._inside(x1), 0.5 * self.mu * _dot(d, d))
 
     def interior_point(self) -> np.ndarray:
         return self.domain.center()
@@ -394,29 +404,26 @@ class NegativeEntropySimplex(Regularizer):
         self.dim = int(dim)
         self.domain = Simplex(self.dim)
 
-    def _value(self, x) -> float:
-        if not self.domain.contains(x):
-            return float("inf")
+    def _value(self, x):
         # _xlogx maps the tiny negatives contains() admits to 0, as it does 0
-        return float(np.add.reduce(_xlogx(x)))
+        return _inf_outside(self.domain._inside(x), np.add.reduce(_xlogx(x), axis=-1))
 
-    def _conj_value(self, z) -> float:
-        m = float(np.maximum.reduce(z))
-        return m + float(np.log(np.add.reduce(np.exp(z - m))))
+    def _conj_value(self, z):
+        m = np.maximum.reduce(z, axis=-1)
+        return m + np.log(np.add.reduce(np.exp(z - m[..., None]), axis=-1))
 
     def _conj_grad(self, z) -> np.ndarray:
         e = np.exp(z - np.maximum.reduce(z))
         return e / np.add.reduce(e)
 
-    def _bregman(self, x1, x2) -> float:
-        # Kullback-Leibler divergence on the simplex; x2 must be interior.
-        if not self.domain.interior_contains(x2):
+    def _bregman(self, x1, x2):
+        # Kullback-Leibler divergence on the simplex; every row of x2 must be interior.
+        if not np.logical_and.reduce(self.domain._inside(x2, interior=True), axis=None):
             raise DomainError("Bregman divergence requires an interior second argument")
-        if not self.domain.contains(x1):
-            return float("inf")
         mask = x1 > 1e-300
         x1m = x1[mask]
-        return float(np.add.reduce(x1m * (np.log(x1m) - np.log(x2[mask]))))
+        kl = np.add.reduce(x1m * (np.log(x1m) - np.log(x2.compress(mask, axis=-1))), axis=-1)
+        return _inf_outside(self.domain._inside(x1), kl)
 
     def interior_point(self) -> np.ndarray:
         return np.full(self.dim, 1.0 / self.dim)
@@ -453,11 +460,11 @@ class Loss:
 
     def value(self, z) -> float:
         """f(z)."""
-        return self._value(contiguous_vector(z, self.dim, "z"))
+        return float(self._value(contiguous_vector(z, self.dim, "z")))
 
     def conj_value(self, y) -> float:
         """f*(y); +inf outside the closure of C."""
-        return self._conj_value(contiguous_vector(y, self.dim, "y"))
+        return float(self._conj_value(contiguous_vector(y, self.dim, "y")))
 
     def subgradient(self, z) -> np.ndarray:
         """A deterministic maximizer of <y, z> - f*(y) over C."""
@@ -508,15 +515,14 @@ class Hinge(_LabelLoss):
     subgradient oracle returns the margin-active extreme -s*label_i.
     """
 
-    def _value(self, z) -> float:
-        return self.scale * float(np.maximum(1.0 - self.labels * z, 0.0).sum())
+    def _value(self, z):
+        return self.scale * np.add.reduce(np.maximum(1.0 - self.labels * z, 0.0), axis=-1)
 
-    def _conj_value(self, y) -> float:
+    def _conj_value(self, y):
         beta = y * self.labels
         atol = MEMBERSHIP_TOL * (1.0 + self.scale)
-        if (beta > atol).any() or (beta < -self.scale - atol).any():
-            return float("inf")
-        return float(beta.clip(-self.scale, 0.0).sum())
+        outside = np.logical_or.reduce((beta > atol) | (beta < -self.scale - atol), axis=-1)
+        return _inf_outside(~outside, np.add.reduce(beta.clip(-self.scale, 0.0), axis=-1))
 
     def _subgradient(self, z) -> np.ndarray:
         margin = 1.0 - self.labels * z
@@ -545,16 +551,14 @@ class LeastAbsoluteDeviation(Loss):
         s = np.full(self.dim, self.scale)
         self.dual_domain = Box(-s, s)
 
-    def _value(self, z) -> float:
-        return self.scale * float(np.add.reduce(np.abs(z - self.targets)))
+    def _value(self, z):
+        return self.scale * np.add.reduce(np.abs(z - self.targets), axis=-1)
 
-    def _conj_value(self, y) -> float:
+    def _conj_value(self, y):
         s = self.scale
         lo, hi = _range(y)
         atol = MEMBERSHIP_TOL * (1.0 + s)
-        if hi > s + atol or lo < -(s + atol):
-            return float("inf")
-        return float(y.clip(-s, s) @ self.targets)
+        return _inf_outside(~((hi > s + atol) | (lo < -(s + atol))), _dot(y.clip(-s, s), self.targets))
 
     def _subgradient(self, z) -> np.ndarray:
         return self.scale * np.sign(z - self.targets)
@@ -589,22 +593,22 @@ class Logistic(_LabelLoss):
     def _neg_scaled(self) -> np.ndarray:
         return -self.scale * self.labels
 
-    def _value(self, z) -> float:
-        return self.scale * float(np.add.reduce(np.logaddexp(0.0, self._neg_labels * z)))
+    def _value(self, z):
+        return self.scale * np.add.reduce(np.logaddexp(0.0, self._neg_labels * z), axis=-1)
 
-    def _conj_value(self, y) -> float:
+    def _conj_value(self, y):
         # -y*label/s: dividing by -s*label flips the same signs exactly
         g = y / self._neg_scaled
         lo, hi = _range(g)
-        if lo < -MEMBERSHIP_TOL or hi > 1.0 + MEMBERSHIP_TOL:
-            return float("inf")
+        outside = (lo < -MEMBERSHIP_TOL) | (hi > 1.0 + MEMBERSHIP_TOL)
         # the clip would leave an in-range g as it is, signed zeros included
-        if lo < 0.0 or hi > 1.0:
+        low, high = np.minimum.reduce(lo, axis=None), np.maximum.reduce(hi, axis=None)
+        if low < 0.0 or high > 1.0:
             g = g.clip(0.0, 1.0)
         # one _xlogx pass over g and 1 - g, summed as the entrywise pairs;
         # rounding is monotone, so min(1 - g) is 1 - max(g)
-        e = _xlogx(np.concatenate((g, 1.0 - g)), min(lo, 1.0 - hi))
-        return self.scale * float(np.add.reduce(e[: self.dim] + e[self.dim :]))
+        e = _xlogx(np.concatenate((g, 1.0 - g), axis=-1), min(low, 1.0 - high))
+        return _inf_outside(~outside, self.scale * np.add.reduce(e[..., : self.dim] + e[..., self.dim :], axis=-1))
 
     def _subgradient(self, z) -> np.ndarray:
         return self._neg_scaled * _sigmoid(self._neg_labels * z)
@@ -638,13 +642,11 @@ class DualNormGauge(Loss):
             raise ValidationError("lam must be nonnegative and finite")
         self.dual_domain = L1Ball(self.dim, self.omega0)
 
-    def _value(self, z) -> float:
-        return self.omega0 * max(float(np.abs(z).max()) - self.lam, 0.0)
+    def _value(self, z):
+        return self.omega0 * np.maximum(np.maximum.reduce(np.abs(z), axis=-1) - self.lam, 0.0)
 
-    def _conj_value(self, y) -> float:
-        if not self.dual_domain.contains(y, MEMBERSHIP_TOL):
-            return float("inf")
-        return self.lam * float(np.abs(y).sum())
+    def _conj_value(self, y):
+        return _inf_outside(self.dual_domain._inside(y, MEMBERSHIP_TOL), self.lam * np.add.reduce(np.abs(y), axis=-1))
 
     def _subgradient(self, z) -> np.ndarray:
         out = np.zeros(self.dim)

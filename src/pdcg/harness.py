@@ -124,6 +124,10 @@ class ExperimentConfig:
             raise ConfigurationError("output_format must be 'csv' or 'json'")
         if self.regularizer == "entropy" and self.mu != 1.0:
             raise ConfigurationError("the entropy regularizer has modulus 1; set mu = 1")
+        if not 0.0 < self.mu < math.inf:
+            raise ConfigurationError("modulus mu must be positive and finite")
+        if self.regularizer == "squared_l2_box" and not self.box_lower < self.box_upper:
+            raise ConfigurationError("box_lower must be strictly below box_upper")
         return self
 
     def to_dict(self) -> dict:
@@ -183,8 +187,6 @@ def generate_problem_with_truth(config: ExperimentConfig):
     if config.regularizer == "entropy":
         regularizer = NegativeEntropySimplex(p)
     elif config.regularizer == "squared_l2_box":
-        if not config.box_lower < config.box_upper:
-            raise ConfigurationError("box_lower must be strictly below box_upper")
         regularizer = SquaredL2Box(
             config.mu, np.full(p, config.box_lower), np.full(p, config.box_upper)
         )

@@ -11,6 +11,7 @@ import pdcg.equivalence
 from pdcg import (
     Box,
     ConfigurationError,
+    DomainError,
     ExperimentConfig,
     FeasibilityError,
     FixedOneOverT,
@@ -227,6 +228,10 @@ def test_step_rejects_an_unknown_algorithm():
 # --------------------------------------------------------------------------
 # run loop
 
+# rows run() evaluates together: as many as fit 2^15 floats of n + p, at most
+# 64, which every instance here reaches
+BLOCK = 64
+
 
 def _svm_problem(n=30, p=6, seed=3, mu=1.0):
     cfg = ExperimentConfig(loss="hinge", regularizer="squared_l2", n=n, p=p, mu=mu, seed=seed)
@@ -394,7 +399,8 @@ def test_line_search_run_consumes_exact_gap():
     ],
 )
 def test_run_evaluates_each_primal_dual_pair_once(algorithm, schedule, calls_per_iter, with_reference, monkeypatch):
-    # the post-step pair of iteration t is the pre-step pair of t + 1
+    # the post-step pair of iteration t is the pre-step pair of t + 1; the
+    # count is of points evaluated, one per row of a stacked call
     cfg = ExperimentConfig(loss="lad", regularizer="squared_l2", n=30, p=6, scale=20.0 / 30, seed=3,
                            algorithm=algorithm, schedule=schedule)
     prob = generate_problem(cfg)
@@ -402,12 +408,12 @@ def test_run_evaluates_each_primal_dual_pair_once(algorithm, schedule, calls_per
     reference = SimpleNamespace(x_star=np.zeros(prob.p), primal_value=1.0) if with_reference else None
     # run() calls the loss's conjugate kernel, not the checking entry point
     conj_value = prob.loss._conj_value
-    calls = []
-    monkeypatch.setattr(prob.loss, "_conj_value", lambda y: calls.append(1) or conj_value(y))
-    iters = 20
+    points = []
+    monkeypatch.setattr(prob.loss, "_conj_value", lambda y: points.append(np.atleast_2d(y).shape[0]) or conj_value(y))
+    iters = 150  # past two block boundaries
     res = run(prob, algorithm, sched, max_iters=iters, gap_tol=-np.inf, reference=reference)
     assert len(res.trace) == iters
-    assert len(calls) == calls_per_iter * iters + 1
+    assert sum(points) == calls_per_iter * iters + 1
 
 
 def _count_as_vector(monkeypatch):
@@ -426,19 +432,21 @@ def _count_as_vector(monkeypatch):
 
 
 @pytest.mark.parametrize("algorithm", ["md", "gcg"])
-def test_run_scans_at_most_six_vectors_per_iteration(algorithm, monkeypatch):
-    # one scan where each vector that can overflow is made: the two matvec
-    # inputs, A x, the carried g or A^T y, and the two averaged points
+def test_run_scans_four_vectors_per_row_and_two_per_block(algorithm, monkeypatch):
+    # one scan where each vector that can overflow is made: per row the two
+    # matvec inputs, A x, and the carried g or A^T y; per block of rows the
+    # stacks of the two averaged points
     cfg = ExperimentConfig(loss="lad", regularizer="squared_l2", n=30, p=6, scale=20.0 / 30, seed=3,
                            algorithm=algorithm, schedule="two-over-t-plus-one")
     prob = generate_problem(cfg)
     calls = _count_as_vector(monkeypatch)
     counts = []
-    for iters in (20, 40):
+    for iters in (BLOCK, 2 * BLOCK, 2 * BLOCK + 22):
         calls.clear()
         run(prob, algorithm, FixedTwoOverTPlusOne(), max_iters=iters, gap_tol=-np.inf)
         counts.append(len(calls))
-    assert (counts[1] - counts[0]) / 20 <= 6
+    assert counts[1] - counts[0] == 4 * BLOCK + 2
+    assert counts[2] - counts[1] == 4 * 22 + 2
 
 
 def _overflowing(loss="lad", reg="squared_l2", mu=None, a_scale=1.0, box=(0.0, 1.0)):
@@ -499,23 +507,27 @@ def test_box_regularizer_at_tiny_mu_stays_finite(algorithm):
     ],
 )
 def test_run_averaged_columns_match_a_replay(algorithm, schedule):
-    # replay the recorded steps and keep the running sums here, with the
-    # arithmetic of each schedule's average written out
+    # replay the recorded steps one at a time through the public oracles and
+    # keep the running sums here, with the arithmetic of each schedule's
+    # average written out; 150 rows cross two block boundaries
     cfg = ExperimentConfig(
         loss="lad", regularizer="entropy", n=30, p=6, scale=20.0 / 30, seed=4,
-        algorithm=algorithm, schedule=schedule, max_iters=60,
+        algorithm=algorithm, schedule=schedule, max_iters=2 * BLOCK + 22,
     )
     prob = generate_problem(cfg)
     res = run(prob, algorithm, build_schedule(cfg, prob), max_iters=cfg.max_iters)
     op, reg, loss = prob.operator, prob.regularizer, prob.loss
-    avg_primal, avg_gap = [], []
+    pairs, avg_primal, avg_gap = [], [], []
     if algorithm == "ns-md":
         state = init_state_compact(prob)
         sum_ax, sum_y, sum_aty = np.zeros(prob.n), np.zeros(prob.n), np.zeros(prob.p)
         for rec in res.trace:
             t = rec.t
             sum_ax = sum_ax + state.ax
+            primal = loss.value(state.ax)
             state = step(prob, "ns-md", state, rec.rho)
+            dual = -reg.domain.support(-state.last_aty) - loss.conj_value(state.y)
+            pairs.append((primal, dual, primal - dual))
             sum_y = sum_y + state.y
             sum_aty = sum_aty + state.last_aty
             primal = loss.value(sum_ax / t)
@@ -526,6 +538,10 @@ def test_run_averaged_columns_match_a_replay(algorithm, schedule):
         sum_x, sum_ax, sum_ybar = np.zeros(prob.p), np.zeros(prob.n), np.zeros(prob.n)
         for rec in res.trace:
             t = rec.t
+            # the pre-step pair (x_{t-1}, y_{t-1})
+            primal = reg.value(state.x) + loss.value(state.ax)
+            dual = -reg.conj_value(state.carried_h_sub) - loss.conj_value(state.y)
+            pairs.append((primal, dual, primal - dual))
             if schedule == "two-over-t-plus-one":  # weight u on x_{u-1}
                 sum_x = sum_x + t * state.x
                 sum_ax = sum_ax + t * state.ax
@@ -547,5 +563,148 @@ def test_run_averaged_columns_match_a_replay(algorithm, schedule):
             avg_gap.append(gap)
     assert len(res.trace) == cfg.max_iters
     assert len(set(avg_primal)) > 10  # the averages move
+    assert [(rec.primal_value, rec.dual_value, rec.gap) for rec in res.trace] == pairs
     assert [rec.avg_primal_value for rec in res.trace] == avg_primal
     assert [rec.avg_gap for rec in res.trace] == avg_gap
+    assert all(type(v) is float for rec in res.trace for v in rec[2:] if v is not None)
+
+
+def _logistic_run(regularizer, algorithm, schedule, iters=2 * BLOCK + 22):
+    cfg = ExperimentConfig(loss="logistic", regularizer=regularizer, n=30, p=6, scale=20.0 / 30, seed=0,
+                           algorithm=algorithm, schedule=schedule, max_iters=iters)
+    prob = generate_problem(cfg)
+    return prob, build_schedule(cfg, prob)
+
+
+def _replayed_state(prob, algorithm, trace):
+    """The state after the recorded steps, taken one at a time."""
+    state = init_state_compact(prob) if algorithm == "ns-md" else init_state(prob, resolve_initial_dual(prob))
+    for rec in trace:
+        state = step(prob, algorithm, state, rec.rho)
+    return state
+
+
+def _same_state(a, b):
+    return a.t == b.t and all(
+        (u is None and v is None) or (u.dtype == v.dtype and u.tobytes() == v.tobytes())
+        for u, v in ((getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a) if f.name != "t")
+    )
+
+
+# these instances' gaps reach a new strict minimum at rows 1, BLOCK, BLOCK + 1
+# and 2 * BLOCK + 22, the last
+TOLERANCE_RUNS = [
+    ("squared_l2", "md", "two-over-t-plus-one"),
+    ("squared_l2", "gcg", "one-over-t"),
+    ("squared_l2", "md", "line-search"),
+    ("entropy", "ns-md", "sqrt-decay"),
+]
+
+
+@pytest.mark.parametrize("row", [1, BLOCK, BLOCK + 1, 2 * BLOCK + 22])
+@pytest.mark.parametrize("regularizer,algorithm,schedule", TOLERANCE_RUNS)
+def test_gap_tolerance_met_at_a_block_edge_stops_at_that_row(regularizer, algorithm, schedule, row):
+    prob, sched = _logistic_run(regularizer, algorithm, schedule)
+    full = run(prob, algorithm, sched, max_iters=2 * BLOCK + 22, gap_tol=-np.inf)
+    gaps = [rec.gap for rec in full.trace]
+    assert all(g > gaps[row - 1] for g in gaps[: row - 1])
+    res = run(prob, algorithm, sched, max_iters=2 * BLOCK + 22, gap_tol=gaps[row - 1])
+    assert res.termination == "gap_tolerance"
+    assert res.trace == full.trace[:row]
+    # the state of the last row kept, not of a step run ahead of it
+    assert _same_state(res.state, _replayed_state(prob, algorithm, res.trace))
+
+
+def _raising_at(kernel, call):
+    """``kernel``, made to raise on its ``call``-th call (counting from 1)."""
+    calls = []
+
+    def patched(*args):
+        calls.append(1)
+        if len(calls) == call:
+            raise RuntimeError(f"kernel call {call}")
+        return kernel(*args)
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "stop_row,failing_step,raises",
+    [
+        (1, 2, False),
+        (BLOCK, BLOCK + 1, False),  # the failing step opens the next block
+        (BLOCK + 1, BLOCK + 2, False),
+        (BLOCK + 1, BLOCK + 1, True),  # a row's own step comes before its record
+        (BLOCK, 10, True),
+        (None, 2 * BLOCK + 22, True),
+    ],
+)
+@pytest.mark.parametrize("regularizer,algorithm,schedule", TOLERANCE_RUNS)
+def test_a_step_that_fails_after_the_stopping_row_is_dropped(regularizer, algorithm, schedule, stop_row,
+                                                             failing_step, raises, monkeypatch):
+    prob, sched = _logistic_run(regularizer, algorithm, schedule)
+    full = run(prob, algorithm, sched, max_iters=2 * BLOCK + 22, gap_tol=-np.inf)
+    gap_tol = -np.inf if stop_row is None else full.trace[stop_row - 1].gap
+    # every recursion calls the loss oracle once per step
+    monkeypatch.setattr(prob.loss, "_subgradient", _raising_at(prob.loss._subgradient, failing_step))
+    if raises:
+        with pytest.raises(RuntimeError, match=f"kernel call {failing_step}$"):
+            run(prob, algorithm, sched, max_iters=2 * BLOCK + 22, gap_tol=gap_tol)
+    else:
+        res = run(prob, algorithm, sched, max_iters=2 * BLOCK + 22, gap_tol=gap_tol)
+        assert res.trace == full.trace[:stop_row]
+        assert res.state.t == stop_row
+
+
+def _raising_on(kernel, marker, exc):
+    """``kernel``, made to raise ``exc`` when a row of its last argument is ``marker``."""
+    def patched(*args):
+        if np.any(np.all(np.atleast_2d(args[-1]) == marker, axis=-1)):
+            raise exc
+        return kernel(*args)
+
+    return patched
+
+
+@pytest.mark.parametrize("stop_row,raised", [(None, DomainError), (30, DomainError), (25, DomainError), (24, None)])
+def test_run_raises_what_the_first_failing_row_raises(stop_row, raised, monkeypatch):
+    # in one block, row 25 fails in the Bregman column and row 30 earlier in
+    # the row's order, at its post-step dual value; evaluated one row at a
+    # time after its step, row 25 fails first
+    prob, sched = _logistic_run("entropy", "md", "two-over-t-plus-one")
+    reference = SimpleNamespace(x_star=prob.regularizer.interior_point(), primal_value=1.0)
+    full = run(prob, "md", sched, max_iters=40, gap_tol=-np.inf, reference=reference)
+    states = [_replayed_state(prob, "md", full.trace[:t]) for t in (25, 30)]
+    gaps = [rec.gap for rec in full.trace]
+    gap_tol = -np.inf if stop_row is None else gaps[stop_row - 1]
+    if stop_row is not None:
+        assert all(g > gap_tol for g in gaps[: stop_row - 1])
+    reg, loss = prob.regularizer, prob.loss
+    monkeypatch.setattr(reg, "_bregman", _raising_on(reg._bregman, states[0].x, DomainError("row 25")))
+    monkeypatch.setattr(loss, "_conj_value", _raising_on(loss._conj_value, states[1].y, ValueError("row 30")))
+    if raised is None:
+        res = run(prob, "md", sched, max_iters=40, gap_tol=gap_tol, reference=reference)
+        assert res.trace == full.trace[:stop_row]
+    else:
+        with pytest.raises(raised, match="row 25"):
+            run(prob, "md", sched, max_iters=40, gap_tol=gap_tol, reference=reference)
+
+
+@pytest.mark.parametrize("algorithm,schedule", [("md", "two-over-t-plus-one"), ("gcg", "one-over-t"),
+                                                ("gcg", "line-search")])
+def test_gaps_at_the_round_off_floor_pass_and_below_it_raise(algorithm, schedule, monkeypatch):
+    # every kernel of the pair patched so that each gap and averaged gap is
+    # exactly -GAP_CLAMP, then one ulp below it
+    prob, sched = _logistic_run("squared_l2", algorithm, schedule)
+    zeros = lambda v: np.zeros(np.shape(v)[:-1])  # noqa: E731
+    for obj, name in ((prob.regularizer, "_value"), (prob.loss, "_value"), (prob.regularizer, "_conj_value")):
+        monkeypatch.setattr(obj, name, zeros)
+    floor = pdcg.core.GAP_CLAMP
+    monkeypatch.setattr(prob.loss, "_conj_value", lambda y: np.full(np.shape(y)[:-1], -floor))
+    res = run(prob, algorithm, sched, max_iters=BLOCK + 5, gap_tol=-np.inf)
+    assert {rec.gap for rec in res.trace} == {-floor}
+    assert {rec.avg_gap for rec in res.trace} <= {-floor, None}
+    below = float(np.nextafter(-floor, -1.0))
+    monkeypatch.setattr(prob.loss, "_conj_value", lambda y: np.full(np.shape(y)[:-1], below))
+    with pytest.raises(pdcg.core.GapInconsistencyError, match=f"duality gap {below!r} < -{floor}"):
+        run(prob, algorithm, sched, max_iters=BLOCK + 5, gap_tol=-np.inf)

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -737,7 +738,7 @@ def _cases():
          [(e.domain, v) for e, v in zip(ents, simplex_pts)]),
         ("simplex-interior-contains",
          lambda s, v: bool(v.min() > 0.0 and abs(float(v.sum()) - 1.0) <= max(1e-12, 1e-12 * s.dim)),
-         pdcg.functions.Simplex.interior_contains, [(e.domain, v) for e, v in zip(ents, simplex_pts)]),
+         lambda s, v: bool(s._inside(v, interior=True)), [(e.domain, v) for e, v in zip(ents, simplex_pts)]),
         ("simplex-support", lambda s, z: float(np.asarray(z, dtype=np.float64).max()), pdcg.functions.Simplex.support,
          [(e.domain, v) for e, v in zip(gen_ents, generic)]),
         ("entropy-value", _old_entropy_value, NegativeEntropySimplex.value, list(zip(ents, simplex_pts))),
@@ -808,3 +809,63 @@ def test_oracle_kernels_match_the_replaced_expressions_bit_for_bit(name):
         expected = _bits(old(*contiguous))
         for args in (contiguous, tuple(_strided(a) for a in contiguous)):
             assert _bits(new(*args)) == expected, (name, args[-1][:8] if hasattr(args[-1], "__len__") else args)
+
+
+# --------------------------------------------------------------------------
+# row stacks: the certificate kernels on a (k, dim) stack, row by row
+
+# public oracle -> the kernel that takes a stack of points in its last argument
+STACK_KERNELS = {"value": "_value", "conj_value": "_conj_value", "bregman": "_bregman", "support": "support"}
+
+
+def _interior_points(k, count=3):
+    rng = np.random.default_rng(k)
+    return [v / v.sum() for v in (rng.random(k) + 0.05 for _ in range(count))]
+
+
+def _stack_cases():
+    """(id, kernel name, argument tuples): the stacked KERNEL_CASES, and hinge and gauge."""
+    cases = [(name, STACK_KERNELS[new.__name__], args) for name, (_, _, new, args) in KERNEL_CASES.items()
+             if new.__name__ in STACK_KERNELS]
+    for s in (1.0, 0.1):
+        hinge_duals = [(Hinge(_labels(g.size), s), -g * s * _labels(g.size)) for g in _gammas()]
+        cases += [
+            (f"hinge-{s}-value", "_value", [(Hinge(_labels(v.size), s), v) for v in _generic()]),
+            (f"hinge-{s}-conj-value", "_conj_value", hinge_duals),
+        ]
+    for lam in (0.0, 0.3):
+        cases += [
+            (f"gauge-{lam}-value", "_value", [(DualNormGauge(v.size, 1.5, lam), v) for v in _generic()]),
+            (f"gauge-{lam}-conj-value", "_conj_value", [(DualNormGauge(v.size, 1.5, lam), v) for v in _generic()]),
+        ]
+    return cases
+
+
+STACK_CASES = {case[0]: case for case in _stack_cases()}
+# the kernels that are +inf outside a domain, whose stacks mix finite and
+# infinite rows (a divergence is +inf for an x1 outside, so for no row or all)
+INF_OUTSIDE = re.compile(r"box\[.*\]-value|entropy-value|(lad|logistic|hinge|gauge)-.*-conj-value")
+
+
+@pytest.mark.parametrize("name", list(STACK_CASES))
+def test_kernels_give_each_row_of_a_stack_the_bits_of_its_one_vector_call(name):
+    _, kernel_name, arg_sets = STACK_CASES[name]
+    mixed = False
+    for fixed in arg_sets:
+        obj, *others = fixed[:-1]
+        kernel = getattr(obj, kernel_name)
+        # rows: every point of the case with this length, reversed too, and
+        # (but for the interior second point of a divergence) shifted out of
+        # every compact domain, so in- and out-of-domain rows mix
+        rows = [args[-1] for args in arg_sets if args[-1].shape == fixed[-1].shape]
+        if kernel_name == "_bregman":
+            rows += _interior_points(rows[0].size)
+        else:
+            rows += [v[::-1] for v in rows] + [v + 1e3 for v in rows]
+        stack = np.array(rows)
+        values = kernel(*others, stack)
+        assert isinstance(values, np.ndarray) and values.shape == (len(rows),)
+        expected = [float(kernel(*others, np.ascontiguousarray(row))).hex() for row in rows]
+        assert [float(v).hex() for v in values] == expected, name
+        mixed |= bool(np.isinf(values).any() and np.isfinite(values).any())
+    assert mixed == bool(INF_OUTSIDE.fullmatch(name)), name

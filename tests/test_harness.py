@@ -79,6 +79,33 @@ def test_config_validation_errors(overrides):
         ExperimentConfig(**overrides).validate()
 
 
+@pytest.mark.parametrize(
+    "overrides,message",
+    [
+        ({"mu": 0.0}, "modulus mu must be positive and finite"),
+        ({"mu": -1.0}, "modulus mu must be positive and finite"),
+        ({"mu": float("inf")}, "modulus mu must be positive and finite"),
+        ({"mu": float("nan")}, "modulus mu must be positive and finite"),
+        ({"regularizer": "squared_l2_box", "mu": 0.0}, "modulus mu must be positive and finite"),
+        ({"regularizer": "squared_l2_box", "box_lower": 1.0, "box_upper": 0.0},
+         "box_lower must be strictly below box_upper"),
+        ({"regularizer": "squared_l2_box", "box_lower": 0.5, "box_upper": 0.5},
+         "box_lower must be strictly below box_upper"),
+        ({"regularizer": "squared_l2_box", "box_lower": float("nan")}, "box_lower must be strictly below box_upper"),
+    ],
+)
+def test_config_checks_mu_and_box_bounds_when_built(overrides, message):
+    # both used to pass here and fail only when the instance was generated
+    with pytest.raises(ConfigurationError, match=message):
+        ExperimentConfig(**overrides)
+    with pytest.raises(ConfigurationError, match=message):
+        dataclasses.replace(ExperimentConfig(), **overrides)
+
+
+def test_box_bounds_are_checked_for_the_box_regularizer_only():
+    assert ExperimentConfig(regularizer="squared_l2", box_lower=1.0, box_upper=0.0).box_lower == 1.0
+
+
 # --------------------------------------------------------------------------
 # generation
 

@@ -31,6 +31,7 @@ from typing import NamedTuple
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CERTIFICATES = "src/pdcg/certificates.py"
 ALGORITHMS = "src/pdcg/algorithms.py"
+CORE = "src/pdcg/core.py"
 BOUND_TESTS = ("tests/test_certificates.py", "tests/test_cli.py", "tests/test_acceptance.py")
 STEP_TESTS = ("tests/test_algorithms.py",)
 
@@ -93,6 +94,16 @@ MUTATIONS = (
     Mutation("schedule-type-unchecked", ALGORITHMS,
              "    if not isinstance(schedule, StepSchedule):\n"
              '        raise ConfigurationError(f"unknown schedule {schedule!r}")\n', "", STEP_TESTS),
+    # the block evaluation of the trace columns: each row is its own pre-step
+    # pair, each averaged stack is scanned, a run cut short keeps the state of
+    # its last row, and a gap on the round-off floor passes
+    Mutation("block-row-reads-post-pair", ALGORITHMS, "gap = check_gap_floors(primal[:-1] - dual[:-1])",
+             "gap = check_gap_floors(primal[1:] - dual[1:])", STEP_TESTS),
+    Mutation("averaged-scan-dropped", ALGORITHMS,
+             '            as_vector(avg_x.ravel(), name="avg_x")  # one scan of each averaged stack\n', "", STEP_TESTS),
+    Mutation("stopped-run-keeps-block-state", ALGORITHMS, '                termination = "gap_tolerance"\n',
+             '                termination, state = "gap_tolerance", states[-1]\n', STEP_TESTS),
+    Mutation("gap-floor-strict", CORE, "ok = gaps >= -GAP_CLAMP", "ok = gaps > -GAP_CLAMP", STEP_TESTS),
 )
 
 
