@@ -337,7 +337,7 @@ def run(
     determines x_0 = (h*)'(-A^T y_0) for both strongly convex
     recursions; the compact-domain recursion starts from the interior
     point of its domain (simplex barycenter / box center), the point at
-    which the instance computes delta^2 (``ProblemInstance.delta2``).
+    which the instance computes delta^2 (``ProblemInstance.geometry``).
     A NaN ``gap_tol`` could never be met, so it raises, as does a
     schedule that is not a ``StepSchedule`` paired with ``algorithm``;
     the schedule is checked once, here, and the loop calls its ``rho``.

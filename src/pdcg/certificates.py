@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -41,8 +40,7 @@ from .algorithms import (
     RunResult,
     SqrtDecay,
 )
-from .core import ConfigurationError, ProblemInstance, as_vector, clamp_gap, contiguous_vector
-from .functions import MODE_BOUND, MODE_EXACT
+from .core import ConfigurationError, GeometryConstants, ProblemInstance, as_vector, clamp_gap, contiguous_vector
 
 
 # ---------------------------------------------------------------------------
@@ -84,35 +82,9 @@ def duality_gap(problem: ProblemInstance, x, y) -> float:
 # Geometry constants
 
 
-@dataclass(frozen=True)
-class GeometryConstants:
-    """R^2 in its two variants plus the Bregman radius of a compact domain.
-
-    ``r2_primal`` is diam(A^T C)^2 (used by the strongly convex bounds);
-    ``r2_origin`` is max_{y in C} ||A^T y||^2 (used by the compact-domain
-    bound); a variant that was not computed is None.  ``mode`` records
-    whether the values are exact vertex maxima or norm upper bounds; the
-    bounds remain valid with any upper bound.
-    """
-
-    r2_primal: Optional[float]
-    r2_origin: Optional[float]
-    mode: str
-    delta2: Optional[float] = None
-
-
-def geometry_constants(problem: ProblemInstance, bound_id: Optional[str] = None) -> GeometryConstants:
-    """Both R^2 variants, and delta^2 at the interior start when compact, as the instance keeps them.
-
-    Given a ``bound_id``, only the variant that bound reads is computed
-    (the origin R^2 for the compact-domain bound, the diameter R^2 for
-    the others); on a small dual box each one is an exact enumeration.
-    """
-    r2_primal, mode_d = (None, MODE_EXACT) if bound_id == COMPACT_BOUND else problem.r2("diameter")
-    r2_origin, mode_o = (None, MODE_EXACT) if bound_id not in (None, COMPACT_BOUND) else problem.r2("origin")
-    mode = MODE_EXACT if mode_d == mode_o == MODE_EXACT else MODE_BOUND
-    delta2 = problem.delta2 if problem.regularizer.domain.compact else None
-    return GeometryConstants(r2_primal=r2_primal, r2_origin=r2_origin, mode=mode, delta2=delta2)
+def geometry_constants(problem: ProblemInstance) -> GeometryConstants:
+    """Both R^2 variants, and delta^2 at the interior start when compact, as the instance keeps them."""
+    return problem.geometry
 
 
 # ---------------------------------------------------------------------------

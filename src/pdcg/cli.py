@@ -153,9 +153,7 @@ def _cmd_certify(args) -> int:
             print(f"certify: reference uncertified (gap={reference.certified_gap:.3e})", file=sys.stderr)
     check_reference(args.prop, reference)  # before the run, which a reference it rejects would waste
     result = experiment.run(reference)
-    report = check_bound(
-        result, geometry_constants(problem, args.prop), problem.regularizer.mu, args.prop, reference=reference
-    )
+    report = check_bound(result, geometry_constants(problem), problem.regularizer.mu, args.prop, reference=reference)
     status = "PASS" if report.passed else "FAIL"
     print(
         f"certify: {status} {args.prop} iterations={report.iterations} "

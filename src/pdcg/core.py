@@ -8,7 +8,7 @@ the dual variable y in R^n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
@@ -136,19 +136,35 @@ class LinearOperator:
 
 
 @dataclass(frozen=True)
+class GeometryConstants:
+    """R^2 in its two variants plus the Bregman radius of a compact domain.
+
+    ``r2_primal`` is diam(A^T C)^2 (used by the strongly convex bounds);
+    ``r2_origin`` is max_{y in C} ||A^T y||^2 (used by the compact-domain
+    bound).  ``mode`` records whether the values are exact vertex maxima
+    or norm upper bounds; the bounds remain valid with any upper bound.
+    ``delta2`` is None off a compact primal domain.
+    """
+
+    r2_primal: Optional[float]
+    r2_origin: Optional[float]
+    mode: str
+    delta2: Optional[float] = None
+
+
+@dataclass(frozen=True)
 class ProblemInstance:
     """The triple (A, h, f) defining min_x h(x) + f(A x).
 
     Valid by construction: h acts on R^p, f and its dual domain C on R^n,
     and h is mu-strongly convex with mu > 0, so x = (h*)'(-A^T y) is
-    defined for every algorithm.  R^2 and delta^2 are computed on first
-    use and kept on the instance.
+    defined for every algorithm.  Its geometry is computed on first use
+    and kept on the instance.
     """
 
     operator: LinearOperator
     regularizer: "Regularizer"
     loss: "Loss"
-    _r2: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         op, reg, loss = self.operator, self.regularizer, self.loss
@@ -171,22 +187,12 @@ class ProblemInstance:
     def p(self) -> int:
         return self.operator.p
 
-    def r2(self, which: str) -> tuple[float, str]:
-        """``(R^2, mode)`` of the dual domain under the operator, computed at most once per variant.
-
-        ``which='diameter'`` gives max_{y,y' in C} ||A^T (y - y')||^2;
-        ``which='origin'`` gives max_{y in C} ||A^T y||^2.
-        """
-        if which not in self._r2:
-            if which not in ("diameter", "origin"):
-                raise ConfigurationError(f"which must be 'diameter' or 'origin', got {which!r}")
-            self._r2[which] = self.loss.dual_domain.r2(self.operator, which)
-        return self._r2[which]
-
     @cached_property
-    def delta2(self) -> float:
-        """delta^2 at the interior point of a compact primal domain; raises otherwise."""
-        return self.regularizer.delta2()
+    def geometry(self) -> GeometryConstants:
+        """Both R^2 from one call of the dual domain, and delta^2 at the interior start when compact."""
+        r2_primal, r2_origin, mode = self.loss.dual_domain.r2(self.operator)
+        reg = self.regularizer
+        return GeometryConstants(r2_primal, r2_origin, mode, reg.delta2() if reg.domain.compact else None)
 
 
 class TraceRecord(NamedTuple):

@@ -22,8 +22,9 @@ declares ``box_polish`` and adds the kernels ``_conj_grad``/
 ``_conj_hess_diag`` of f* there.  The reference solver polishes the
 dual by Newton steps from the dual start on a ``box_polish`` loss under
 a ``smooth_conj`` h*, and only there; these three kernels serve that
-polish only and have no public entry.  Each dual domain C gives R^2
-under an operator A through ``r2(op, which)``, with its mode string.
+polish only and have no public entry.  Each dual domain C gives both
+R^2 under an operator A, diam(A^T C)^2 and max_{y in C} ||A^T y||^2,
+and their mode string through ``r2(op)``.
 Separable losses are scaled as f = s * sum_i l_i, whose conjugate is
 f*(y) = s * sum_i l_i*(y_i / s) with C scaled accordingly.
 
@@ -213,16 +214,16 @@ class Box(_CompactDomain):
         s = np.add.reduce(np.maximum(self.lower * z, self.upper * z), axis=-1)
         return float(s) if s.ndim == 0 else s
 
-    def r2(self, op: LinearOperator, which: str) -> tuple[float, str]:
+    def r2(self, op: LinearOperator) -> tuple[float, float, str]:
         """Exact over the vertices (where a convex maximum lies) up to
-        EXACT_VERTEX_LIMIT coordinates, else (sum_i c_i ||row_i(A)||)^2."""
+        EXACT_VERTEX_LIMIT coordinates, else (sum_i c_i ||row_i(A)||)^2,
+        c the widths for the diameter and max(|lower|, |upper|) for the origin."""
         if self.dim <= EXACT_VERTEX_LIMIT:
-            if which == "diameter":
-                w = self.widths
-                return _max_sq_norm_over_vertices(op.matrix, -w, w), MODE_EXACT
-            return _max_sq_norm_over_vertices(op.matrix, self.lower, self.upper), MODE_EXACT
-        coeff = self.widths if which == "diameter" else self.max_abs()
-        return float(np.sum(coeff * op.row_norms)) ** 2, MODE_BOUND
+            w = self.widths
+            diameter = _max_sq_norm_over_vertices(op.matrix, -w, w)
+            return diameter, _max_sq_norm_over_vertices(op.matrix, self.lower, self.upper), MODE_EXACT
+        diameter = float(np.sum(self.widths * op.row_norms)) ** 2
+        return diameter, float(np.sum(self.max_abs() * op.row_norms)) ** 2, MODE_BOUND
 
 
 class Simplex(_CompactDomain):
@@ -256,10 +257,10 @@ class L1Ball(_CompactDomain):
     def _inside(self, v: np.ndarray, tol: float = _TOL):
         return np.add.reduce(np.abs(v), axis=-1) <= self.radius + tol * (1.0 + self.radius)
 
-    def r2(self, op: LinearOperator, which: str) -> tuple[float, str]:
+    def r2(self, op: LinearOperator) -> tuple[float, float, str]:
         """Always exact: the extreme points are +-radius e_i."""
         r = self.radius * float(np.max(op.row_norms))
-        return ((2.0 * r) ** 2 if which == "diameter" else r**2), MODE_EXACT
+        return (2.0 * r) ** 2, r**2, MODE_EXACT
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,8 @@ from .algorithms import (
     resolve_initial_dual,
     run,
 )
-from .certificates import GeometryConstants, _dual_objective
-from .core import ConfigurationError, LinearOperator, ProblemInstance, TraceRecord, clamp_gap
+from .certificates import _dual_objective
+from .core import ConfigurationError, GeometryConstants, LinearOperator, ProblemInstance, TraceRecord, clamp_gap
 from .functions import (
     DualNormGauge,
     Hinge,
@@ -335,7 +335,7 @@ def reference_solution(problem: ProblemInstance, tol: float = 1e-9, cap: int = 1
     y, iters = resolve_initial_dual(problem), 0
     newton = loss.box_polish and reg.smooth_conj
     if not newton:
-        schedule = LineSearch(mu=reg.mu, r2=problem.r2("diameter")[0])
+        schedule = LineSearch(mu=reg.mu, r2=problem.geometry.r2_primal)
         result = run(problem, GCG, schedule, min(cap, 500), gap_tol=tol)
         y, iters = result.state.y, len(result.trace)
     elif cap > 0:
@@ -368,10 +368,12 @@ def build_schedule(config: ExperimentConfig, problem: ProblemInstance) -> StepSc
     if name == "one-over-t":
         return FixedOneOverT()
     if name == "line-search":
-        return LineSearch(mu=problem.regularizer.mu, r2=problem.r2("diameter")[0])
+        return LineSearch(mu=problem.regularizer.mu, r2=problem.geometry.r2_primal)
     if name == "sqrt-decay":
-        radius = float(np.sqrt(problem.r2("origin")[0]))
-        return SqrtDecay(delta=float(np.sqrt(problem.delta2)), radius=radius)
+        geo = problem.geometry
+        if geo.delta2 is None:  # off a compact domain, where delta2() raises
+            problem.regularizer.delta2()
+        return SqrtDecay(delta=float(np.sqrt(geo.delta2)), radius=float(np.sqrt(geo.r2_origin)))
     raise ConfigurationError(f"unknown schedule {name!r}")
 
 

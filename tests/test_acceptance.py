@@ -101,7 +101,7 @@ def svm_100_20():
 
 def test_md_gcg_equivalence_across_schedules(svm_100_20):
     prob = svm_100_20
-    r2, _ = prob.loss.dual_domain.r2(prob.operator, "diameter")
+    r2 = prob.loss.dual_domain.r2(prob.operator)[0]
     schedules = [
         FixedTwoOverTPlusOne(),
         FixedOneOverT(),

@@ -351,7 +351,7 @@ def test_run_and_lockstep_reject_a_schedule_name():
 
 def test_run_and_lockstep_check_the_schedule_once(monkeypatch):
     prob = _svm_problem()
-    sched = LineSearch(mu=1.0, r2=prob.r2("diameter")[0])
+    sched = LineSearch(mu=1.0, r2=prob.geometry.r2_primal)
     calls = []
     for module in (pdcg.algorithms, pdcg.equivalence):
         check = module._check_schedule
@@ -378,7 +378,7 @@ def test_run_partial_reference_columns():
 
 def test_line_search_run_consumes_exact_gap():
     prob = _svm_problem(n=20, p=4, seed=2)
-    r2, _ = prob.loss.dual_domain.r2(prob.operator, "diameter")
+    r2 = prob.loss.dual_domain.r2(prob.operator)[0]
     sched = LineSearch(mu=1.0, r2=r2)
     res = run(prob, "gcg", sched, max_iters=50)
     for rec in res.trace:

@@ -16,8 +16,11 @@ from pdcg import (
     LinearOperator,
     LineSearch,
     Logistic,
+    Loss,
     NegativeEntropySimplex,
     ProblemInstance,
+    ReferenceSolution,
+    Simplex,
     SqrtDecay,
     SquaredL2,
     SquaredL2Box,
@@ -30,8 +33,10 @@ from pdcg import (
     primal_objective,
     reference_solution,
     run,
+    verify_equivalence,
 )
 from pdcg.certificates import BOUND_PAIRING
+from pdcg.functions import MEMBERSHIP_TOL
 
 
 def _svm_identity():
@@ -125,8 +130,7 @@ def test_support_gap_hand_value():
 def test_estimate_r2_lad_identity():
     lad = LeastAbsoluteDeviation([0.0, 0.0], 1.0)
     op = LinearOperator(np.eye(2))
-    diam, mode = lad.dual_domain.r2(op, "diameter")
-    orig, _ = lad.dual_domain.r2(op, "origin")
+    diam, orig, mode = lad.dual_domain.r2(op)
     assert mode == "exact-vertex"
     assert diam == pytest.approx(8.0)
     assert orig == pytest.approx(2.0)
@@ -135,8 +139,7 @@ def test_estimate_r2_lad_identity():
 def test_estimate_r2_zero_operator():
     lad = LeastAbsoluteDeviation([0.0, 0.0], 1.0)
     op = LinearOperator(np.zeros((2, 2)))
-    assert lad.dual_domain.r2(op, "diameter")[0] == 0.0
-    assert lad.dual_domain.r2(op, "origin")[0] == 0.0
+    assert lad.dual_domain.r2(op)[:2] == (0.0, 0.0)
 
 
 def test_estimate_r2_gauge_closed_form():
@@ -144,8 +147,7 @@ def test_estimate_r2_gauge_closed_form():
     rng = np.random.default_rng(14)
     op = LinearOperator(rng.standard_normal((3, 4)))
     m = float(np.max(op.row_norms))
-    diam, mode = gauge.dual_domain.r2(op, "diameter")
-    orig, _ = gauge.dual_domain.r2(op, "origin")
+    diam, orig, mode = gauge.dual_domain.r2(op)
     assert mode == "exact-vertex"
     assert diam == pytest.approx((2 * 2.0 * m) ** 2)
     assert orig == pytest.approx((2.0 * m) ** 2)
@@ -160,20 +162,13 @@ def test_estimate_r2_rejects_dimension_mismatch(loss):
         ProblemInstance(LinearOperator(np.ones((3, 2))), SquaredL2(1.0, 2), loss)
 
 
-def test_instance_r2_rejects_unknown_variant():
-    prob = _svm_identity()
-    with pytest.raises(ConfigurationError, match="which must be 'diameter' or 'origin'"):
-        prob.r2("radius")
-    assert prob.r2("origin") == prob.loss.dual_domain.r2(prob.operator, "origin")
-
-
 def test_estimate_r2_exact_matches_pairwise_brute_force():
     rng = np.random.default_rng(15)
     for n in (2, 4, 6, 8):
         labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
         loss = Hinge(labels, 0.8)
         op = LinearOperator(rng.standard_normal((n, 3)))
-        exact, mode = loss.dual_domain.r2(op, "diameter")
+        exact, exact_o, mode = loss.dual_domain.r2(op)
         assert mode == "exact-vertex"
         dom = loss.dual_domain
         corners = [
@@ -186,8 +181,6 @@ def test_estimate_r2_exact_matches_pairwise_brute_force():
             for b in corners
         )
         assert exact == pytest.approx(brute, rel=1e-12)
-        exact_o, mode_o = loss.dual_domain.r2(op, "origin")
-        assert mode_o == "exact-vertex"
         brute_o = max(float(np.sum(op.adjoint_apply(a) ** 2)) for a in corners)
         assert exact_o == pytest.approx(brute_o, rel=1e-12)
 
@@ -222,12 +215,9 @@ def test_estimate_r2_exact_matches_chunked_enumeration(n, kind):
         loss = LeastAbsoluteDeviation(rng.standard_normal(n), 0.5)
     op = LinearOperator(rng.standard_normal((n, 3)))
     dom = loss.dual_domain
-    for which, lower, upper in (
-        ("diameter", -dom.widths, dom.widths),
-        ("origin", dom.lower, dom.upper),
-    ):
-        value, mode = loss.dual_domain.r2(op, which)
-        assert mode == "exact-vertex"
+    *values, mode = dom.r2(op)
+    assert mode == "exact-vertex"
+    for value, lower, upper in zip(values, (-dom.widths, dom.lower), (dom.widths, dom.upper)):
         assert value == pytest.approx(_chunked_vertex_max(op.matrix, lower, upper), rel=1e-12)
 
 
@@ -239,7 +229,7 @@ def test_exact_r2_memory_grows_with_half_the_vertices(p, limit_mb):
     op = LinearOperator(rng.standard_normal((20, p)))
     tracemalloc.start()
     try:
-        loss.dual_domain.r2(op, "diameter")
+        loss.dual_domain.r2(op)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -252,14 +242,25 @@ def test_estimate_r2_bound_dominates_exact():
         n = int(rng.integers(2, 9))
         loss = LeastAbsoluteDeviation(rng.standard_normal(n), 0.5)
         op = LinearOperator(rng.standard_normal((n, 3)))
-        exact, _ = loss.dual_domain.r2(op, "diameter")
+        exact, exact_o, _ = loss.dual_domain.r2(op)
         coeff = loss.dual_domain.widths
         bound = float(np.sum(coeff * op.row_norms)) ** 2
         assert exact <= bound + 1e-9
         # origin form as well
-        exact_o, _ = loss.dual_domain.r2(op, "origin")
         bound_o = float(np.sum(loss.dual_domain.max_abs() * op.row_norms)) ** 2
         assert exact_o <= bound_o + 1e-9
+
+
+def test_estimate_r2_column_norm_bound_above_the_exact_limit():
+    # one coordinate over the exact limit: (sum_i c_i ||row_i(A)||)^2 with
+    # c the widths for the diameter and max(|lower|, |upper|) for the origin
+    rng = np.random.default_rng(22)
+    dom = LeastAbsoluteDeviation(rng.standard_normal(21), 0.5).dual_domain
+    op = LinearOperator(rng.standard_normal((21, 3)))
+    diam, orig, mode = dom.r2(op)
+    assert mode == "column-norm-bound"
+    assert diam == float(np.sum(dom.widths * op.row_norms)) ** 2
+    assert orig == float(np.sum(dom.max_abs() * op.row_norms)) ** 2
 
 
 def test_r2_diameter_origin_triangle_inequality():
@@ -344,19 +345,9 @@ def test_check_bound_passes_and_is_monotone_in_r2():
         r2_primal=4.0 * geo.r2_primal, r2_origin=geo.r2_origin, mode=geo.mode
     )
     assert check_bound(res, bigger, 1.0, "gcg-fixed-min-gap").passed
-
-
-def test_geometry_for_one_bound_holds_only_the_r2_it_reads():
-    prob, ref, geo = _checked_setup()
-    res = run(prob, "gcg", FixedTwoOverTPlusOne(), max_iters=20)
-    diameter_only = geometry_constants(prob, "gcg-fixed-min-gap")
-    assert (diameter_only.r2_primal, diameter_only.r2_origin) == (geo.r2_primal, None)
-    rep = check_bound(res, diameter_only, 1.0, "gcg-fixed-min-gap")
-    assert rep.bounds.tolist() == check_bound(res, geo, 1.0, "gcg-fixed-min-gap").bounds.tolist()
-    origin_only = geometry_constants(prob, "compact-averaged-gap")
-    assert (origin_only.r2_primal, origin_only.r2_origin) == (None, geo.r2_origin)
+    # a hand-built constants object without the R^2 a bound reads is rejected
     with pytest.raises(ConfigurationError, match="requires the R\\^2 it reads"):
-        check_bound(res, origin_only, 1.0, "gcg-fixed-min-gap")
+        check_bound(res, dataclasses.replace(geo, r2_primal=None), 1.0, "gcg-fixed-min-gap")
 
 
 def test_bound_ordering_linesearch_below_fixed():
@@ -441,7 +432,7 @@ def test_one_ulp_over_the_bound_fails_at_that_row():
 )
 def test_compact_schedule_one_ulp_off_the_instance_raises(field, toward):
     prob = generate_problem(ExperimentConfig(loss="lad", regularizer="entropy", n=20, p=10, scale=1.0, seed=0))
-    geo = geometry_constants(prob, "compact-averaged-gap")
+    geo = geometry_constants(prob)
     exact = SqrtDecay(delta=float(np.sqrt(geo.delta2)), radius=float(np.sqrt(geo.r2_origin)))
     assert check_bound(run(prob, "ns-md", exact, max_iters=5), geo, 1.0, "compact-averaged-gap").passed
     off = dataclasses.replace(exact, **{field: float(np.nextafter(getattr(exact, field), toward))})
@@ -452,7 +443,7 @@ def test_compact_schedule_one_ulp_off_the_instance_raises(field, toward):
 def _lad_line_search_run():
     # lad 200x40 at scale 20/n, seed 3, gcg line search for 50 steps
     prob = generate_problem(ExperimentConfig(loss="lad", n=200, p=40, scale=20.0 / 200, seed=3))
-    geo = geometry_constants(prob, "gcg-linesearch-min-gap")
+    geo = geometry_constants(prob)
     return geo, run(prob, "gcg", LineSearch(mu=prob.regularizer.mu, r2=geo.r2_primal), max_iters=50)
 
 
@@ -490,7 +481,7 @@ def test_line_search_start_gap_over_its_bound_is_reported(reg, start_gap, worst_
     # t = 1.  Whether the index or the bound is at fault is open; the
     # check must report the violation, never absorb it.
     prob = generate_problem(ExperimentConfig(loss="hinge", regularizer=reg, n=20, p=10, scale=1.0, seed=3))
-    geo = geometry_constants(prob, "gcg-linesearch-min-gap")
+    geo = geometry_constants(prob)
     assert geo.mode == "exact-vertex"
     res = run(prob, "gcg", LineSearch(mu=prob.regularizer.mu, r2=geo.r2_primal), max_iters=150)
     rep = check_bound(res, geo, prob.regularizer.mu, "gcg-linesearch-min-gap")
@@ -499,3 +490,84 @@ def test_line_search_start_gap_over_its_bound_is_reported(reg, start_gap, worst_
     assert rep.bounds[0] == pytest.approx(16.108, abs=1e-3)
     assert rep.worst_margin == pytest.approx(worst_margin, abs=1e-3)
     assert np.count_nonzero(rep.margins < 0.0) == 1
+
+
+# --------------------------------------------------------------------------
+# a worst case for both methods
+
+
+class _MaxLoss(Loss):
+    """f(z) = max_i z_i, whose f* is 0 on C = the simplex and +inf off it.
+
+    The subgradient oracle returns the vertex e_i at the lowest index i
+    attaining the max, so each oracle output is one coordinate.
+    """
+
+    def __init__(self, dim: int) -> None:
+        self.dim = dim
+        self.dual_domain = Simplex(dim)
+
+    def _value(self, z):
+        return np.maximum.reduce(z, axis=-1)
+
+    def _conj_value(self, y):
+        return np.where(self.dual_domain._inside(y, MEMBERSHIP_TOL), 0.0, np.inf)[()]
+
+    def _subgradient(self, z):
+        out = np.zeros(self.dim)
+        out[int(np.argmax(z))] = 1.0
+        return out
+
+
+def test_worst_case_instance_holds_every_two_over_t_bound_above_its_proven_floor():
+    """A = I_p, h = mu/2 ||x||^2, f(z) = max_i z_i and y_0 = e_1.
+
+    The primal is Nesterov's worst-case function and the dual,
+    max_{y in simplex} -||y||^2 / (2 mu), Jaggi's worst case for
+    Frank-Wolfe, so one trajectory is worst-case for md and gcg at once.
+    The optimum is x* = -1/(mu p) 1 and y* = 1/p 1, with
+    P* = D* = -1/(2 mu p); R^2 = diam(simplex)^2 = 2.
+
+    Under 2/(t+1), rho_1 = 1 drops y_0 and each step adds one vertex,
+    so |supp y_t| <= t; a simplex point on k coordinates has
+    ||y||^2 >= 1/k, and x_t = -y_t / mu.  Hence, for p > t:
+    * D* - D(y_t) = (||y_t||^2 - 1/p) / (2 mu) >= (1/t - 1/p) / (2 mu), and
+      mu/2 ||x_t - x*||^2 is the same value;
+    * P(x) - P* >= 1/(2 mu t) at any average x of x_0..x_{t-1}, as
+      -mu x then lies on at most t coordinates and max_i x_i = 0;
+    * the gap of a pre-step pair (x_u, y_u), u < t, is ||y_u||^2 / mu >= 1/(mu t).
+    So observed/bound is at least (t+1)/(4t) - (t+1)/(4p) >= 1/4 - (t+1)/(4p)
+    for the md ids (bound R^2/(mu (t+1))), (t+1)/(8t) - (t+1)/(8p) >=
+    1/8 - (t+1)/(8p) for gcg-fixed-dual-subopt (2 R^2/(mu (t+1))) and
+    (t+1)/(16t) >= 1/16 for gcg-fixed-min-gap (8 R^2/(mu (t+1))).  With
+    p > T(T+1) the first two stay above 1/4 and 1/8 at every row, so a
+    coef mutant by that factor must fail by proof.
+    """
+    p, mu, T = 200, 2.0, 12
+    assert p > T * (T + 1)
+    prob = ProblemInstance(LinearOperator(np.eye(p)), SquaredL2(mu, p), _MaxLoss(p))
+    y0 = np.zeros(p)
+    y0[0] = 1.0
+    opt = -1.0 / (2.0 * mu * p)
+    ref = ReferenceSolution(x_star=np.full(p, -1.0 / (mu * p)), y_star=np.full(p, 1.0 / p), certified_gap=0.0,
+                            iterations=0, certified=True, primal_value=opt, dual_value=opt)
+    geo = GeometryConstants(2.0, 1.0, "exact-vertex")
+    assert verify_equivalence(prob, y0, FixedTwoOverTPlusOne(), T).passed
+    t = np.arange(1.0, T + 1.0)
+    md_floor = (t + 1) / (4 * t) - (t + 1) / (4 * p)
+    floors = {
+        "md-avg-subopt": md_floor,
+        "md-best-subopt": md_floor,
+        "md-distance": md_floor,
+        "gcg-fixed-dual-subopt": md_floor / 2,
+        "gcg-fixed-min-gap": (t + 1) / (16 * t),
+    }
+    assert np.all(md_floor > 0.25)
+    runs = {alg: run(prob, alg, FixedTwoOverTPlusOne(), T, y0=y0, reference=ref) for alg in ("md", "gcg")}
+    np.testing.assert_allclose([r[2:6] for r in runs["md"].trace], [r[2:6] for r in runs["gcg"].trace], rtol=1e-12)
+    for wid, floor in floors.items():
+        row = BOUND_PAIRING[wid]
+        rep = check_bound(runs[row.algorithm], geo, mu, wid, reference=ref)
+        assert rep.iterations == T and rep.passed, (wid, rep.worst_iteration, rep.worst_margin)
+        ratio = rep.observed / rep.bounds
+        assert np.all(ratio >= floor), (wid, ratio.min())

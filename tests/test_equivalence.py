@@ -84,7 +84,7 @@ def test_equivalence_rejects_a_schedule_run_rejects():
 @pytest.mark.parametrize("make_sched", [
     lambda prob: FixedTwoOverTPlusOne(),
     lambda prob: FixedOneOverT(),
-    lambda prob: LineSearch(mu=1.0, r2=prob.loss.dual_domain.r2(prob.operator, "diameter")[0]),
+    lambda prob: LineSearch(mu=1.0, r2=prob.loss.dual_domain.r2(prob.operator)[0]),
 ], ids=["two-over-t-plus-one", "one-over-t", "line-search"])
 def test_equivalence_schedule_agnostic(make_sched):
     prob = _svm()

@@ -15,7 +15,8 @@ text is checked to occur exactly once and the unmutated copy must pass
 the union of the listed tests; either failing is an error (exit 2).
 The exit code is 1 if any mutant survived, else 0.  The repository
 itself is never written.  Not part of the test suite: the whole set
-takes a few minutes.
+takes a few minutes; ``tests/test_tools.py`` checks only that every
+text still occurs once.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CERTIFICATES = "src/pdcg/certificates.py"
 ALGORITHMS = "src/pdcg/algorithms.py"
 CORE = "src/pdcg/core.py"
+FUNCTIONS = "src/pdcg/functions.py"
 BOUND_TESTS = ("tests/test_certificates.py", "tests/test_cli.py", "tests/test_acceptance.py")
 STEP_TESTS = ("tests/test_algorithms.py",)
 
@@ -104,6 +106,16 @@ MUTATIONS = (
     Mutation("stopped-run-keeps-block-state", ALGORITHMS, '                termination = "gap_tolerance"\n',
              '                termination, state = "gap_tolerance", states[-1]\n', STEP_TESTS),
     Mutation("gap-floor-strict", CORE, "ok = gaps >= -GAP_CLAMP", "ok = gaps > -GAP_CLAMP", STEP_TESTS),
+    # the instance geometry: each R^2 is read from its own variant, and delta^2 is kept on a compact domain
+    Mutation("exact-r2-swapped", FUNCTIONS,
+             "return diameter, _max_sq_norm_over_vertices(op.matrix, self.lower, self.upper), MODE_EXACT",
+             "return _max_sq_norm_over_vertices(op.matrix, self.lower, self.upper), diameter, MODE_EXACT"),
+    Mutation("column-norm-r2-swapped", FUNCTIONS,
+             "return diameter, float(np.sum(self.max_abs() * op.row_norms)) ** 2, MODE_BOUND",
+             "return float(np.sum(self.max_abs() * op.row_norms)) ** 2, diameter, MODE_BOUND"),
+    Mutation("l1-ball-diameter-as-radius", FUNCTIONS, "return (2.0 * r) ** 2, r**2, MODE_EXACT",
+             "return r**2, r**2, MODE_EXACT"),
+    Mutation("geometry-drops-delta2", CORE, "reg.delta2() if reg.domain.compact else None", "None"),
 )
 
 
