@@ -392,7 +392,7 @@ def run(
                                        - loss._conj_value(_stack([s.y for s in post]))))
             else:
                 primal, dual = np.array(pairs).T
-            gap = check_gap_floors(primal[:-1] - dual[:-1])
+            gap = check_gap_floors(primal[:-1] - dual[:-1], primal[:-1], dual[:-1])
             weights = ts[:, 0] if weighted else None
             norm = 2.0 / (ts * (ts + 1.0)) if weighted else ts
             sum_x = _partial_sums(sum_x, [s.x for s in pre], weights)
@@ -402,13 +402,14 @@ def run(
             as_vector(avg_ax.ravel(), name="avg_ax")
             avg_primal = reg._value(avg_x) + loss._value(avg_ax)
             if schedule.avg_dual == "y":
-                avg_gap = check_gap_floors(avg_primal - dual[1:])
+                avg_gap = check_gap_floors(avg_primal - dual[1:], avg_primal, dual[1:])
             elif schedule.avg_dual == "oracle":
                 sum_ybar = _partial_sums(sum_ybar, [s.y_bar for s in post], weights)
                 ybar_avg = average(sum_ybar, norm)
                 aty_avg = _stack([problem.operator.adjoint_apply(v) for v in ybar_avg])
                 as_vector(aty_avg.ravel(), name="aty")
-                avg_gap = check_gap_floors(avg_primal - (-reg._conj_value(-aty_avg) - loss._conj_value(ybar_avg)))
+                avg_dual = -reg._conj_value(-aty_avg) - loss._conj_value(ybar_avg)
+                avg_gap = check_gap_floors(avg_primal - avg_dual, avg_primal, avg_dual)
             if reference is not None:
                 dual_subopt = (reference.primal_value - dual[1:]).tolist()
                 bregman_ref = reg._bregman(x_star, x).tolist()
@@ -419,13 +420,14 @@ def run(
             # function of K in place of the conjugate of h
             primal = loss._value(_stack(ax))
             dual = -reg.domain.support(-_stack(aty)) - loss._conj_value(_stack(y))
-            gap = check_gap_floors(primal - dual)
+            gap = check_gap_floors(primal - dual, primal, dual)
             sum_ax, sum_ybar, sum_aty = (_partial_sums(t, r) for t, r in ((sum_ax, ax), (sum_ybar, y), (sum_aty, aty)))
             avg_ax, avg_y = sum_ax / ts, sum_ybar / ts
             as_vector(avg_ax.ravel(), name="avg_ax")
             as_vector(avg_y.ravel(), name="avg_y")
             avg_primal = loss._value(avg_ax)
-            avg_gap = check_gap_floors(avg_primal + reg.domain.support(-(sum_aty / ts)) + loss._conj_value(avg_y))
+            support, conj = reg.domain.support(-(sum_aty / ts)), loss._conj_value(avg_y)
+            avg_gap = check_gap_floors(avg_primal + support + conj, avg_primal, -support - conj)
         # positional: a NamedTuple builds from keywords about three times slower
         rows = list(map(TraceRecord, range(pre[0].t + 1, pre[0].t + k + 1), rhos, primal.tolist(), dual.tolist(), gap,
                         avg_primal.tolist(), dual_subopt, bregman_ref, avg_gap))
@@ -440,7 +442,7 @@ def run(
         states, rhos, pairs, failure = [state], [], [pair] if in_loop else None, None
         try:
             while len(rhos) < min(block, max_iters - len(records)):
-                gap = check_gap_floor(pairs[-1][0] - pairs[-1][1]) if in_loop else None
+                gap = check_gap_floor(*pairs[-1]) if in_loop else None
                 rho = schedule.rho(states[-1].t + 1, gap)
                 new = stepper(problem, states[-1], _check_rho(rho))
                 if in_loop:
@@ -472,7 +474,7 @@ def run(
                 break
         if failure is not None and termination == "budget":
             if strongly_convex:  # the failing row checks its pre-step gap before it steps
-                check_gap_floor(pair[0] - pair[1])
+                check_gap_floor(*pair)
             raise failure
     return RunResult(
         trace=records,

@@ -75,7 +75,7 @@ def duality_gap(problem: ProblemInstance, x, y) -> float:
     The primal objective is never -inf and the dual never +inf, so an
     infeasible x or y gives +inf, never NaN.
     """
-    return clamp_gap(primal_objective(problem, x) - dual_objective(problem, y))
+    return clamp_gap(primal_objective(problem, x), dual_objective(problem, y))
 
 
 # ---------------------------------------------------------------------------

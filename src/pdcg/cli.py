@@ -8,8 +8,9 @@ Subcommands:
 * ``sweep``   - grid over schedules and seeds, one trace file per cell.
 
 Exit codes: 0 on success with all checks passing, 1 on a failed bound or
-equivalence check, 2 on configuration/usage errors.  A flag whose
-``dest`` is a config key overrides that key.
+equivalence check, 2 on configuration/usage errors and on a run that an
+oracle error (``DomainError``, ``GapInconsistencyError``) stops before
+its verdict.  A flag whose ``dest`` is a config key overrides that key.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from . import __version__
 from .algorithms import ALGORITHMS
 from .certificates import BOUND_IDS, BOUND_PAIRING, check_bound, check_reference, geometry_constants
-from .core import ConfigurationError, FeasibilityError, ValidationError
+from .core import ConfigurationError, DomainError, FeasibilityError, GapInconsistencyError, ValidationError
 from .equivalence import verify_equivalence
 from .harness import SCHEDULE_NAMES, ExperimentConfig, emit_trace, prepare, reference_solution, run_sweep
 
@@ -200,7 +201,7 @@ def cli_main(argv: Optional[list] = None) -> int:
     commands = {"solve": _cmd_solve, "compare": _cmd_compare, "certify": _cmd_certify, "sweep": _cmd_sweep}
     try:
         return commands[args.command](args)
-    except (ConfigurationError, ValidationError, FeasibilityError) as exc:
+    except (ConfigurationError, ValidationError, FeasibilityError, DomainError, GapInconsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -17,8 +17,8 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .functions import Loss, Regularizer
 
-# Negative duality gaps larger than this are treated as oracle bugs;
-# smaller ones are round-off and clamped to zero.
+# A duality gap P - D below -GAP_CLAMP * max(1, |P|, |D|) is treated as an
+# oracle bug; a smaller negative one is round-off and clamped to zero.
 GAP_CLAMP = 1e-10
 
 _FLOAT64 = np.dtype(np.float64)
@@ -76,28 +76,33 @@ def contiguous_vector(x, length: Optional[int] = None, name: str = "vector") -> 
     return np.ascontiguousarray(as_vector(x, length, name))
 
 
-def clamp_gap(gap: float) -> float:
-    """Zero out round-off negativity of a duality gap; reject real negativity."""
-    return max(check_gap_floor(gap), 0.0)
+def clamp_gap(primal: float, dual: float) -> float:
+    """The gap primal - dual with round-off negativity zeroed out; real negativity raises."""
+    return max(check_gap_floor(primal, dual), 0.0)
 
 
-def check_gap_floor(gap: float) -> float:
-    """Pass a raw gap through unchanged, rejecting real negativity.
+def check_gap_floor(primal: float, dual: float) -> float:
+    """The raw gap primal - dual, unchanged, rejecting real negativity.
 
     Trace rows keep the exact primal-dual difference (so the row stays
     consistent to the bit); only values below the round-off floor, and
-    NaN, signal an oracle bug.
+    NaN, signal an oracle bug.  A gap at or above -GAP_CLAMP, the least
+    floor, skips the scaling; under an infinite floor a -inf gap is NaN.
     """
-    if not gap >= -GAP_CLAMP:
-        raise GapInconsistencyError(f"duality gap {gap} < -{GAP_CLAMP}; oracle inconsistency")
+    gap = primal - dual
+    floor = GAP_CLAMP if gap >= -GAP_CLAMP else GAP_CLAMP * max(1.0, abs(primal), abs(dual))
+    if not gap + floor >= 0.0:
+        raise GapInconsistencyError(f"duality gap {gap} < -{floor}; oracle inconsistency")
     return float(gap)
 
 
-def check_gap_floors(gaps: np.ndarray) -> list:
-    """``check_gap_floor`` of every entry, in one comparison; the first bad entry raises.  The gaps as floats."""
-    ok = gaps >= -GAP_CLAMP
+def check_gap_floors(gaps: np.ndarray, primal: np.ndarray, dual: np.ndarray) -> list:
+    """``check_gap_floor`` of each of ``gaps``, the caller's primal - dual, at once; the first bad one raises."""
+    floor = GAP_CLAMP * np.maximum(np.maximum(np.abs(primal), np.abs(dual)), 1.0)
+    ok = gaps + floor >= 0.0
     if not np.logical_and.reduce(ok):
-        raise GapInconsistencyError(f"duality gap {float(gaps[np.argmin(ok)])} < -{GAP_CLAMP}; oracle inconsistency")
+        i = np.argmin(ok)
+        raise GapInconsistencyError(f"duality gap {float(gaps[i])} < -{float(floor[i])}; oracle inconsistency")
     return gaps.tolist()
 
 

@@ -72,8 +72,7 @@ def verify_equivalence(
     for t in range(1, iterations + 1):
         gap = None
         if schedule.needs_gap:
-            primal, dual = _values(problem, cg_state)
-            gap = clamp_gap(primal - dual)
+            gap = clamp_gap(*_values(problem, cg_state))
         rho = _check_rho(schedule.rho(t, gap))
         md_state = _md_step(problem, md_state, rho)
         cg_state = _gcg_step(problem, cg_state, rho)

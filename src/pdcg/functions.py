@@ -18,13 +18,13 @@ recursion starts; an h* that is smooth everywhere declares
 Each loss exposes f, its conjugate f*, and the argmax-subgradient oracle
 f'(z) = argmax_{y in C} <y, z> - f*(y) over the compact dual domain C,
 which contains 0, the default dual start.  A loss whose C is a box
-declares ``box_polish`` and adds the kernels ``_conj_grad``/
-``_conj_hess_diag`` of f* there.  The reference solver polishes the
-dual by Newton steps from the dual start on a ``box_polish`` loss under
-a ``smooth_conj`` h*, and only there; these three kernels serve that
-polish only and have no public entry.  Each dual domain C gives both
-R^2 under an operator A, diam(A^T C)^2 and max_{y in C} ||A^T y||^2,
-and their mode string through ``r2(op)``.
+declares ``box_polish`` and adds the kernel ``_conj_newton``, the
+gradient of f* and its Hessian diagonal there from one call.  The
+reference solver polishes the dual by Newton steps from the dual start
+on a ``box_polish`` loss under a ``smooth_conj`` h*, and only there;
+these two kernels serve that polish only and have no public entry.
+Each dual domain C gives both R^2 under an operator A, diam(A^T C)^2
+and max_{y in C} ||A^T y||^2, and their mode string through ``r2(op)``.
 Separable losses are scaled as f = s * sum_i l_i, whose conjugate is
 f*(y) = s * sum_i l_i*(y_i / s) with C scaled accordingly.
 
@@ -433,10 +433,8 @@ class NegativeEntropySimplex(Regularizer):
         return np.diag(x) - np.outer(x, x)
 
     def _prox_step(self, x, aty, rho: float) -> np.ndarray:
-        # renormalized multiplicative update
-        logits = np.log(x) - rho * aty
-        e = np.exp(logits - np.maximum.reduce(logits))
-        return e / np.add.reduce(e)
+        # renormalized multiplicative update: the softmax at the mirrored point
+        return self._conj_grad(np.log(x) - rho * aty)
 
     def delta2(self) -> float:
         """max_x KL(x || x0), attained at a vertex: -log(min_i x0_i) at the barycenter x0."""
@@ -453,10 +451,10 @@ class Loss:
     dim: int
     dual_domain: object
     # True when the oracle never reaches the boundary of C, so points
-    # handed to ``_conj_grad`` must stay strictly inside it
+    # handed to ``_conj_newton`` must stay strictly inside it
     open_domain = False
-    # True when C is a box and f* has ``_conj_grad``/``_conj_hess_diag``
-    # there, so under a ``smooth_conj`` h* the reference solver polishes the dual
+    # True when C is a box and f* has ``_conj_newton`` there, so under a
+    # ``smooth_conj`` h* the reference solver polishes the dual
     box_polish = False
 
     def value(self, z) -> float:
@@ -471,12 +469,8 @@ class Loss:
         """A deterministic maximizer of <y, z> - f*(y) over C."""
         return self._subgradient(contiguous_vector(z, self.dim, "z"))
 
-    def _conj_grad(self, y) -> np.ndarray:
-        """Gradient of f* on the interior of C."""
-        raise ConfigurationError(f"no smooth dual model for {type(self).__name__}")
-
-    def _conj_hess_diag(self, y) -> np.ndarray:
-        """Diagonal of the (diagonal) Hessian of f* on the interior of C."""
+    def _conj_newton(self, y) -> tuple:
+        """(gradient of f*, diagonal of its (diagonal) Hessian) on the interior of C."""
         raise ConfigurationError(f"no smooth dual model for {type(self).__name__}")
 
 
@@ -529,11 +523,8 @@ class Hinge(_LabelLoss):
         margin = 1.0 - self.labels * z
         return np.where(margin >= 0.0, -self.scale * self.labels, 0.0)
 
-    def _conj_grad(self, y) -> np.ndarray:
-        return self.labels.copy()
-
-    def _conj_hess_diag(self, y) -> np.ndarray:
-        return np.zeros(self.dim)
+    def _conj_newton(self, y) -> tuple:
+        return self.labels.copy(), np.zeros(self.dim)
 
 
 class LeastAbsoluteDeviation(Loss):
@@ -564,11 +555,8 @@ class LeastAbsoluteDeviation(Loss):
     def _subgradient(self, z) -> np.ndarray:
         return self.scale * np.sign(z - self.targets)
 
-    def _conj_grad(self, y) -> np.ndarray:
-        return self.targets.copy()
-
-    def _conj_hess_diag(self, y) -> np.ndarray:
-        return np.zeros(self.dim)
+    def _conj_newton(self, y) -> tuple:
+        return self.targets.copy(), np.zeros(self.dim)
 
 
 class Logistic(_LabelLoss):
@@ -614,13 +602,9 @@ class Logistic(_LabelLoss):
     def _subgradient(self, z) -> np.ndarray:
         return self._neg_scaled * _sigmoid(self._neg_labels * z)
 
-    def _conj_grad(self, y) -> np.ndarray:
+    def _conj_newton(self, y) -> tuple:
         g = (-y * self.labels / self.scale).clip(1e-12, 1.0 - 1e-12)
-        return -self.labels * np.log(g / (1.0 - g))
-
-    def _conj_hess_diag(self, y) -> np.ndarray:
-        g = (-y * self.labels / self.scale).clip(1e-12, 1.0 - 1e-12)
-        return 1.0 / (self.scale * g * (1.0 - g))
+        return -self.labels * np.log(g / (1.0 - g)), 1.0 / (self.scale * g * (1.0 - g))
 
 
 class DualNormGauge(Loss):

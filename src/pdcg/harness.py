@@ -128,6 +128,14 @@ class ExperimentConfig:
             raise ConfigurationError("modulus mu must be positive and finite")
         if self.regularizer == "squared_l2_box" and not self.box_lower < self.box_upper:
             raise ConfigurationError("box_lower must be strictly below box_upper")
+        if self.regularizer == "squared_l2_box" and not -math.inf < self.box_lower < self.box_upper < math.inf:
+            raise ConfigurationError("box bounds must be finite")
+        if self.loss != "gauge" and not (self.scale is None or 0.0 < self.scale < math.inf):
+            raise ConfigurationError("loss scale must be positive and finite")
+        if self.loss == "gauge" and not 0.0 < self.gauge_omega0 < math.inf:
+            raise ConfigurationError("omega0 must be positive and finite")
+        if self.loss == "gauge" and not 0.0 <= self.gauge_lambda < math.inf:
+            raise ConfigurationError("lam must be nonnegative and finite")
         return self
 
     def to_dict(self) -> dict:
@@ -274,12 +282,13 @@ def _polish_box_dual(problem: ProblemInstance, y: np.ndarray, tol: float, max_it
         used = k + 1
         state = init_state(problem, y)
         primal, dual = _values(problem, state)
-        gap = clamp_gap(primal - dual)
+        gap = clamp_gap(primal, dual)
         if gap < best_gap:
             best_gap, best_y = gap, state.y
         if gap <= tol:
             break
-        grad = state.ax - loss._conj_grad(y)
+        conj_grad, conj_hess_diag = loss._conj_newton(y)
+        grad = state.ax - conj_grad
         at_lo = (y - lo) <= 1e-12 * widths
         at_hi = (hi - y) <= 1e-12 * widths
         free = ~((at_lo & (grad <= 0.0)) | (at_hi & (grad >= 0.0)))
@@ -287,7 +296,7 @@ def _polish_box_dual(problem: ProblemInstance, y: np.ndarray, tol: float, max_it
         if np.any(free):
             # minus the dual's Hessian: A (h*)'' A^T + diag((f*)'')
             neg_hess = op.matrix @ reg._conj_hess(state.carried_h_sub, state.x) @ op.matrix.T
-            neg_hess[np.diag_indices_from(neg_hess)] += loss._conj_hess_diag(y)
+            neg_hess[np.diag_indices_from(neg_hess)] += conj_hess_diag
             sub = neg_hess[np.ix_(free, free)]
             sub[np.diag_indices_from(sub)] += 1e-12 * (1.0 + np.trace(sub) / sub.shape[0])
             try:
@@ -342,7 +351,7 @@ def reference_solution(problem: ProblemInstance, tol: float = 1e-9, cap: int = 1
         y, iters = _polish_box_dual(problem, y, tol, max_iter=min(200, cap))
     final = init_state(problem, y)
     primal, dual = _values(problem, final)
-    certified_gap = clamp_gap(primal - dual)
+    certified_gap = clamp_gap(primal, dual)
     if loss.box_polish and not newton and certified_gap > tol and iters < cap:
         raise ConfigurationError(f"no smooth dual model for {type(reg).__name__}")
     return ReferenceSolution(

@@ -708,3 +708,22 @@ def test_gaps_at_the_round_off_floor_pass_and_below_it_raise(algorithm, schedule
     monkeypatch.setattr(prob.loss, "_conj_value", lambda y: np.full(np.shape(y)[:-1], below))
     with pytest.raises(pdcg.core.GapInconsistencyError, match=f"duality gap {below!r} < -{floor}"):
         run(prob, algorithm, sched, max_iters=BLOCK + 5, gap_tol=-np.inf)
+
+
+@pytest.mark.parametrize("algorithm", ["md", "gcg", "ns-md"])
+def test_the_round_off_floor_scales_with_the_pair(algorithm, monkeypatch):
+    # hinge + entropy at scale 1e6 settles on a gap of -3.7e-9, one ulp of its
+    # primal value 2.87e7 and far below the absolute -1e-10
+    cfg = ExperimentConfig(loss="hinge", regularizer="entropy", n=30, p=6, scale=1e6, seed=1, algorithm=algorithm)
+    prob = generate_problem(cfg)
+    sched = build_schedule(cfg, prob)
+    res = run(prob, algorithm, sched, max_iters=BLOCK + 5, gap_tol=-np.inf)
+    assert res.termination == "budget" and len(res.trace) == BLOCK + 5
+    assert min(rec.gap for rec in res.trace) < -pdcg.core.GAP_CLAMP
+    primal = abs(res.trace[-1].primal_value)
+    assert 2e7 < primal < 4e7
+    # a dual raised by a millionth of the primal value is an inconsistency still
+    conj_value = prob.loss._conj_value
+    monkeypatch.setattr(prob.loss, "_conj_value", lambda y: conj_value(y) - 1e-6 * primal)
+    with pytest.raises(pdcg.core.GapInconsistencyError):
+        run(prob, algorithm, sched, max_iters=BLOCK + 5, gap_tol=-np.inf)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from pdcg import Box, ExperimentConfig
+from pdcg import Box, ExperimentConfig, LeastAbsoluteDeviation
 from pdcg.cli import cli_main
 from pdcg.harness import Experiment
 
@@ -192,6 +192,32 @@ def test_certify_md_distance_refuses_the_reference_before_the_run(tmp_path, caps
         "certify: reference uncertified (gap=3.471e-03)",
         "error: md-distance requires a certified reference; its distance to x* is unknown",
     ]
+
+
+def test_certify_exits_two_when_an_oracle_stops_the_run(tmp_path, capsys):
+    # the md iterate of lad + entropy at scale 2000 reaches the simplex
+    # boundary, where the Bregman column to x* is undefined
+    cfg = ExperimentConfig(loss="lad", regularizer="entropy", n=30, p=6, scale=2000.0, seed=1, max_iters=50)
+    path = tmp_path / "c.json"
+    cfg.dump(str(path))
+    assert cli_main(["certify", "--config", str(path), "--prop", "md-distance"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.splitlines() == ["error: Bregman divergence requires an interior second argument"]
+
+
+def test_solve_exits_two_on_a_gap_inconsistency(tmp_path, capsys, monkeypatch):
+    # a conjugate off by 1 makes the duality gap negative beyond round-off
+    conj_value = LeastAbsoluteDeviation._conj_value
+    monkeypatch.setattr(LeastAbsoluteDeviation, "_conj_value", lambda self, y: conj_value(self, y) - 1.0)
+    cfg = ExperimentConfig(loss="lad", regularizer="squared_l2", n=30, p=6, seed=1, max_iters=50)
+    path = tmp_path / "c.json"
+    cfg.dump(str(path))
+    assert cli_main(["solve", "--config", str(path), "--out", str(tmp_path / "t.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: duality gap -") and line.endswith("; oracle inconsistency")
 
 
 def test_certify_exit_one_on_failed_bound(tmp_path, capsys):

@@ -229,15 +229,24 @@ def test_instance_rejects_zero_modulus_of_any_regularizer():
 
 
 def test_clamp_gap():
-    assert clamp_gap(1.5) == 1.5
-    assert clamp_gap(-5e-11) == 0.0
-    with pytest.raises(GapInconsistencyError):
-        clamp_gap(-1e-9)
+    assert clamp_gap(1.5, 0.0) == 1.5
+    assert clamp_gap(0.0, 5e-11) == 0.0
+    with pytest.raises(GapInconsistencyError, match=r"duality gap -1e-09 < -1e-10;"):
+        clamp_gap(0.0, 1e-9)
+    # the floor scales with the pair: one ulp below a primal of 2.87e7 is round-off,
+    # a millionth of it is not
+    primal = 2.87e7
+    assert clamp_gap(primal, np.nextafter(primal, np.inf)) == 0.0
+    with pytest.raises(GapInconsistencyError, match=r"< -0\.00287"):
+        clamp_gap(primal, primal * (1.0 + 1e-6))
 
 
 def test_nan_gap_is_an_inconsistency():
     # a NaN gap compares false with everything, so it must fail the floor
     with pytest.raises(GapInconsistencyError):
-        check_gap_floor(float("nan"))
+        check_gap_floor(float("nan"), 0.0)
     with pytest.raises(GapInconsistencyError):
-        clamp_gap(float("nan"))
+        clamp_gap(0.0, float("nan"))
+    # a -inf gap stays an inconsistency under the infinite floor of an infinite dual
+    with pytest.raises(GapInconsistencyError):
+        check_gap_floor(0.0, float("inf"))

@@ -105,6 +105,17 @@ def test_equivalence_every_loss_and_smooth_regularizer():
         assert rep.passed, (loss, reg, rep)
 
 
+def test_equivalence_verdict_compares_with_the_tolerance_exactly():
+    # the lockstep deviations are round-off, not zero: a tolerance at the
+    # larger one passes and half of it fails
+    prob = _svm()
+    rep = verify_equivalence(prob, np.zeros(prob.n), FixedTwoOverTPlusOne(), 100, 1e-9)
+    worst = max(rep.max_x_deviation, rep.max_dual_identity_deviation)
+    assert 0.0 < worst <= 1e-9
+    assert verify_equivalence(prob, np.zeros(prob.n), FixedTwoOverTPlusOne(), 100, worst).passed
+    assert not verify_equivalence(prob, np.zeros(prob.n), FixedTwoOverTPlusOne(), 100, worst / 2).passed
+
+
 def test_equivalence_box_regularizer_carried_rule():
     # non-smooth h: the identity still holds under the carried subgradient
     rng = np.random.default_rng(22)

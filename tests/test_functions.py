@@ -371,14 +371,14 @@ def _inside(loss):
 )
 def test_loss_conj_grad_matches_differences(loss):
     y = _inside(loss)
-    np.testing.assert_allclose(loss._conj_grad(y), _central_differences(loss.conj_value, y), atol=1e-7)
+    np.testing.assert_allclose(loss._conj_newton(y)[0], _central_differences(loss.conj_value, y), atol=1e-7)
 
 
 def test_logistic_conj_hess_diag_matches_differences():
     loss = Logistic([-1.0, 1.0, 1.0], 1.5)
     y = _inside(loss)
-    jac = _central_differences(loss._conj_grad, y)
-    np.testing.assert_allclose(loss._conj_hess_diag(y), np.diag(jac), rtol=1e-6)
+    jac = _central_differences(lambda v: loss._conj_newton(v)[0], y)
+    np.testing.assert_allclose(loss._conj_newton(y)[1], np.diag(jac), rtol=1e-6)
     np.testing.assert_allclose(jac - np.diag(np.diag(jac)), 0.0, atol=1e-8)
 
 
@@ -452,10 +452,9 @@ def test_oracle_and_matvec_bits_do_not_depend_on_memory_layout():
     "oracle,call",
     [
         (SquaredL2Box(1.0, np.zeros(3), np.ones(3)), lambda reg: reg._conj_hess(np.zeros(3), np.full(3, 0.5))),
-        (DualNormGauge(3, 1.0), lambda loss: loss._conj_grad(np.zeros(3))),
-        (DualNormGauge(3, 1.0), lambda loss: loss._conj_hess_diag(np.zeros(3))),
+        (DualNormGauge(3, 1.0), lambda loss: loss._conj_newton(np.zeros(3))),
     ],
-    ids=["box-conj-hess", "gauge-conj-grad", "gauge-conj-hess-diag"],
+    ids=["box-conj-hess", "gauge-conj-newton"],
 )
 def test_no_smooth_dual_model(oracle, call):
     with pytest.raises(ConfigurationError) as exc:

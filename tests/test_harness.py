@@ -92,6 +92,16 @@ def test_config_validation_errors(overrides):
         ({"regularizer": "squared_l2_box", "box_lower": 0.5, "box_upper": 0.5},
          "box_lower must be strictly below box_upper"),
         ({"regularizer": "squared_l2_box", "box_lower": float("nan")}, "box_lower must be strictly below box_upper"),
+        ({"regularizer": "squared_l2_box", "box_lower": -math.inf}, "box bounds must be finite"),
+        ({"regularizer": "squared_l2_box", "box_upper": math.inf}, "box bounds must be finite"),
+        ({"scale": 0.0}, "loss scale must be positive and finite"),
+        ({"loss": "lad", "scale": -1.0}, "loss scale must be positive and finite"),
+        ({"loss": "logistic", "scale": float("nan")}, "loss scale must be positive and finite"),
+        ({"loss": "lad", "scale": math.inf}, "loss scale must be positive and finite"),
+        ({"loss": "gauge", "gauge_omega0": 0.0}, "omega0 must be positive and finite"),
+        ({"loss": "gauge", "gauge_omega0": math.inf}, "omega0 must be positive and finite"),
+        ({"loss": "gauge", "gauge_lambda": -1.0}, "lam must be nonnegative and finite"),
+        ({"loss": "gauge", "gauge_lambda": math.inf}, "lam must be nonnegative and finite"),
     ],
 )
 def test_config_checks_mu_and_box_bounds_when_built(overrides, message):
@@ -104,6 +114,8 @@ def test_config_checks_mu_and_box_bounds_when_built(overrides, message):
 
 def test_box_bounds_are_checked_for_the_box_regularizer_only():
     assert ExperimentConfig(regularizer="squared_l2", box_lower=1.0, box_upper=0.0).box_lower == 1.0
+    # the gauge reads gauge_omega0 and gauge_lambda, not scale
+    assert ExperimentConfig(loss="gauge", scale=-1.0).scale == -1.0
 
 
 # --------------------------------------------------------------------------

@@ -34,6 +34,9 @@ CERTIFICATES = "src/pdcg/certificates.py"
 ALGORITHMS = "src/pdcg/algorithms.py"
 CORE = "src/pdcg/core.py"
 FUNCTIONS = "src/pdcg/functions.py"
+HARNESS = "src/pdcg/harness.py"
+EQUIVALENCE = "src/pdcg/equivalence.py"
+CLI = "src/pdcg/cli.py"
 BOUND_TESTS = ("tests/test_certificates.py", "tests/test_cli.py", "tests/test_acceptance.py")
 STEP_TESTS = ("tests/test_algorithms.py",)
 
@@ -49,6 +52,13 @@ class Mutation(NamedTuple):
 def _pairing_row(bound_id: str, args: str) -> str:
     key = "COMPACT_BOUND" if bound_id == "compact-averaged-gap" else f'"{bound_id}"'
     return f"    {key}: BoundPairing({args}),\n"
+
+
+def _shifted(args: str) -> str:
+    """BoundPairing arguments as written, with ``shift`` (the fifth) one larger."""
+    parts = args.split(", ")
+    parts[4] = repr(float(parts[4]) + 1.0)
+    return ", ".join(parts)
 
 
 # (bound id, BoundPairing arguments as written, the same with coef halved)
@@ -99,13 +109,14 @@ MUTATIONS = (
     # the block evaluation of the trace columns: each row is its own pre-step
     # pair, each averaged stack is scanned, a run cut short keeps the state of
     # its last row, and a gap on the round-off floor passes
-    Mutation("block-row-reads-post-pair", ALGORITHMS, "gap = check_gap_floors(primal[:-1] - dual[:-1])",
-             "gap = check_gap_floors(primal[1:] - dual[1:])", STEP_TESTS),
+    Mutation("block-row-reads-post-pair", ALGORITHMS,
+             "gap = check_gap_floors(primal[:-1] - dual[:-1], primal[:-1], dual[:-1])",
+             "gap = check_gap_floors(primal[1:] - dual[1:], primal[1:], dual[1:])", STEP_TESTS),
     Mutation("averaged-scan-dropped", ALGORITHMS,
              '            as_vector(avg_x.ravel(), name="avg_x")  # one scan of each averaged stack\n', "", STEP_TESTS),
     Mutation("stopped-run-keeps-block-state", ALGORITHMS, '                termination = "gap_tolerance"\n',
              '                termination, state = "gap_tolerance", states[-1]\n', STEP_TESTS),
-    Mutation("gap-floor-strict", CORE, "ok = gaps >= -GAP_CLAMP", "ok = gaps > -GAP_CLAMP", STEP_TESTS),
+    Mutation("gap-floor-strict", CORE, "ok = gaps + floor >= 0.0", "ok = gaps + floor > 0.0", STEP_TESTS),
     # the instance geometry: each R^2 is read from its own variant, and delta^2 is kept on a compact domain
     Mutation("exact-r2-swapped", FUNCTIONS,
              "return diameter, _max_sq_norm_over_vertices(op.matrix, self.lower, self.upper), MODE_EXACT",
@@ -116,6 +127,52 @@ MUTATIONS = (
     Mutation("l1-ball-diameter-as-radius", FUNCTIONS, "return (2.0 * r) ** 2, r**2, MODE_EXACT",
              "return r**2, r**2, MODE_EXACT"),
     Mutation("geometry-drops-delta2", CORE, "reg.delta2() if reg.domain.compact else None", "None"),
+    # each strongly convex bound one step tighter, and the md bounds reading each other's primal column
+    *(Mutation(f"shift-plus-one/{bid}", CERTIFICATES, _pairing_row(bid, old), _pairing_row(bid, _shifted(old)))
+      for bid, old, _ in _PAIRING if bid != "compact-averaged-gap"),
+    Mutation("md-avg-reads-primal", CERTIFICATES, _pairing_row(*_PAIRING[0][:2]),
+             _pairing_row(_PAIRING[0][0], _PAIRING[0][1].replace('"avg_primal_value"', '"primal_value"'))),
+    Mutation("md-best-reads-avg-primal", CERTIFICATES, _pairing_row(*_PAIRING[1][:2]),
+             _pairing_row(_PAIRING[1][0], _PAIRING[1][1].replace('"primal_value"', '"avg_primal_value"'))),
+    # the step rules, the lockstep verdict, and a positive control: md that
+    # carries mu x in place of its own subgradient is no longer gcg's twin
+    Mutation("line-search-without-mu-over-r2", ALGORITHMS, "return min(self.mu / self.r2 * max(gap, 0.0), 1.0)",
+             "return min(max(gap, 0.0), 1.0)", STEP_TESTS + BOUND_TESTS),
+    Mutation("weighted-average-over-t", ALGORITHMS, "norm = 2.0 / (ts * (ts + 1.0)) if weighted else ts",
+             "norm = 1.0 / ts if weighted else ts", STEP_TESTS + BOUND_TESTS),
+    Mutation("equivalence-tolerance-1e6", EQUIVALENCE,
+             "passed=bool(max_x <= tolerance and max_dual <= tolerance),",
+             "passed=bool(max_x <= 1e6 * tolerance and max_dual <= 1e6 * tolerance),",
+             ("tests/test_equivalence.py", "tests/test_cli.py", "tests/test_acceptance.py")),
+    Mutation("md-carries-mu-x", ALGORITHMS,
+             'g = as_vector((1.0 - rho) * state.carried_h_sub - rho * op.adjoint_apply(ybar), name="g")',
+             'g = as_vector((1.0 - rho) * problem.regularizer.mu * state.x - rho * op.adjoint_apply(ybar), name="g")',
+             ("tests/test_equivalence.py", "tests/test_algorithms.py")),
+    # the Newton polish's kernels
+    Mutation("logistic-conj-hess-doubled", FUNCTIONS, "1.0 / (self.scale * g * (1.0 - g))",
+             "2.0 / (self.scale * g * (1.0 - g))", ("tests/test_functions.py",)),
+    Mutation("lad-conj-grad-negated", FUNCTIONS, "return self.targets.copy(), np.zeros(self.dim)",
+             "return -self.targets, np.zeros(self.dim)", ("tests/test_functions.py",)),
+    # an oracle error exits 2, the round-off floor scales with the pair, and a config is checked when built
+    Mutation("cli-oracle-errors-escape", CLI,
+             "FeasibilityError, DomainError, GapInconsistencyError) as exc:", "FeasibilityError) as exc:",
+             ("tests/test_cli.py",)),
+    Mutation("gap-floor-absolute", CORE, "GAP_CLAMP * max(1.0, abs(primal), abs(dual))", "GAP_CLAMP",
+             ("tests/test_core.py", "tests/test_algorithms.py")),
+    Mutation("gap-floors-absolute", CORE,
+             "floor = GAP_CLAMP * np.maximum(np.maximum(np.abs(primal), np.abs(dual)), 1.0)",
+             "floor = np.full_like(gaps, GAP_CLAMP)", ("tests/test_core.py", "tests/test_algorithms.py")),
+    Mutation("config-checks-reverted", HARNESS,
+             '        if self.regularizer == "squared_l2_box" and not -math.inf < self.box_lower < self.box_upper'
+             ' < math.inf:\n'
+             '            raise ConfigurationError("box bounds must be finite")\n'
+             '        if self.loss != "gauge" and not (self.scale is None or 0.0 < self.scale < math.inf):\n'
+             '            raise ConfigurationError("loss scale must be positive and finite")\n'
+             '        if self.loss == "gauge" and not 0.0 < self.gauge_omega0 < math.inf:\n'
+             '            raise ConfigurationError("omega0 must be positive and finite")\n'
+             '        if self.loss == "gauge" and not 0.0 <= self.gauge_lambda < math.inf:\n'
+             '            raise ConfigurationError("lam must be nonnegative and finite")\n', "",
+             ("tests/test_harness.py",)),
 )
 
 
