@@ -25,7 +25,6 @@ from .algorithms import (
     resolve_initial_dual,
     run,
     step,
-    step_size,
 )
 from .certificates import (
     BOUND_IDS,

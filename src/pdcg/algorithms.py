@@ -150,14 +150,6 @@ def _check_schedule(schedule: StepSchedule, *algorithms: str) -> None:
         raise ConfigurationError(schedule.pairing_error)
 
 
-def step_size(schedule: StepSchedule, t: int, current_gap: Optional[float] = None) -> float:
-    """Step size rho_t in [0, 1] for iteration t >= 1."""
-    if t < 1:
-        raise ValueError(f"iteration index must be >= 1, got {t}")
-    _check_schedule(schedule)
-    return schedule.rho(t, current_gap)
-
-
 # ---------------------------------------------------------------------------
 # Solver state
 
@@ -332,7 +324,8 @@ def run(
     Each iteration appends a ``TraceRecord``; see its docstring for the
     exact semantics of every column.  ``reference`` (an object with
     ``x_star`` and ``primal_value`` attributes) enables the
-    reference-relative columns.  Initialization follows the matched
+    reference-relative columns; an ``x_star`` of None leaves the Bregman
+    column empty.  Initialization follows the matched
     rule: the dual start y_0 (default per ``resolve_initial_dual``)
     determines x_0 = (h*)'(-A^T y_0) for both strongly convex
     recursions; the compact-domain recursion starts from the interior
@@ -360,12 +353,13 @@ def run(
 
     stepper = STEPPERS[algorithm][0]
     in_loop = strongly_convex and schedule.needs_gap
+    x_star = None
     if strongly_convex:
         state = init_state(problem, resolve_initial_dual(problem, y0=y0))
         # the post-step pair of one iteration is the pre-step pair of the next
         pair = _values(problem, state)
         # x* enters every row's Bregman column, so it is checked once
-        if reference is not None and max_iters:
+        if reference is not None and reference.x_star is not None and max_iters:
             x_star = contiguous_vector(reference.x_star, problem.p, "x_star")
     else:
         state, pair = init_state_compact(problem), None
@@ -412,6 +406,7 @@ def run(
                 avg_gap = check_gap_floors(avg_primal - avg_dual, avg_primal, avg_dual)
             if reference is not None:
                 dual_subopt = (reference.primal_value - dual[1:]).tolist()
+            if x_star is not None:
                 bregman_ref = reg._bregman(x_star, x).tolist()
             pair, primal, dual = (float(primal[-1]), float(dual[-1])), primal[:-1], dual[:-1]
         else:

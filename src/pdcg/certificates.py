@@ -21,7 +21,10 @@ one of the certified convergence bounds:
   rho_t = delta/(R sqrt(t)); the averaged-pair gap <= 2 R delta/sqrt(t).
 
 Here R^2 = diam(A^T C)^2 for the strongly convex bounds and
-R^2 = max_{y in C} ||A^T y||^2 for the compact-domain bound.
+R^2 = max_{y in C} ||A^T y||^2 for the compact-domain bound.  Each bound's
+pairing, constants and trace column are one row of ``BOUND_PAIRING``; a
+bound needs a reference when its column is measured against the optimum,
+and ``md-distance``, measured to the reference point, needs a certified one.
 """
 
 from __future__ import annotations
@@ -95,20 +98,35 @@ def geometry_constants(problem: ProblemInstance) -> GeometryConstants:
 class BoundReport:
     """Outcome of replaying a trace against one convergence bound.
 
-    ``margins[i] = bounds[i] - observed[i]`` for the i-th record; the
-    report passes exactly when ``observed[i] <= bounds[i]`` on every row,
-    with no tolerance, and the worst row is the smallest margin.  An
-    empty trace passes vacuously with ``iterations == 0``.
+    All else is read from ``bounds`` and ``observed``: margins are bounds
+    less observed; the report passes exactly when observed <= bound on
+    every row, with no tolerance; the worst row has the first smallest
+    margin.  An empty trace passes, with 0 rows and a worst margin of inf.
     """
 
     bound_id: str
-    iterations: int
     bounds: np.ndarray
     observed: np.ndarray
-    margins: np.ndarray
-    passed: bool
-    worst_iteration: int
-    worst_margin: float
+
+    @property
+    def iterations(self) -> int:
+        return self.bounds.size
+
+    @property
+    def margins(self) -> np.ndarray:
+        return self.bounds - self.observed
+
+    @property
+    def passed(self) -> bool:
+        return bool(np.all(self.observed <= self.bounds))
+
+    @property
+    def worst_iteration(self) -> int:
+        return int(np.argmin(self.margins)) + 1 if self.iterations else 0
+
+    @property
+    def worst_margin(self) -> float:
+        return float(self.margins[self.worst_iteration - 1]) if self.iterations else float("inf")
 
 
 @dataclass(frozen=True)
@@ -124,45 +142,32 @@ class BoundPairing:
 
     algorithm: str
     schedule: str
-    needs_reference: bool
     coef: float
     shift: float
     column: str
     running_min: bool = False
+
+    @property
+    def needs_reference(self) -> bool:
+        """A primal column, ``dual_suboptimality`` or ``bregman_to_ref`` is measured against the optimum."""
+        return self.column not in ("gap", "avg_gap")
 
 
 _TWO = FixedTwoOverTPlusOne.name
 COMPACT_BOUND = "compact-averaged-gap"
 
 BOUND_PAIRING = {
-    "md-avg-subopt": BoundPairing(MD, _TWO, True, 1.0, 1.0, "avg_primal_value"),
-    "md-best-subopt": BoundPairing(MD, _TWO, True, 1.0, 1.0, "primal_value", running_min=True),
-    "md-distance": BoundPairing(MD, _TWO, True, 1.0, 1.0, "bregman_to_ref"),
-    "gcg-fixed-dual-subopt": BoundPairing(GCG, _TWO, True, 2.0, 1.0, "dual_suboptimality"),
-    "gcg-fixed-min-gap": BoundPairing(GCG, _TWO, False, 8.0, 1.0, "gap", running_min=True),
-    "gcg-linesearch-dual-subopt": BoundPairing(GCG, LineSearch.name, True, 2.0, 3.0, "dual_suboptimality"),
-    "gcg-linesearch-min-gap": BoundPairing(GCG, LineSearch.name, False, 2.0, 3.0, "gap", running_min=True),
-    COMPACT_BOUND: BoundPairing(NS_MD, SqrtDecay.name, False, 2.0, 0.0, "avg_gap"),
+    "md-avg-subopt": BoundPairing(MD, _TWO, 1.0, 1.0, "avg_primal_value"),
+    "md-best-subopt": BoundPairing(MD, _TWO, 1.0, 1.0, "primal_value", running_min=True),
+    "md-distance": BoundPairing(MD, _TWO, 1.0, 1.0, "bregman_to_ref"),
+    "gcg-fixed-dual-subopt": BoundPairing(GCG, _TWO, 2.0, 1.0, "dual_suboptimality"),
+    "gcg-fixed-min-gap": BoundPairing(GCG, _TWO, 8.0, 1.0, "gap", running_min=True),
+    "gcg-linesearch-dual-subopt": BoundPairing(GCG, LineSearch.name, 2.0, 3.0, "dual_suboptimality"),
+    "gcg-linesearch-min-gap": BoundPairing(GCG, LineSearch.name, 2.0, 3.0, "gap", running_min=True),
+    COMPACT_BOUND: BoundPairing(NS_MD, SqrtDecay.name, 2.0, 0.0, "avg_gap"),
 }
 
 BOUND_IDS = tuple(BOUND_PAIRING)
-
-
-def _finish_report(bound_id: str, bounds: np.ndarray, observed: np.ndarray) -> BoundReport:
-    margins = bounds - observed
-    if margins.size == 0:
-        return BoundReport(bound_id, 0, bounds, observed, margins, True, 0, float("inf"))
-    worst = int(np.argmin(margins))
-    return BoundReport(
-        bound_id=bound_id,
-        iterations=margins.size,
-        bounds=bounds,
-        observed=observed,
-        margins=margins,
-        passed=bool(np.all(observed <= bounds)),
-        worst_iteration=worst + 1,
-        worst_margin=float(margins[worst]),
-    )
 
 
 def check_reference(which: str, reference) -> None:
@@ -183,15 +188,11 @@ def check_bound(
 ) -> BoundReport:
     """Compare a finished trace against one certified bound.
 
-    ``reference`` (needed by the suboptimality variants) is an object
-    exposing ``dual_value``, against which a primal objective column is
-    measured, and ``certified``.  By weak duality a dual value is at most
-    the optimum, so the measured suboptimality over-estimates the true
-    one and no tolerance is added to the bound.  ``md-distance`` is
-    measured to the reference point, which stands for x* only when its
-    gap is certified, so an uncertified reference raises
-    ConfigurationError there.  Gap-based variants need no reference.  A
-    row passes exactly when its observed value is <= its bound.  The run
+    ``reference`` (``check_reference`` says which bounds need one) is an
+    object exposing ``dual_value``, against which a primal objective
+    column is measured, and ``certified``.  By weak duality a dual value
+    is at most the optimum, so the measured suboptimality over-estimates
+    the true one and no tolerance is added to the bound.  The run
     must have been produced by the matching algorithm and schedule, ``mu``
     must be positive and finite, and a schedule's constants must be the
     ones in ``constants`` and ``mu``, compared exactly: line search's
@@ -240,4 +241,4 @@ def check_bound(
         observed = observed - reference.dual_value
     if row.running_min:
         observed = np.minimum.accumulate(observed)
-    return _finish_report(which, bounds, observed)
+    return BoundReport(which, bounds, observed)

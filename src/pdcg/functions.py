@@ -5,7 +5,8 @@ other modules call the methods below.  A public vector oracle checks
 its vectors in the base class and calls the kind's kernel (same name,
 leading underscore), which a new kind implements and the recursions
 call directly.  An oracle a kind does not support raises
-``ConfigurationError``.
+``ConfigurationError``; a bad constructor parameter raises
+``ValidationError``, and ``ExperimentConfig.validate`` calls those checks.
 
 Each regularizer exposes h, its conjugate h*, the conjugate gradient
 (h*)' and the Bregman divergence D(x1, x2) = h(x1) - h(x2) - <x1 - x2,
@@ -151,9 +152,6 @@ class RealSpace:
 
     def __init__(self, dim: int) -> None:
         self.dim = int(dim)
-
-    def contains(self, v, tol: float = _TOL) -> bool:
-        return True
 
 
 class _CompactDomain:
@@ -433,8 +431,11 @@ class NegativeEntropySimplex(Regularizer):
         return np.diag(x) - np.outer(x, x)
 
     def _prox_step(self, x, aty, rho: float) -> np.ndarray:
-        # renormalized multiplicative update: the softmax at the mirrored point
-        return self._conj_grad(np.log(x) - rho * aty)
+        # renormalized multiplicative update: the softmax at the mirrored point;
+        # a coordinate the softmax underflowed to 0 stays there, its log -inf
+        with np.errstate(divide="ignore"):
+            log_x = np.log(x)
+        return self._conj_grad(log_x - rho * aty)
 
     def delta2(self) -> float:
         """max_x KL(x || x0), attained at a vertex: -log(min_i x0_i) at the barycenter x0."""

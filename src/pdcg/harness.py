@@ -40,8 +40,10 @@ from .algorithms import (
     run,
 )
 from .certificates import _dual_objective
-from .core import ConfigurationError, GeometryConstants, LinearOperator, ProblemInstance, TraceRecord, clamp_gap
+from .core import (ConfigurationError, GeometryConstants, LinearOperator, ProblemInstance, TraceRecord,
+                   ValidationError, clamp_gap)
 from .functions import (
+    Box,
     DualNormGauge,
     Hinge,
     LeastAbsoluteDeviation,
@@ -49,6 +51,8 @@ from .functions import (
     NegativeEntropySimplex,
     SquaredL2,
     SquaredL2Box,
+    _check_mu,
+    _check_scale,
 )
 
 LOSS_KINDS = ("hinge", "lad", "logistic", "gauge")
@@ -124,18 +128,19 @@ class ExperimentConfig:
             raise ConfigurationError("output_format must be 'csv' or 'json'")
         if self.regularizer == "entropy" and self.mu != 1.0:
             raise ConfigurationError("the entropy regularizer has modulus 1; set mu = 1")
-        if not 0.0 < self.mu < math.inf:
-            raise ConfigurationError("modulus mu must be positive and finite")
-        if self.regularizer == "squared_l2_box" and not self.box_lower < self.box_upper:
-            raise ConfigurationError("box_lower must be strictly below box_upper")
-        if self.regularizer == "squared_l2_box" and not -math.inf < self.box_lower < self.box_upper < math.inf:
-            raise ConfigurationError("box bounds must be finite")
-        if self.loss != "gauge" and not (self.scale is None or 0.0 < self.scale < math.inf):
-            raise ConfigurationError("loss scale must be positive and finite")
-        if self.loss == "gauge" and not 0.0 < self.gauge_omega0 < math.inf:
-            raise ConfigurationError("omega0 must be positive and finite")
-        if self.loss == "gauge" and not 0.0 <= self.gauge_lambda < math.inf:
-            raise ConfigurationError("lam must be nonnegative and finite")
+        # the constructors the instance will call check mu, the box, the scale and the gauge
+        try:
+            _check_mu(self.mu)
+            if self.regularizer == "squared_l2_box":
+                if not self.box_lower < self.box_upper:
+                    raise ConfigurationError("box_lower must be strictly below box_upper")
+                Box([self.box_lower], [self.box_upper])
+            if self.loss == "gauge":
+                DualNormGauge(1, self.gauge_omega0, self.gauge_lambda)
+            elif self.scale is not None:
+                _check_scale(self.scale)
+        except ValidationError as exc:
+            raise ConfigurationError(str(exc)) from exc
         return self
 
     def to_dict(self) -> dict:
@@ -378,12 +383,10 @@ def build_schedule(config: ExperimentConfig, problem: ProblemInstance) -> StepSc
         return FixedOneOverT()
     if name == "line-search":
         return LineSearch(mu=problem.regularizer.mu, r2=problem.geometry.r2_primal)
-    if name == "sqrt-decay":
-        geo = problem.geometry
-        if geo.delta2 is None:  # off a compact domain, where delta2() raises
-            problem.regularizer.delta2()
-        return SqrtDecay(delta=float(np.sqrt(geo.delta2)), radius=float(np.sqrt(geo.r2_origin)))
-    raise ConfigurationError(f"unknown schedule {name!r}")
+    geo = problem.geometry  # sqrt-decay, the last of SCHEDULE_NAMES
+    if geo.delta2 is None:  # off a compact domain, where delta2() raises
+        problem.regularizer.delta2()
+    return SqrtDecay(delta=float(np.sqrt(geo.delta2)), radius=float(np.sqrt(geo.r2_origin)))
 
 
 @dataclass(frozen=True)

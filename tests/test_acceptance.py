@@ -31,7 +31,6 @@ from pdcg import (
     reference_solution,
     run,
     step,
-    step_size,
     verify_equivalence,
 )
 
@@ -435,7 +434,7 @@ def test_averaging_identities(svm_100_20):
     wsum_aty = np.zeros(prob.p)
     worst_y = worst_carried = 0.0
     for t in range(1, 1001):
-        state = step(prob, "md", state, step_size(FixedTwoOverTPlusOne(), t))
+        state = step(prob, "md", state, FixedTwoOverTPlusOne().rho(t))
         # independent accumulation of the weighted oracle outputs
         wsum_ybar += t * state.y_bar
         wsum_aty += t * op.adjoint_apply(state.y_bar)
@@ -467,7 +466,7 @@ def test_uniform_average_gap_decay(panel):
         hit = None
         for t in range(1, 10**4 + 1):
             psum_x += state.x
-            state = step(prob, "md", state, step_size(FixedOneOverT(), t))
+            state = step(prob, "md", state, FixedOneOverT().rho(t))
             psum_ybar += state.y_bar
             gap = duality_gap(prob, psum_x / t, psum_ybar / t)
             if initial is None:
@@ -506,7 +505,7 @@ def test_projected_gradient_non_equivalence():
     pg_dev = 0.0
     hit_boundary = False
     for t in range(1, 61):
-        rho = step_size(FixedTwoOverTPlusOne(), t)
+        rho = FixedTwoOverTPlusOne().rho(t)
         cg = step(prob, "gcg", cg, rho)
         ybar = prob.loss.subgradient(op.apply(x_pg))
         unclipped = (1.0 - rho) * x_pg + rho * (-op.adjoint_apply(ybar))

@@ -1,5 +1,7 @@
 import dataclasses
+import re
 import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -34,7 +36,6 @@ from pdcg import (
     resolve_initial_dual,
     run,
     step,
-    step_size,
     verify_equivalence,
 )
 
@@ -43,34 +44,29 @@ from pdcg import (
 # step sizes
 
 
-def test_step_size_two_over_t_plus_one():
+def test_rho_two_over_t_plus_one():
     sched = FixedTwoOverTPlusOne()
-    assert step_size(sched, 1) == 1.0
-    assert step_size(sched, 3) == 0.5
+    assert sched.rho(1) == 1.0
+    assert sched.rho(3) == 0.5
 
 
-def test_step_size_one_over_t():
-    assert step_size(FixedOneOverT(), 1) == 1.0
-    assert step_size(FixedOneOverT(), 4) == 0.25
+def test_rho_one_over_t():
+    assert FixedOneOverT().rho(1) == 1.0
+    assert FixedOneOverT().rho(4) == 0.25
 
 
-def test_step_size_line_search():
-    assert step_size(LineSearch(mu=1.0, r2=4.0), 5, current_gap=1.0) == 0.25
-    assert step_size(LineSearch(mu=2.0, r2=1.0), 5, current_gap=3.0) == 1.0
+def test_rho_line_search():
+    assert LineSearch(mu=1.0, r2=4.0).rho(5, 1.0) == 0.25
+    assert LineSearch(mu=2.0, r2=1.0).rho(5, 3.0) == 1.0
     with pytest.raises(ValueError):
-        step_size(LineSearch(mu=1.0, r2=4.0), 5)
+        LineSearch(mu=1.0, r2=4.0).rho(5)
 
 
-def test_step_size_sqrt_decay():
+def test_rho_sqrt_decay():
     sched = SqrtDecay(delta=1.0, radius=2.0)
-    assert step_size(sched, 1) == 0.5
-    assert step_size(sched, 4) == 0.25
-    assert step_size(SqrtDecay(delta=5.0, radius=1.0), 1) == 1.0  # clamped
-
-
-def test_step_size_rejects_bad_iteration():
-    with pytest.raises(ValueError):
-        step_size(FixedOneOverT(), 0)
+    assert sched.rho(1) == 0.5
+    assert sched.rho(4) == 0.25
+    assert SqrtDecay(delta=5.0, radius=1.0).rho(1) == 1.0  # clamped
 
 
 # --------------------------------------------------------------------------
@@ -99,7 +95,7 @@ def test_md_step_matches_subgradient_descent_form():
     prob = ProblemInstance(op, SquaredL2(1.7, 3), Hinge(np.where(rng.random(6) < 0.5, 1.0, -1.0), 0.25))
     state = init_state(prob, np.zeros(6))
     for t in range(1, 20):
-        rho = step_size(FixedTwoOverTPlusOne(), t)
+        rho = FixedTwoOverTPlusOne().rho(t)
         expected = state.x - (rho / 1.7) * (
             op.adjoint_apply(prob.loss.subgradient(op.apply(state.x))) + 1.7 * state.x
         )
@@ -302,7 +298,7 @@ def test_convex_combination_identity_short():
     state = init_state(prob, np.zeros(prob.n))
     wsum_ybar = np.zeros(prob.n)
     for t in range(1, 51):
-        state = step(prob, "gcg", state, step_size(FixedTwoOverTPlusOne(), t))
+        state = step(prob, "gcg", state, FixedTwoOverTPlusOne().rho(t))
         wsum_ybar += t * state.y_bar
         np.testing.assert_allclose(state.y, 2.0 / (t * (t + 1.0)) * wsum_ybar, atol=1e-12)
         assert prob.loss.dual_domain.contains(state.y, 1e-10)
@@ -326,6 +322,17 @@ def test_ns_md_iterate_feasibility():
     )
     res = run(box_prob, "ns-md", SqrtDecay(delta=1.0, radius=5.0), max_iters=200)
     assert np.all(res.state.x >= -1e-12) and np.all(res.state.x <= 1.0 + 1e-12)
+
+
+def test_ns_md_past_a_softmax_underflow_warns_nothing():
+    # x_1 is the vertex e_1, so every later prox step takes the log of exact zeros
+    cfg = ExperimentConfig(loss="hinge", regularizer="entropy", n=30, p=6, scale=1e6, seed=1, algorithm="ns-md")
+    prob = generate_problem(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run(prob, "ns-md", FixedTwoOverTPlusOne(), max_iters=100, gap_tol=-np.inf)
+    assert len(res.trace) == 100
+    assert res.state.x.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
 
 
 def test_run_schedule_pairing_errors():
@@ -356,7 +363,6 @@ def test_run_and_lockstep_check_the_schedule_once(monkeypatch):
     for module in (pdcg.algorithms, pdcg.equivalence):
         check = module._check_schedule
         monkeypatch.setattr(module, "_check_schedule", lambda *args, check=check: calls.append(1) or check(*args))
-    monkeypatch.setattr(pdcg.algorithms, "step_size", lambda *args: pytest.fail("the loop re-checks the schedule"))
     assert len(run(prob, "gcg", sched, max_iters=20, gap_tol=-np.inf).trace) == 20
     assert verify_equivalence(prob, np.zeros(prob.n), sched, 20).passed
     assert len(calls) == 2
@@ -368,6 +374,37 @@ def test_run_rejects_nan_gap_tol():
         run(_svm_problem(), "gcg", FixedTwoOverTPlusOne(), max_iters=5, gap_tol=float("nan"))
     res = run(_svm_problem(), "gcg", FixedTwoOverTPlusOne(), max_iters=5, gap_tol=float("-inf"))
     assert res.termination == "budget" and len(res.trace) == 5
+
+
+def _start(prob, **changes):
+    return dataclasses.replace(init_state(prob, np.zeros(prob.n)), **changes)
+
+
+@pytest.mark.parametrize(
+    "call, outcome",
+    [
+        (lambda prob: run(prob, "gcg", FixedTwoOverTPlusOne(), max_iters=-1),
+         ConfigurationError("max_iters must be nonnegative")),
+        (lambda prob: step(prob, "gcg", _start(prob), 1.5), ValueError("step size must lie in [0, 1], got 1.5")),
+        (lambda prob: step(prob, "gcg", _start(prob), -0.5), ValueError("step size must lie in [0, 1], got -0.5")),
+        (lambda prob: step(prob, "md", _start(prob, carried_h_sub=None), 0.5),
+         ValueError("mirror descent state has no carried subgradient; use init_state")),
+        # without their guards these divide by zero: a ZeroDivisionError, or numpy's warning
+        (lambda prob: LineSearch(mu=1.0, r2=0.0).rho(1, 1.0), 1.0),
+        (lambda prob: SqrtDecay(delta=0.0, radius=0.0).rho(1), 1.0),
+    ],
+    ids=["run-negative-budget", "rho-above-one", "rho-below-zero", "md-without-carried", "line-search-r2-zero",
+         "sqrt-decay-radius-zero"],
+)
+def test_algorithm_entry_checks(call, outcome):
+    prob = _svm_problem()
+    if isinstance(outcome, Exception):
+        with pytest.raises(type(outcome), match=re.escape(str(outcome))):
+            call(prob)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert call(prob) == outcome
 
 
 def test_run_partial_reference_columns():

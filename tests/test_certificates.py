@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -314,6 +315,7 @@ def test_check_bound_empty_trace_vacuous():
     res = run(prob, "gcg", FixedTwoOverTPlusOne(), max_iters=0)
     rep = check_bound(res, geo, 1.0, "gcg-fixed-min-gap")
     assert rep.passed and rep.iterations == 0
+    assert rep.worst_iteration == 0 and rep.worst_margin == np.inf and rep.margins.size == 0
 
 
 def test_check_bound_pairing_validation():
@@ -368,7 +370,8 @@ def test_reference_backed_bounds_carry_no_slack(cap):
     assert ref.certified == (cap > 0) and ref.certified_gap > 0.0
     geo, mu = geometry_constants(prob), prob.regularizer.mu
     ids = [wid for wid, row in BOUND_PAIRING.items() if row.needs_reference]
-    assert len(ids) == 5
+    assert ids == ["md-avg-subopt", "md-best-subopt", "md-distance", "gcg-fixed-dual-subopt",
+                   "gcg-linesearch-dual-subopt"]
     for wid in ids:
         row = BOUND_PAIRING[wid]
         sched = LineSearch(mu=mu, r2=geo.r2_primal) if row.schedule == LineSearch.name else FixedTwoOverTPlusOne()
@@ -571,3 +574,16 @@ def test_worst_case_instance_holds_every_two_over_t_bound_above_its_proven_floor
         assert rep.iterations == T and rep.passed, (wid, rep.worst_iteration, rep.worst_margin)
         ratio = rep.observed / rep.bounds
         assert np.all(ratio >= floor), (wid, ratio.min())
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [("r2_origin", "compact-averaged-gap requires the R^2 it reads in the constants"),
+     ("delta2", "compact-averaged-gap requires delta^2 in the constants")],
+)
+def test_compact_bound_needs_its_constants(field, message):
+    prob = generate_problem(ExperimentConfig(loss="lad", regularizer="entropy", n=10, p=4, seed=1))
+    res = run(prob, "ns-md", SqrtDecay(delta=1.0, radius=1.0), max_iters=3)
+    constants = dataclasses.replace(geometry_constants(prob), **{field: None})
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        check_bound(res, constants, 1.0, "compact-averaged-gap")

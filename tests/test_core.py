@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -84,6 +85,21 @@ def test_dimension_errors():
 def test_operator_rejects_nonfinite():
     with pytest.raises(ValidationError):
         LinearOperator([[np.nan, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "matrix, error, message",
+    [
+        (np.ones(3), DimensionMismatch, "operator matrix must be 2-D, got shape (3,)"),
+        (np.ones((2, 2, 2)), DimensionMismatch, "operator matrix must be 2-D, got shape (2, 2, 2)"),
+        (np.ones((0, 3)), ValidationError, "operator matrix must be non-empty"),
+        (np.ones((3, 0)), ValidationError, "operator matrix must be non-empty"),
+    ],
+    ids=["1-d", "3-d", "no-rows", "no-columns"],
+)
+def test_operator_needs_a_nonempty_matrix(matrix, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        LinearOperator(matrix)
 
 
 def test_as_vector_checks():

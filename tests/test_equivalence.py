@@ -18,7 +18,6 @@ from pdcg import (
     generate_problem,
     init_state,
     step,
-    step_size,
     verify_equivalence,
 )
 
@@ -140,7 +139,7 @@ def test_mismatched_init_diverges():
     cg = init_state(prob, y0)
     dev = 0.0
     for t in range(1, 51):
-        rho = step_size(FixedTwoOverTPlusOne(), t)
+        rho = FixedTwoOverTPlusOne().rho(t)
         md = step(prob, "md", md, rho)
         cg = step(prob, "gcg", cg, rho)
         dev = max(dev, float(np.max(np.abs(md.x - cg.x))))

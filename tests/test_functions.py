@@ -9,15 +9,18 @@ import pytest
 import pdcg.algorithms
 import pdcg.functions
 from pdcg import (
+    Box,
     ConfigurationError,
     DimensionMismatch,
     DomainError,
     DualNormGauge,
     Hinge,
+    L1Ball,
     LeastAbsoluteDeviation,
     LinearOperator,
     Logistic,
     NegativeEntropySimplex,
+    Simplex,
     SquaredL2,
     SquaredL2Box,
     ValidationError,
@@ -201,6 +204,26 @@ def test_loss_validation():
         LeastAbsoluteDeviation([1.0], scale=0.0)
     with pytest.raises(ValidationError):
         DualNormGauge(2, omega0=-1.0)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Box(np.zeros((2, 1)), np.ones((2, 1))), "box bounds must be 1-D arrays of equal length"),
+        (lambda: Box(np.zeros(2), np.ones(3)), "box bounds must be 1-D arrays of equal length"),
+        (lambda: Box([0.0, -np.inf], [1.0, 1.0]), "box bounds must be finite"),
+        (lambda: Box([0.0, 0.0], [1.0, np.nan]), "box bounds must be finite"),
+        (lambda: Box([0.0, 2.0], [1.0, 1.0]), "box lower bounds exceed upper bounds"),
+        (lambda: Simplex(0), "simplex dimension must be positive"),
+        (lambda: L1Ball(3, -1.0), "l1-ball radius must be nonnegative"),
+        (lambda: DualNormGauge(3, 1.0, -0.5), "lam must be nonnegative and finite"),
+    ],
+    ids=["box-2-d", "box-unequal", "box-infinite", "box-nan", "box-reversed", "simplex-empty", "l1-negative-radius",
+         "gauge-negative-lam"],
+)
+def test_domain_and_gauge_constructors_check_their_parameters(build, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        build()
 
 
 # --------------------------------------------------------------------------
@@ -538,7 +561,7 @@ def test_kind_checks_stay_in_functions():
 
 def test_no_checks_on_concrete_schedule_kinds():
     # run and verify_equivalence read what a schedule declares; only the
-    # StepSchedule base class may be named (step_size's unknown-schedule check)
+    # StepSchedule base class may be named (_check_schedule's unknown-schedule check)
     kinds = {"FixedTwoOverTPlusOne", "FixedOneOverT", "LineSearch", "SqrtDecay"}
     assert _isinstance_hits(kinds) == []
     assert {cls.__name__ for cls in pdcg.algorithms.StepSchedule.__subclasses__()} == kinds

@@ -541,3 +541,26 @@ def test_problem_with_cached_geometry_is_freed():
     del experiment
     gc.collect()
     assert ref() is None
+
+
+def _load_list_config(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text('[{"loss": "lad"}]')
+    return ExperimentConfig.load(str(path))
+
+
+def _emit_parquet(tmp_path):
+    result = prepare(ExperimentConfig(loss="lad", n=10, p=3, max_iters=2)).run()
+    emit_trace(result, "parquet", str(tmp_path / "trace.parquet"))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [(_load_list_config, "config file must contain a JSON object"),
+     (_emit_parquet, "unknown output format 'parquet'")],
+    ids=["config-not-an-object", "unknown-trace-format"],
+)
+def test_harness_entry_checks(tmp_path, call, message):
+    with pytest.raises(ConfigurationError, match=message):
+        call(tmp_path)
+    assert not (tmp_path / "trace.parquet").exists()

@@ -55,33 +55,35 @@ def _pairing_row(bound_id: str, args: str) -> str:
 
 
 def _shifted(args: str) -> str:
-    """BoundPairing arguments as written, with ``shift`` (the fifth) one larger."""
+    """BoundPairing arguments as written, with ``shift`` (the fourth) one larger."""
     parts = args.split(", ")
-    parts[4] = repr(float(parts[4]) + 1.0)
+    parts[3] = repr(float(parts[3]) + 1.0)
     return ", ".join(parts)
 
 
 # (bound id, BoundPairing arguments as written, the same with coef halved)
 _PAIRING = (
-    ("md-avg-subopt", 'MD, _TWO, True, 1.0, 1.0, "avg_primal_value"', 'MD, _TWO, True, 0.5, 1.0, "avg_primal_value"'),
-    ("md-best-subopt", 'MD, _TWO, True, 1.0, 1.0, "primal_value", running_min=True',
-     'MD, _TWO, True, 0.5, 1.0, "primal_value", running_min=True'),
-    ("md-distance", 'MD, _TWO, True, 1.0, 1.0, "bregman_to_ref"', 'MD, _TWO, True, 0.5, 1.0, "bregman_to_ref"'),
-    ("gcg-fixed-dual-subopt", 'GCG, _TWO, True, 2.0, 1.0, "dual_suboptimality"',
-     'GCG, _TWO, True, 1.0, 1.0, "dual_suboptimality"'),
-    ("gcg-fixed-min-gap", 'GCG, _TWO, False, 8.0, 1.0, "gap", running_min=True',
-     'GCG, _TWO, False, 4.0, 1.0, "gap", running_min=True'),
-    ("gcg-linesearch-dual-subopt", 'GCG, LineSearch.name, True, 2.0, 3.0, "dual_suboptimality"',
-     'GCG, LineSearch.name, True, 1.0, 3.0, "dual_suboptimality"'),
-    ("gcg-linesearch-min-gap", 'GCG, LineSearch.name, False, 2.0, 3.0, "gap", running_min=True',
-     'GCG, LineSearch.name, False, 1.0, 3.0, "gap", running_min=True'),
-    ("compact-averaged-gap", 'NS_MD, SqrtDecay.name, False, 2.0, 0.0, "avg_gap"',
-     'NS_MD, SqrtDecay.name, False, 1.0, 0.0, "avg_gap"'),
+    ("md-avg-subopt", 'MD, _TWO, 1.0, 1.0, "avg_primal_value"', 'MD, _TWO, 0.5, 1.0, "avg_primal_value"'),
+    ("md-best-subopt", 'MD, _TWO, 1.0, 1.0, "primal_value", running_min=True',
+     'MD, _TWO, 0.5, 1.0, "primal_value", running_min=True'),
+    ("md-distance", 'MD, _TWO, 1.0, 1.0, "bregman_to_ref"', 'MD, _TWO, 0.5, 1.0, "bregman_to_ref"'),
+    ("gcg-fixed-dual-subopt", 'GCG, _TWO, 2.0, 1.0, "dual_suboptimality"',
+     'GCG, _TWO, 1.0, 1.0, "dual_suboptimality"'),
+    ("gcg-fixed-min-gap", 'GCG, _TWO, 8.0, 1.0, "gap", running_min=True',
+     'GCG, _TWO, 4.0, 1.0, "gap", running_min=True'),
+    ("gcg-linesearch-dual-subopt", 'GCG, LineSearch.name, 2.0, 3.0, "dual_suboptimality"',
+     'GCG, LineSearch.name, 1.0, 3.0, "dual_suboptimality"'),
+    ("gcg-linesearch-min-gap", 'GCG, LineSearch.name, 2.0, 3.0, "gap", running_min=True',
+     'GCG, LineSearch.name, 1.0, 3.0, "gap", running_min=True'),
+    ("compact-averaged-gap", 'NS_MD, SqrtDecay.name, 2.0, 0.0, "avg_gap"',
+     'NS_MD, SqrtDecay.name, 1.0, 0.0, "avg_gap"'),
 )
 
 MUTATIONS = (
-    Mutation("verdict-slack", CERTIFICATES, "passed=bool(np.all(observed <= bounds)),",
-             "passed=bool(np.all(margins >= -1e-9 * (1.0 + np.abs(bounds)))),"),
+    Mutation("verdict-slack", CERTIFICATES, "return bool(np.all(self.observed <= self.bounds))",
+             "return bool(np.all(self.margins >= -1e-9 * (1.0 + np.abs(self.bounds))))"),
+    Mutation("verdict-strict", CERTIFICATES, "return bool(np.all(self.observed <= self.bounds))",
+             "return bool(np.all(self.observed < self.bounds))"),
     Mutation("delta-tolerance", CERTIFICATES, "if sched.delta != delta:",
              "if abs(sched.delta - delta) > 1e-9 * (1.0 + delta):"),
     Mutation("md-distance-uncertified", CERTIFICATES,
@@ -90,6 +92,8 @@ MUTATIONS = (
              ""),
     Mutation("reference-tolerance", CERTIFICATES, "bounds = row.coef * r2 / (mu * (t + row.shift))",
              "bounds = row.coef * r2 / (mu * (t + row.shift)) + (reference.certified_gap if row.needs_reference else 0.0)"),
+    Mutation("needs-reference-inverted", CERTIFICATES, 'return self.column not in ("gap", "avg_gap")',
+             'return self.column in ("gap", "avg_gap")'),
     *(Mutation(f"coef-half/{bid}", CERTIFICATES, _pairing_row(bid, old), _pairing_row(bid, new))
       for bid, old, new in _PAIRING),
     *(Mutation(f"no-running-min/{bid}", CERTIFICATES, _pairing_row(bid, old),
@@ -163,16 +167,16 @@ MUTATIONS = (
              "floor = GAP_CLAMP * np.maximum(np.maximum(np.abs(primal), np.abs(dual)), 1.0)",
              "floor = np.full_like(gaps, GAP_CLAMP)", ("tests/test_core.py", "tests/test_algorithms.py")),
     Mutation("config-checks-reverted", HARNESS,
-             '        if self.regularizer == "squared_l2_box" and not -math.inf < self.box_lower < self.box_upper'
-             ' < math.inf:\n'
-             '            raise ConfigurationError("box bounds must be finite")\n'
-             '        if self.loss != "gauge" and not (self.scale is None or 0.0 < self.scale < math.inf):\n'
-             '            raise ConfigurationError("loss scale must be positive and finite")\n'
-             '        if self.loss == "gauge" and not 0.0 < self.gauge_omega0 < math.inf:\n'
-             '            raise ConfigurationError("omega0 must be positive and finite")\n'
-             '        if self.loss == "gauge" and not 0.0 <= self.gauge_lambda < math.inf:\n'
-             '            raise ConfigurationError("lam must be nonnegative and finite")\n', "",
-             ("tests/test_harness.py",)),
+             "                Box([self.box_lower], [self.box_upper])\n"
+             '            if self.loss == "gauge":\n'
+             "                DualNormGauge(1, self.gauge_omega0, self.gauge_lambda)\n"
+             "            elif self.scale is not None:\n"
+             "                _check_scale(self.scale)\n", "", ("tests/test_harness.py",)),
+    Mutation("config-check-errors-unconverted", HARNESS,
+             "        except ValidationError as exc:\n"
+             "            raise ConfigurationError(str(exc)) from exc\n",
+             "        except ValidationError:\n"
+             "            raise\n", ("tests/test_harness.py",)),
 )
 
 
