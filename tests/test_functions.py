@@ -2,6 +2,7 @@ import ast
 import inspect
 import pathlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,6 +119,44 @@ def test_logistic_values():
     assert loss.conj_value([0.0]) == 0.0
     assert loss.conj_value([-1.0]) == 0.0
     assert loss.conj_value([0.5]) == np.inf
+
+
+def test_logistic_oracle_rounds_onto_the_boundary_of_its_dual_domain():
+    # the sigmoid is exactly 1.0 from u = 36.8 and exactly 0.0 below u = -745.2,
+    # so the subgradient oracle returns faces of C, where f* must stay finite
+    labels = _labels(4)
+    loss = Logistic(labels, 0.3)
+    y = loss.subgradient(-40.0 * labels)  # label z = -40
+    assert y.tobytes() == (-0.3 * labels).tobytes()
+    assert loss.dual_domain.contains(y) and np.isfinite(loss.conj_value(y))
+    y = loss.subgradient(746.0 * labels)
+    assert (y == 0.0).all() and np.isfinite(loss.conj_value(y))
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_logistic_kernels_peak_memory_on_a_stack():
+    # multiples of one (64, 200) stack's bytes: the np.logaddexp value read
+    # 2.003x and the conjugate over the concatenated (g, 1 - g) 5.28x
+    rng = np.random.default_rng(12)
+    loss = Logistic(_labels(200), 0.5)
+    z = 3.0 * rng.standard_normal((64, 200))
+    loss.subgradient(z[0])  # caches the label products
+    assert _peak_bytes(loss._value, z) <= 2.01 * z.nbytes
+    g = rng.random((64, 200))
+    inside, faces, clipped = g.copy(), g.copy(), g.copy()
+    faces[:, :2] = 0.0, 1.0  # 0 log 0 substituted on both sides
+    clipped[0, 0], clipped[1, 1] = -0.5 * TOL, 1.0 + 0.5 * TOL
+    for gamma in (inside, faces, clipped):
+        y = -gamma * loss.scale * loss.labels
+        assert _peak_bytes(loss._conj_value, y) <= 3.5 * y.nbytes
 
 
 def _masked_xlogx(v):
@@ -655,6 +694,34 @@ def _old_entropy_prox_step(reg, x, aty, rho):
     return e / e.sum()
 
 
+def _logistic_value(f, z):
+    """The logistic value as rewritten, pinned in place of np.logaddexp, whose scalar exp and log1p round otherwise."""
+    u = -f.labels * z
+    return f.scale * float((np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u)))).sum())
+
+
+def _logistic_us():
+    """u = -label z: a grid at step 0.01, and the ends of exp's range and of the sigmoid's rounding."""
+    ends = [0.0, -0.0, 36.7, -36.7, 709.7, -709.7, 745.0, -745.0, 745.2, -745.2, 1e308, -1e308]
+    return np.concatenate((np.linspace(-40.0, 40.0, 8001), ends))
+
+
+def _logistic_entries(s):
+    """(loss, z) per entry of _logistic_us, as length-1 calls under either label."""
+    losses = {lab: Logistic([lab], s) for lab in (1.0, -1.0)}
+    us = _logistic_us()
+    return [(losses[lab], np.array([-lab * u])) for lab, u in zip(np.resize([1.0, -1.0], us.size), us)]
+
+
+def test_logistic_value_is_within_4_ulp_of_logaddexp_per_entry():
+    us = _logistic_us()
+    values = np.array([f.value(z) for f, z in _logistic_entries(1.0)])
+    ulps = np.abs(values.view(np.int64) - np.logaddexp(0.0, us).view(np.int64))
+    assert ulps.max() <= 4
+    # and a stack of the length-1 calls gives each row its bits
+    assert Logistic([1.0], 1.0)._value(-us[:, None]).tobytes() == values.tobytes()
+
+
 def _old_lad_conj_value(loss, y):
     atol = TOL * (1.0 + loss.scale)
     if (np.abs(y) > loss.scale + atol).any():
@@ -784,8 +851,10 @@ def _cases():
         ly = [(LeastAbsoluteDeviation(_big(y.size, 1.0), s), y) for y in _lad_duals(s)]
         lz = [(LeastAbsoluteDeviation(_big(v.size, 1.0), s), v) for v in generic]
         cases += [
-            (f"logistic-{s}-value", lambda f, z: f.scale * float(np.logaddexp(0.0, -f.labels * z).sum()),
-             Logistic.value, zs),
+            (f"logistic-{s}-value", _logistic_value, Logistic.value, zs),
+            # per entry too, since one long sum and a few length-1 calls let
+            # most of its rounding go unseen (the stacks are checked below)
+            (f"logistic-{s}-value-entries", _logistic_value, lambda f, z: f.value(z), _logistic_entries(s)),
             (f"logistic-{s}-conj-value", _old_logistic_conj_value, Logistic.conj_value, lg),
             (f"logistic-{s}-subgradient", lambda f, z: -f.scale * f.labels * _old_sigmoid(-f.labels * z),
              Logistic.subgradient, zs),

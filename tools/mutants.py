@@ -157,6 +157,13 @@ MUTATIONS = (
              "2.0 / (self.scale * g * (1.0 - g))", ("tests/test_functions.py",)),
     Mutation("lad-conj-grad-negated", FUNCTIONS, "return self.targets.copy(), np.zeros(self.dim)",
              "return -self.targets, np.zeros(self.dim)", ("tests/test_functions.py",)),
+    # the hot loss kernels: the logistic value's max(u, 0) term, the sigmoid's numerator, the lad clip
+    Mutation("logistic-value-without-max", FUNCTIONS, "t += np.maximum(u, 0.0, out=u)", "t += u",
+             ("tests/test_functions.py",)),
+    Mutation("sigmoid-numerator-swapped", FUNCTIONS, "out = np.where(u >= 0, 1.0, e)",
+             "out = np.where(u >= 0, e, 1.0)", ("tests/test_functions.py",)),
+    Mutation("lad-conj-never-clips", FUNCTIONS, "if low < -s or high > s:", "if False:",
+             ("tests/test_functions.py",)),
     # an oracle error exits 2, the round-off floor scales with the pair, and a config is checked when built
     Mutation("cli-oracle-errors-escape", CLI,
              "FeasibilityError, DomainError, GapInconsistencyError) as exc:", "FeasibilityError) as exc:",
