@@ -158,15 +158,15 @@ def _check_schedule(schedule: StepSchedule, *algorithms: str) -> None:
 class SolverState:
     """State of one recursion after ``t`` iterations: the recursion only.
 
-    ``carried_h_sub`` is the subgradient of h maintained by the
-    recursion itself; along the dual recursion it equals -A^T y_t.
-    ``y`` is the dual iterate (a convex combination of loss-oracle
-    outputs; for the compact-domain recursion, the latest oracle
-    output), ``y_bar`` the oracle output of the last md/gcg step and
-    ``last_aty`` the A^T y of the last compact-domain step.  ``ax``
-    caches A x to avoid recomputing matvecs.  Iterate averages are
-    certificates, not part of the recursion: ``run`` keeps the running
-    sums its trace reads, as the schedule declares.
+    ``carried_h_sub`` is the dual image -A^T y_t for gcg and the
+    compact-domain recursion, and md's own mixed subgradient of h, which
+    equals it along the matched path.  ``y`` is the dual iterate (a
+    convex combination of loss-oracle outputs; for the compact-domain
+    recursion, the latest oracle output) and ``y_bar`` the oracle output
+    of the last md/gcg step.  ``ax`` caches A x to avoid recomputing
+    matvecs.  Iterate averages are certificates, not part of the
+    recursion: ``run`` keeps the running sums its trace reads, as the
+    schedule declares.
     """
 
     t: int
@@ -175,7 +175,6 @@ class SolverState:
     y: np.ndarray
     carried_h_sub: Optional[np.ndarray] = None
     y_bar: Optional[np.ndarray] = None
-    last_aty: Optional[np.ndarray] = None
 
 
 def resolve_initial_dual(problem: ProblemInstance, y0=None):
@@ -244,7 +243,7 @@ def _ns_md_step(problem: ProblemInstance, state: SolverState, rho: float) -> Sol
     y = problem.loss._subgradient(state.ax)
     aty = op.adjoint_apply(y)
     x = problem.regularizer._prox_step(state.x, aty, rho)
-    return SolverState(t=state.t + 1, x=x, ax=as_vector(op.apply(x), name="ax"), y=y, last_aty=aty)
+    return SolverState(t=state.t + 1, x=x, ax=as_vector(op.apply(x), name="ax"), y=y, carried_h_sub=-aty)
 
 
 # recursion -> its kernel and the state vectors it reads, which ``step`` checks;
@@ -364,7 +363,7 @@ def run(
     else:
         state, pair = init_state_compact(problem), None
 
-    # Running sums of the averaged iterates, oracle outputs and A^T y, each the
+    # Running sums of the averaged iterates, oracle outputs and -A^T y, each the
     # last row of a stack.  A weighted schedule adds x_{u-1} with weight u and
     # scales the sum by 2/(t(t+1)); otherwise each iterate enters once and the
     # sum is divided by t.  The compact-domain recursion averages uniformly.
@@ -374,7 +373,7 @@ def run(
 
     def evaluate(states: list, rhos: list, pairs, sums: tuple, pair):
         """Rows of the steps states[0] -> states[1] -> ..., the running sums after them and the last pair."""
-        sum_x, sum_ax, sum_ybar, sum_aty = sums
+        sum_x, sum_ax, sum_ybar, sum_z = sums
         k, pre, post = len(rhos), states[:-1], states[1:]
         ts = np.arange(pre[0].t + 1, pre[0].t + k + 1, dtype=np.float64)[:, None]
         dual_subopt = bregman_ref = avg_gap = [None] * k
@@ -410,23 +409,23 @@ def run(
                 bregman_ref = reg._bregman(x_star, x).tolist()
             pair, primal, dual = (float(primal[-1]), float(dual[-1])), primal[:-1], dual[:-1]
         else:
-            ax, y, aty = [s.ax for s in pre], [s.y for s in post], [s.last_aty for s in post]
+            ax, y, z = [s.ax for s in pre], [s.y for s in post], [s.carried_h_sub for s in post]
             # objective of min_{x in K} f(A x); the dual uses the support
-            # function of K in place of the conjugate of h
+            # function of K at z = -A^T y in place of the conjugate of h
             primal = loss._value(_stack(ax))
-            dual = -reg.domain.support(-_stack(aty)) - loss._conj_value(_stack(y))
+            dual = -reg.domain.support(_stack(z)) - loss._conj_value(_stack(y))
             gap = check_gap_floors(primal - dual, primal, dual)
-            sum_ax, sum_ybar, sum_aty = (_partial_sums(t, r) for t, r in ((sum_ax, ax), (sum_ybar, y), (sum_aty, aty)))
+            sum_ax, sum_ybar, sum_z = (_partial_sums(t, r) for t, r in ((sum_ax, ax), (sum_ybar, y), (sum_z, z)))
             avg_ax, avg_y = sum_ax / ts, sum_ybar / ts
             as_vector(avg_ax.ravel(), name="avg_ax")
             as_vector(avg_y.ravel(), name="avg_y")
             avg_primal = loss._value(avg_ax)
-            support, conj = reg.domain.support(-(sum_aty / ts)), loss._conj_value(avg_y)
+            support, conj = reg.domain.support(sum_z / ts), loss._conj_value(avg_y)
             avg_gap = check_gap_floors(avg_primal + support + conj, avg_primal, -support - conj)
         # positional: a NamedTuple builds from keywords about three times slower
         rows = list(map(TraceRecord, range(pre[0].t + 1, pre[0].t + k + 1), rhos, primal.tolist(), dual.tolist(), gap,
                         avg_primal.tolist(), dual_subopt, bregman_ref, avg_gap))
-        return rows, (sum_x, sum_ax, sum_ybar, sum_aty), pair
+        return rows, (sum_x, sum_ax, sum_ybar, sum_z), pair
 
     # rows per block: as many as fit 2^14 floats of n + p (under 128 KiB a stack), from 1 to 64
     block = max(1, min(64, 2**14 // (problem.n + problem.p)))

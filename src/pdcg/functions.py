@@ -201,27 +201,16 @@ class Box(_CompactDomain):
         self.upper = hi
         self.dim = lo.shape[0]
 
-    @cached_property
-    def _slack_bounds(self) -> tuple:
-        """The bounds contains() compares with at its default tolerance (kept once used)."""
-        return self.lower - _TOL, self.upper + _TOL
-
     @property
     def widths(self) -> np.ndarray:
         return self.upper - self.lower
-
-    def diameter2(self) -> float:
-        return float((self.widths**2).sum())
-
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.lower + self.upper)
 
     def max_abs(self) -> np.ndarray:
         """Per-coordinate max(|lower|, |upper|)."""
         return np.maximum(np.abs(self.lower), np.abs(self.upper))
 
     def _inside(self, v: np.ndarray, tol: float = _TOL):
-        lo, hi = self._slack_bounds if tol == _TOL else (self.lower - tol, self.upper + tol)
+        lo, hi = self.lower - tol, self.upper + tol
         return np.logical_and.reduce(v >= lo, axis=-1) & np.logical_and.reduce(v <= hi, axis=-1)
 
     def clip(self, v) -> np.ndarray:
@@ -323,8 +312,8 @@ class Regularizer:
         return float(self._bregman(contiguous_vector(x1, self.dim, "x1"), contiguous_vector(x2, self.dim, "x2")))
 
     def interior_point(self) -> np.ndarray:
-        """A canonical strictly feasible point of K."""
-        raise NotImplementedError
+        """A canonical strictly feasible point of the compact K, where the compact-domain recursion starts."""
+        raise ConfigurationError(_COMPACT_ONLY)
 
     def _conj_hess(self, z, x) -> np.ndarray:
         """Hessian of h* at z, given x = (h*)'(z)."""
@@ -367,9 +356,6 @@ class SquaredL2(Regularizer):
         d = x1 - x2
         return 0.5 * self.mu * _dot(d, d)
 
-    def interior_point(self) -> np.ndarray:
-        return np.zeros(self.dim)
-
     def _conj_hess(self, z, x) -> np.ndarray:
         return np.eye(self.dim) / self.mu
 
@@ -399,7 +385,7 @@ class SquaredL2Box(Regularizer):
         return _inf_outside(self.domain._inside(x1), 0.5 * self.mu * _dot(d, d))
 
     def interior_point(self) -> np.ndarray:
-        return self.domain.center()
+        return 0.5 * (self.domain.lower + self.domain.upper)
 
     def _prox_step(self, x, aty, rho: float) -> np.ndarray:
         # clamped gradient step
@@ -407,7 +393,7 @@ class SquaredL2Box(Regularizer):
 
     def delta2(self) -> float:
         """(mu/2) diam(K)^2, whatever the start."""
-        return 0.5 * self.mu * self.domain.diameter2()
+        return 0.5 * self.mu * float((self.domain.widths**2).sum())
 
 
 class NegativeEntropySimplex(Regularizer):

@@ -13,7 +13,6 @@ holds the writer to that.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import math
 import numbers
@@ -413,8 +412,6 @@ def prepare(config: ExperimentConfig) -> Experiment:
 # Trace serialization
 
 
-_is_none = functools.partial(operator.is_, None)
-
 # json.dumps(..., indent=1) layout of one record; each %s takes a value's JSON token
 _JSON_RECORD = "  {\n" + ",\n".join(f"   {json.dumps(col)}: %s" for col in TRACE_COLUMNS) + "\n  }"
 # json takes its C encoder only without indent; record values are numbers and
@@ -426,14 +423,9 @@ def trace_csv(result: RunResult) -> str:
     """CSV text for a trace: fixed header plus one row per iteration."""
     # %.17g prints what format(float(v), ".17g") does, so every iteration
     # index t < 1e17 as an integer; %.0s prints a None column as nothing
-    templates = {}
     lines = [CSV_HEADER]
     for row in map(_trace_row, result.trace):
-        nones = tuple(map(_is_none, row))
-        template = templates.get(nones)
-        if template is None:
-            template = templates[nones] = ",".join("%.0s" if none else "%.17g" for none in nones)
-        lines.append(template % row)
+        lines.append(",".join("%.0s" if v is None else "%.17g" for v in row) % row)
     return "\n".join(lines) + "\n"
 
 

@@ -188,12 +188,31 @@ def test_ns_md_box_clamp():
     np.testing.assert_array_equal(frozen.x, state.x)
 
 
+def test_md_steps_from_an_ns_md_state_but_not_from_the_compact_start():
+    # ns-md carries -A^T y, as gcg does, so md continues from its state; the
+    # compact start has taken no step and carries nothing
+    prob = ProblemInstance(
+        LinearOperator([[1.0, 2.0], [0.0, -1.0]]),
+        SquaredL2Box(2.0, np.zeros(2), np.ones(2)),
+        LeastAbsoluteDeviation([-1.0, 0.8], 1.0),
+    )
+    start = init_state_compact(prob)
+    with pytest.raises(ValueError, match="no carried subgradient"):
+        step(prob, "md", start, 0.5)
+    after = step(prob, "ns-md", start, 0.5)
+    np.testing.assert_array_equal(after.carried_h_sub, -prob.operator.adjoint_apply(after.y))
+    assert step(prob, "md", after, 0.5).t == 2
+
+
 def test_ns_md_rejects_noncompact():
     prob = _single_hinge_problem()
     with pytest.raises(ValidationError, match="algorithm requires a compact primal domain"):
         run(prob, "ns-md", SqrtDecay(delta=1.0, radius=1.0), max_iters=1)
     with pytest.raises(ConfigurationError, match="compact-domain recursion supports"):
         step(prob, "ns-md", init_state_compact(prob), 0.5)
+    # the start itself has no interior point to take
+    with pytest.raises(ConfigurationError, match="compact-domain recursion supports"):
+        init_state_compact(prob)
 
 
 @pytest.mark.parametrize("bad", ["length-1", "nan"])
@@ -563,10 +582,11 @@ def test_run_averaged_columns_match_a_replay(algorithm, schedule):
             sum_ax = sum_ax + state.ax
             primal = loss.value(state.ax)
             state = step(prob, "ns-md", state, rec.rho)
-            dual = -reg.domain.support(-state.last_aty) - loss.conj_value(state.y)
+            aty = op.adjoint_apply(state.y)
+            dual = -reg.domain.support(-aty) - loss.conj_value(state.y)
             pairs.append((primal, dual, primal - dual))
             sum_y = sum_y + state.y
-            sum_aty = sum_aty + state.last_aty
+            sum_aty = sum_aty + aty
             primal = loss.value(sum_ax / t)
             avg_primal.append(primal)
             avg_gap.append(primal + reg.domain.support(-sum_aty / t) + loss.conj_value(sum_y / t))
@@ -725,6 +745,24 @@ def test_run_raises_what_the_first_failing_row_raises(stop_row, raised, monkeypa
     else:
         with pytest.raises(raised, match="row 25"):
             run(prob, "md", sched, max_iters=40, gap_tol=gap_tol, reference=reference)
+
+
+def test_a_failing_one_row_block_raises_after_one_evaluation(monkeypatch):
+    # the last block holds one row: its failure raises as it is, and no
+    # row-by-row fallback evaluates that row a second time
+    prob, sched = _logistic_run("squared_l2", "md", "two-over-t-plus-one")
+    conj_value, calls = prob.loss._conj_value, []
+
+    def failing_on_one_row(y):
+        if np.ndim(y) == 2 and len(y) == 1:
+            calls.append(y)
+            raise ValueError("one-row block")
+        return conj_value(y)
+
+    monkeypatch.setattr(prob.loss, "_conj_value", failing_on_one_row)
+    with pytest.raises(ValueError, match="one-row block"):
+        run(prob, "md", sched, max_iters=BLOCK + 1)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("algorithm,schedule", [("md", "two-over-t-plus-one"), ("gcg", "one-over-t"),

@@ -491,6 +491,12 @@ def test_prox_step_needs_a_compact_domain_whatever_its_vectors():
         SquaredL2(1.0, 3).prox_step([np.nan], [0.0, 1.0], 0.5)
 
 
+def test_interior_point_belongs_to_compact_domains():
+    # the compact-domain recursion starts there; R^p has no canonical start
+    with pytest.raises(ConfigurationError, match="compact-domain recursion supports"):
+        SquaredL2(1.0, 3).interior_point()
+
+
 def test_oracle_and_matvec_bits_do_not_depend_on_memory_layout():
     # a strided view gives the bits of the same values laid out contiguously
     hits = 0

@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import os
+import pathlib
 import weakref
 
 import numpy as np
@@ -449,7 +450,7 @@ def test_sweep_concurrent_matches_sequential(tmp_path):
     par = run_sweep(cfg, ["two-over-t-plus-one", "one-over-t"], [0, 1], str(par_dir), workers=2)
     assert len(seq) == len(par) == 4
     for s, p in zip(sorted(seq), sorted(par)):
-        assert open(s, "rb").read() == open(p, "rb").read()
+        assert pathlib.Path(s).read_bytes() == pathlib.Path(p).read_bytes()
 
 
 @pytest.mark.parametrize("workers", [0, -4])

@@ -152,6 +152,11 @@ MUTATIONS = (
              'g = as_vector((1.0 - rho) * state.carried_h_sub - rho * op.adjoint_apply(ybar), name="g")',
              'g = as_vector((1.0 - rho) * problem.regularizer.mu * state.x - rho * op.adjoint_apply(ybar), name="g")',
              ("tests/test_equivalence.py", "tests/test_algorithms.py")),
+    # the compact-domain recursion carries z = -A^T y, and its dual reads the support function at z
+    Mutation("ns-md-carries-plus-aty", ALGORITHMS, "y=y, carried_h_sub=-aty)", "y=y, carried_h_sub=aty)",
+             STEP_TESTS),
+    Mutation("compact-dual-negates-carried", ALGORITHMS, "dual = -reg.domain.support(_stack(z))",
+             "dual = -reg.domain.support(-_stack(z))", STEP_TESTS),
     # the Newton polish's kernels
     Mutation("logistic-conj-hess-doubled", FUNCTIONS, "1.0 / (self.scale * g * (1.0 - g))",
              "2.0 / (self.scale * g * (1.0 - g))", ("tests/test_functions.py",)),
