@@ -1,3 +1,3 @@
-from .cli import main
+from .cli import main  # pragma: no cover - the python -m pdcg entry point
 
-main()
+main()  # pragma: no cover

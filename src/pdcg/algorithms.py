@@ -246,8 +246,7 @@ def _ns_md_step(problem: ProblemInstance, state: SolverState, rho: float) -> Sol
     return SolverState(t=state.t + 1, x=x, ax=as_vector(op.apply(x), name="ax"), y=y, carried_h_sub=-aty)
 
 
-# recursion -> its kernel and the state vectors it reads, which ``step`` checks;
-# ns-md reads x only on a compact domain (the others raise in its prox step)
+# recursion -> its kernel and the state vectors it reads, which ``step`` checks
 STEPPERS = {
     MD: (_md_step, ("ax", "y", "carried_h_sub")),
     GCG: (_gcg_step, ("ax", "y")),
@@ -255,16 +254,21 @@ STEPPERS = {
 }
 
 
+def _check_algorithm(problem: ProblemInstance, algorithm: str) -> None:
+    """Raise unless ``algorithm`` is known and, for ns-md, K is compact; the entry check of ``run`` and ``step``."""
+    if algorithm not in ALGORITHMS:
+        raise ConfigurationError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    if algorithm == NS_MD and not problem.regularizer.domain.compact:
+        raise ValidationError("algorithm requires a compact primal domain")
+
+
 def step(problem: ProblemInstance, algorithm: str, state: SolverState, rho: float) -> SolverState:
     """One ``algorithm`` step of size ``rho`` from ``state``; checks ``rho`` and the vectors the recursion reads."""
-    if algorithm not in STEPPERS:
-        raise ConfigurationError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    _check_algorithm(problem, algorithm)
     kernel, read = STEPPERS[algorithm]
     rho = _check_rho(rho)
     if algorithm == MD and state.carried_h_sub is None:
         raise ValueError("mirror descent state has no carried subgradient; use init_state")
-    if algorithm == NS_MD and not problem.regularizer.domain.compact:
-        read = ("ax",)
     length = {"ax": problem.n, "y": problem.n, "x": problem.p, "carried_h_sub": problem.p}
     checked = {f: contiguous_vector(getattr(state, f), length[f], f) for f in read}
     return kernel(problem, dataclasses.replace(state, **checked), rho)
@@ -338,16 +342,13 @@ def run(
     per column on the stacked iterates.  Records, state and the first
     exception are those of evaluating each row after its step.
     """
-    if algorithm not in ALGORITHMS:
-        raise ConfigurationError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    _check_algorithm(problem, algorithm)
     if max_iters < 0:
         raise ConfigurationError("max_iters must be nonnegative")
     if math.isnan(gap_tol):
         raise ConfigurationError("gap_tol must not be NaN")
     reg, loss = problem.regularizer, problem.loss
     strongly_convex = algorithm in (MD, GCG)
-    if not strongly_convex and not reg.domain.compact:
-        raise ValidationError("algorithm requires a compact primal domain")
     _check_schedule(schedule, algorithm)
 
     stepper = STEPPERS[algorithm][0]

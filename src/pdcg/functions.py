@@ -4,26 +4,27 @@ This is the only module that knows the regularizer and loss kinds: the
 other modules call the methods below.  A public vector oracle checks
 its vectors in the base class and calls the kind's kernel (same name,
 leading underscore), which a new kind implements and the recursions
-call directly.  An oracle a kind does not support raises
-``ConfigurationError``; a bad constructor parameter raises
-``ValidationError``, and ``ExperimentConfig.validate`` calls those checks.
+call directly.  A public oracle a kind does not support raises
+``ConfigurationError``; a kernel exists only on the kinds that run it.
+A bad constructor parameter raises ``ValidationError``, and
+``ExperimentConfig.validate`` calls those checks.
 
 Each regularizer exposes h, its conjugate h*, the conjugate gradient
 (h*)' and the Bregman divergence D(x1, x2) = h(x1) - h(x2) - <x1 - x2,
 h'(x2)>; the recursions carry their own subgradient of h.  Compact
 domains add the closed-form Bregman-proximal step ``prox_step`` and the
 radius bound ``delta2`` at ``interior_point``, where the compact-domain
-recursion starts; an h* that is smooth everywhere declares
-``smooth_conj`` and adds the kernel ``_conj_hess`` (its Hessian).
+recursion starts; an h* that is smooth everywhere adds the kernel
+``_conj_hess(z, x)``, its Hessian at z given x = (h*)'(z).
 
 Each loss exposes f, its conjugate f*, and the argmax-subgradient oracle
 f'(z) = argmax_{y in C} <y, z> - f*(y) over the compact dual domain C,
 which contains 0, the default dual start.  A loss whose C is a box
-declares ``box_polish`` and adds the kernel ``_conj_newton``, the
-gradient of f* and its Hessian diagonal there from one call.  The
-reference solver polishes the dual by Newton steps from the dual start
-on a ``box_polish`` loss under a ``smooth_conj`` h*, and only there;
-these two kernels serve that polish only and have no public entry.
+may add the kernel ``_conj_newton(y)``: the gradient of f* and the
+diagonal of its (diagonal) Hessian on the interior of C, from one call.
+The reference solver's Newton polish of the dual runs exactly where the
+loss has ``_conj_newton`` and h* has ``_conj_hess``; these two kernels
+serve that polish only and have no public entry.
 Each dual domain C gives both R^2 under an operator A, diam(A^T C)^2
 and max_{y in C} ||A^T y||^2, and their mode string through ``r2(op)``.
 Separable losses are scaled as f = s * sum_i l_i, whose conjugate is
@@ -291,9 +292,6 @@ class Regularizer:
 
     mu: float
     dim: int
-    # True when h* is smooth everywhere with ``_conj_hess``, so the reference
-    # solver polishes the dual of a box C by Newton steps from the dual start
-    smooth_conj = False
 
     def value(self, x) -> float:
         """h(x); +inf outside K."""
@@ -315,18 +313,11 @@ class Regularizer:
         """A canonical strictly feasible point of the compact K, where the compact-domain recursion starts."""
         raise ConfigurationError(_COMPACT_ONLY)
 
-    def _conj_hess(self, z, x) -> np.ndarray:
-        """Hessian of h* at z, given x = (h*)'(z)."""
-        raise ConfigurationError(f"no smooth dual model for {type(self).__name__}")
-
     def prox_step(self, x, aty, rho: float) -> np.ndarray:
         """argmin_{x' in K} (1/rho) D(x', x) + <x' - x, aty>, in closed form."""
         if not self.domain.compact:
             raise ConfigurationError(_COMPACT_ONLY)
         return self._prox_step(contiguous_vector(x, self.dim, "x"), contiguous_vector(aty, self.dim, "aty"), rho)
-
-    def _prox_step(self, x, aty, rho: float) -> np.ndarray:
-        raise ConfigurationError(_COMPACT_ONLY)
 
     def delta2(self) -> float:
         """Upper bound delta^2 on D(x, x0) over the compact domain K, x0 the interior point."""
@@ -335,8 +326,6 @@ class Regularizer:
 
 class SquaredL2(Regularizer):
     """h(x) = (mu/2) ||x||^2 on all of R^p."""
-
-    smooth_conj = True
 
     def __init__(self, mu: float, dim: int) -> None:
         self.mu = _check_mu(mu)
@@ -404,8 +393,6 @@ class NegativeEntropySimplex(Regularizer):
     computed with max-subtraction for stability.
     """
 
-    smooth_conj = True
-
     def __init__(self, dim: int) -> None:
         self.mu = 1.0
         self.dim = int(dim)
@@ -463,9 +450,6 @@ class Loss:
     # to ``_conj_newton`` must stay strictly inside it (the oracle itself
     # may still round onto the boundary)
     open_domain = False
-    # True when C is a box and f* has ``_conj_newton`` there, so under a
-    # ``smooth_conj`` h* the reference solver polishes the dual
-    box_polish = False
 
     def value(self, z) -> float:
         """f(z)."""
@@ -478,10 +462,6 @@ class Loss:
     def subgradient(self, z) -> np.ndarray:
         """A deterministic maximizer of <y, z> - f*(y) over C."""
         return self._subgradient(contiguous_vector(z, self.dim, "z"))
-
-    def _conj_newton(self, y) -> tuple:
-        """(gradient of f*, diagonal of its (diagonal) Hessian) on the interior of C."""
-        raise ConfigurationError(f"no smooth dual model for {type(self).__name__}")
 
 
 def _check_labels(labels) -> np.ndarray:
@@ -500,8 +480,6 @@ def _check_scale(scale: float) -> float:
 
 class _LabelLoss(Loss):
     """Margin loss in label_i z_i, with C = {y : -y_i label_i in [0, s]}."""
-
-    box_polish = True
 
     def __init__(self, labels, scale: float = 1.0) -> None:
         self.labels = _check_labels(labels)
@@ -543,8 +521,6 @@ class LeastAbsoluteDeviation(Loss):
     f*(y) = <y, target> on the box [-s, s]^n.  At the kink z_i = target_i
     the subgradient oracle returns 0 (interior maximizer).
     """
-
-    box_polish = True
 
     def __init__(self, targets, scale: float = 1.0) -> None:
         self.targets = contiguous_vector(targets, name="targets")

@@ -270,8 +270,8 @@ def _polish_box_dual(problem: ProblemInstance, y: np.ndarray, tol: float, max_it
     Each pass identifies the active face at y and takes a backtracked
     Newton step on the remaining smooth concave program, until the gap
     is <= tol.  Returns the best dual point of its passes and their count.
-    The reference engine from the dual start when h* declares
-    ``smooth_conj``; the pair is certified by its gap, not by this procedure.
+    The reference engine from the dual start when h* has ``_conj_hess``;
+    the pair is certified by its gap, not by this procedure.
     """
     op, reg, loss = problem.operator, problem.regularizer, problem.loss
     box = loss.dual_domain
@@ -330,15 +330,16 @@ def _polish_box_dual(problem: ProblemInstance, y: np.ndarray, tol: float, max_it
 def reference_solution(problem: ProblemInstance, tol: float = 1e-9, cap: int = 10**6) -> ReferenceSolution:
     """High-accuracy primal-dual pair, certified by its duality gap.
 
-    One engine per instance.  A loss that declares ``box_polish`` under
-    an h* with a Hessian (``smooth_conj``) is solved by the active-set
-    Newton polish of its dual from the dual start; every other instance
-    by ``run``'s line-search conditional gradient alone, for up to 500
-    steps (stopping at gap ``tol``).  x_star is always recomputed as
-    (h*)'(-A^T y_star).  A gap above ``tol`` gives a result marked
-    uncertified, except that a box C under any other h* raises "no
-    smooth dual model" when budget is left.  A ``tol`` that is not >= 0
-    (NaN included) or a negative ``cap`` raises ConfigurationError.
+    One engine per instance, picked from the kernels the kinds implement:
+    a loss with ``_conj_newton`` under an h* with ``_conj_hess`` is solved
+    by the active-set Newton polish of its dual from the dual start, every
+    other instance by ``run``'s line-search conditional gradient alone,
+    for up to 500 steps (stopping at gap ``tol``).  x_star is always
+    recomputed as (h*)'(-A^T y_star).  A gap above ``tol`` gives a result
+    marked uncertified, except that a ``_conj_newton`` loss under an h*
+    without ``_conj_hess`` raises "no smooth dual model" when budget is
+    left.  A ``tol`` that is not >= 0 (NaN included) or a negative ``cap``
+    raises ConfigurationError.
     """
     if not tol >= 0:
         raise ConfigurationError(f"reference tolerance must be >= 0, got {tol!r}")
@@ -346,7 +347,8 @@ def reference_solution(problem: ProblemInstance, tol: float = 1e-9, cap: int = 1
         raise ConfigurationError(f"reference budget must be >= 0, got {cap!r}")
     reg, loss = problem.regularizer, problem.loss
     y, iters = resolve_initial_dual(problem), 0
-    newton = loss.box_polish and reg.smooth_conj
+    newton_loss = hasattr(loss, "_conj_newton")
+    newton = newton_loss and hasattr(reg, "_conj_hess")
     if not newton:
         schedule = LineSearch(mu=reg.mu, r2=problem.geometry.r2_primal)
         result = run(problem, GCG, schedule, min(cap, 500), gap_tol=tol)
@@ -356,7 +358,7 @@ def reference_solution(problem: ProblemInstance, tol: float = 1e-9, cap: int = 1
     final = init_state(problem, y)
     primal, dual = _values(problem, final)
     certified_gap = clamp_gap(primal, dual)
-    if loss.box_polish and not newton and certified_gap > tol and iters < cap:
+    if newton_loss and not newton and certified_gap > tol and iters < cap:
         raise ConfigurationError(f"no smooth dual model for {type(reg).__name__}")
     return ReferenceSolution(
         x_star=final.x,

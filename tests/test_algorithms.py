@@ -204,12 +204,19 @@ def test_md_steps_from_an_ns_md_state_but_not_from_the_compact_start():
     assert step(prob, "md", after, 0.5).t == 2
 
 
-def test_ns_md_rejects_noncompact():
+def test_ns_md_rejects_noncompact(monkeypatch):
     prob = _single_hinge_problem()
-    with pytest.raises(ValidationError, match="algorithm requires a compact primal domain"):
+    message = "^algorithm requires a compact primal domain$"
+    with pytest.raises(ValidationError, match=message):
         run(prob, "ns-md", SqrtDecay(delta=1.0, radius=1.0), max_iters=1)
-    with pytest.raises(ConfigurationError, match="compact-domain recursion supports"):
-        step(prob, "ns-md", init_state_compact(prob), 0.5)
+    # step enters by run's check: no loss oracle and no matvec runs first
+    state = init_state(prob, np.zeros(1))
+    calls = []
+    for obj, name in ((prob.loss, "_subgradient"), (prob.operator, "apply"), (prob.operator, "adjoint_apply")):
+        monkeypatch.setattr(obj, name, lambda v: calls.append(1))
+    with pytest.raises(ValidationError, match=message):
+        step(prob, "ns-md", state, 0.5)
+    assert calls == []
     # the start itself has no interior point to take
     with pytest.raises(ConfigurationError, match="compact-domain recursion supports"):
         init_state_compact(prob)

@@ -516,20 +516,6 @@ def test_oracle_and_matvec_bits_do_not_depend_on_memory_layout():
     assert hits > 0
 
 
-@pytest.mark.parametrize(
-    "oracle,call",
-    [
-        (SquaredL2Box(1.0, np.zeros(3), np.ones(3)), lambda reg: reg._conj_hess(np.zeros(3), np.full(3, 0.5))),
-        (DualNormGauge(3, 1.0), lambda loss: loss._conj_newton(np.zeros(3))),
-    ],
-    ids=["box-conj-hess", "gauge-conj-newton"],
-)
-def test_no_smooth_dual_model(oracle, call):
-    with pytest.raises(ConfigurationError) as exc:
-        call(oracle)
-    assert str(exc.value) == f"no smooth dual model for {type(oracle).__name__}"
-
-
 # every built-in kind at dimension 3; the protocol test checks this list is complete
 ORACLE_KINDS = [
     SquaredL2(2.0, 3),

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from pdcg import (
+    Box,
     ConfigurationError,
     ExperimentConfig,
     FixedTwoOverTPlusOne,
@@ -17,7 +18,10 @@ from pdcg import (
     LeastAbsoluteDeviation,
     LinearOperator,
     LineSearch,
+    Loss,
     ProblemInstance,
+    RealSpace,
+    Regularizer,
     SqrtDecay,
     SquaredL2,
     TraceRecord,
@@ -276,6 +280,80 @@ def test_reference_without_newton_start_runs_gcg_first(loss, reg, scale, certifi
         # the whole min(cap, 500) GCG budget, and no polish on an l1-ball C
         assert ref.iterations == 500
         assert reference_solution(prob, tol=1e-9, cap=40).iterations == 40
+
+
+# test-only kinds from the required kernels alone: lad's f on its box C and
+# h = (mu/2)||x||^2 on R^p; the subclasses add the two polish kernels and declare nothing
+class _BoxLoss(Loss):
+    def __init__(self, targets, scale):
+        self.targets, self.scale, self.dim = targets, scale, targets.shape[0]
+        self.dual_domain = Box(np.full(self.dim, -scale), np.full(self.dim, scale))
+
+    def _value(self, z):
+        return self.scale * np.add.reduce(np.abs(z - self.targets), axis=-1)
+
+    def _conj_value(self, y):
+        inside = np.logical_and.reduce(np.abs(y) <= self.scale * (1.0 + 1e-9), axis=-1)
+        return np.where(inside, y @ self.targets, np.inf)[()]
+
+    def _subgradient(self, z):
+        return self.scale * np.sign(z - self.targets)
+
+
+class _NewtonBoxLoss(_BoxLoss):
+    newton_calls = 0
+
+    def _conj_newton(self, y):
+        self.newton_calls += 1
+        return self.targets.copy(), np.zeros(self.dim)
+
+
+class _PlainL2(Regularizer):
+    def __init__(self, mu, dim):
+        self.mu, self.dim, self.domain = mu, dim, RealSpace(dim)
+
+    def _value(self, x):
+        return 0.5 * self.mu * np.add.reduce(x * x, axis=-1)
+
+    def _conj_value(self, z):
+        return np.add.reduce(z * z, axis=-1) / (2.0 * self.mu)
+
+    def _conj_grad(self, z):
+        return z / self.mu
+
+    def _bregman(self, x1, x2):
+        return self._value(x1 - x2)
+
+
+class _HessianL2(_PlainL2):
+    def _conj_hess(self, z, x):
+        return np.eye(self.dim) / self.mu
+
+
+@pytest.mark.parametrize(
+    "loss_cls,reg_cls",
+    [(_BoxLoss, _PlainL2), (_BoxLoss, _HessianL2), (_NewtonBoxLoss, _PlainL2), (_NewtonBoxLoss, _HessianL2)],
+    ids=["no-kernel", "conj-hess-only", "conj-newton-only", "both-kernels"],
+)
+def test_reference_engine_is_picked_from_the_kernels_the_kinds_implement(loss_cls, reg_cls):
+    cfg = ExperimentConfig(loss="lad", regularizer="squared_l2", n=30, p=7, mu=1.0, seed=8, scale=0.4)
+    prob = generate_problem(cfg)
+    inst = ProblemInstance(prob.operator, reg_cls(1.0, prob.p), loss_cls(prob.loss.targets, prob.loss.scale))
+    if loss_cls is _BoxLoss:
+        # without _conj_newton: run's line-search gcg for its whole budget, whatever h* has
+        ref = reference_solution(inst, tol=1e-9)
+        assert (ref.certified, ref.iterations) == (False, 500)
+    elif reg_cls is _PlainL2:
+        # _conj_newton under an h* without _conj_hess: gcg alone, and h* is blamed while budget is left
+        with pytest.raises(ConfigurationError, match="^no smooth dual model for _PlainL2$"):
+            reference_solution(inst, tol=1e-9)
+        ref = reference_solution(inst, tol=1e-9, cap=40)
+        assert (ref.certified, ref.iterations, inst.loss.newton_calls) == (False, 40, 0)
+    else:
+        # both kernels: the Newton polish, in as many passes as the built-in lad under squared_l2 takes
+        ref = reference_solution(inst, tol=1e-9)
+        assert ref.certified and inst.loss.newton_calls > 0
+        assert ref.iterations == reference_solution(prob, tol=1e-9).iterations < 500
 
 
 # --------------------------------------------------------------------------

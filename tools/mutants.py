@@ -110,6 +110,9 @@ MUTATIONS = (
     Mutation("schedule-type-unchecked", ALGORITHMS,
              "    if not isinstance(schedule, StepSchedule):\n"
              '        raise ConfigurationError(f"unknown schedule {schedule!r}")\n', "", STEP_TESTS),
+    Mutation("entry-check-skips-compact", ALGORITHMS,
+             "    if algorithm == NS_MD and not problem.regularizer.domain.compact:\n"
+             '        raise ValidationError("algorithm requires a compact primal domain")\n', "", STEP_TESTS),
     # the block evaluation of the trace columns: each row is its own pre-step
     # pair, each averaged stack is scanned, a run cut short keeps the state of
     # its last row, and a gap on the round-off floor passes
@@ -157,7 +160,9 @@ MUTATIONS = (
              STEP_TESTS),
     Mutation("compact-dual-negates-carried", ALGORITHMS, "dual = -reg.domain.support(_stack(z))",
              "dual = -reg.domain.support(-_stack(z))", STEP_TESTS),
-    # the Newton polish's kernels
+    # the Newton polish: where it runs, and its kernels
+    Mutation("polish-ignores-regularizer-kernel", HARNESS, 'newton = newton_loss and hasattr(reg, "_conj_hess")',
+             "newton = newton_loss", ("tests/test_harness.py",)),
     Mutation("logistic-conj-hess-doubled", FUNCTIONS, "1.0 / (self.scale * g * (1.0 - g))",
              "2.0 / (self.scale * g * (1.0 - g))", ("tests/test_functions.py",)),
     Mutation("lad-conj-grad-negated", FUNCTIONS, "return self.targets.copy(), np.zeros(self.dim)",
