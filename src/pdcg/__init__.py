@@ -70,7 +70,6 @@ from .harness import (
     build_schedule,
     emit_trace,
     generate_problem,
-    generate_problem_with_truth,
     prepare,
     reference_solution,
     run_sweep,

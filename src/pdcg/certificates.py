@@ -5,8 +5,9 @@ The duality gap
     gap(x, y) = [h(x) + h*(-A^T y) + <y, A x>] + [f(A x) + f*(y) - <y, A x>]
 
 is nonnegative for feasible pairs and zero exactly at optima, so it is
-an online certificate.  ``check_bound`` replays a finished trace against
-one of the certified convergence bounds:
+an online certificate.  ``dual_objective`` is the one dual evaluator,
+the reference polish's included.  ``check_bound`` replays a finished
+trace against one of the certified convergence bounds:
 
 * ``md-avg-subopt`` / ``md-best-subopt`` / ``md-distance``: mirror
   descent with rho_t = 2/(t+1); weighted-average suboptimality, best
@@ -60,12 +61,8 @@ def primal_objective(problem: ProblemInstance, x) -> float:
 
 
 def dual_objective(problem: ProblemInstance, y) -> float:
-    """-h*(-A^T y) - f*(y); -inf outside the closure of C."""
-    return _dual_objective(problem, contiguous_vector(y, problem.n, "y"))
-
-
-def _dual_objective(problem: ProblemInstance, y: np.ndarray) -> float:
-    """``dual_objective`` at a checked y; A^T y, which can overflow, is scanned."""
+    """-h*(-A^T y) - f*(y); -inf outside the closure of C.  A^T y, which can overflow, is scanned."""
+    y = contiguous_vector(y, problem.n, "y")
     fc = problem.loss._conj_value(y)
     if fc == float("inf"):
         return float("-inf")

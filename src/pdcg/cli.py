@@ -59,7 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("compare", help="lockstep mirror descent vs conditional gradient")
     add_config(pc)
     pc.add_argument("--iters", type=int, default=300)
-    pc.add_argument("--tol", type=float, default=1e-9)
     pc.add_argument("--schedule", choices=SCHEDULE_NAMES, default=None)
 
     pv = sub.add_parser("certify", help="run and check one convergence bound")
@@ -103,8 +102,7 @@ def _parse_seeds(spec: str):
     return seeds
 
 
-def _cmd_solve(args) -> int:
-    config = _apply_overrides(ExperimentConfig.load(args.config), args)
+def _cmd_solve(args, config: ExperimentConfig) -> int:
     if config.output_path is None:
         raise ConfigurationError("no output path: set --out or the output_path config key")
     experiment = prepare(config)
@@ -121,11 +119,10 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _cmd_compare(args) -> int:
-    config = _apply_overrides(ExperimentConfig.load(args.config), args)
+def _cmd_compare(args, config: ExperimentConfig) -> int:
     experiment = prepare(config)
     problem = experiment.problem
-    report = verify_equivalence(problem, np.zeros(problem.n), experiment.schedule, args.iters, args.tol)
+    report = verify_equivalence(problem, np.zeros(problem.n), experiment.schedule, args.iters)
     status = "PASS" if report.passed else "FAIL"
     print(
         f"compare: {status} schedule={config.schedule} iterations={report.iterations} "
@@ -136,12 +133,9 @@ def _cmd_compare(args) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def _cmd_certify(args) -> int:
+def _cmd_certify(args, config: ExperimentConfig) -> int:
     pairing = BOUND_PAIRING[args.prop]
-    config = dataclasses.replace(
-        ExperimentConfig.load(args.config), algorithm=pairing.algorithm, schedule=pairing.schedule
-    )
-    config = _apply_overrides(config, args)
+    config = dataclasses.replace(config, algorithm=pairing.algorithm, schedule=pairing.schedule)
     experiment = prepare(config)
     problem = experiment.problem
     reference = None
@@ -178,8 +172,7 @@ def _cmd_certify(args) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def _cmd_sweep(args) -> int:
-    config = _apply_overrides(ExperimentConfig.load(args.config), args)
+def _cmd_sweep(args, config: ExperimentConfig) -> int:
     schedules = [s for s in args.schedules.split(",") if s != ""]
     if not schedules:
         raise ConfigurationError(f"--schedules {args.schedules!r} selects no schedules")
@@ -199,7 +192,7 @@ def cli_main(argv: Optional[list] = None) -> int:
         return int(exc.code or 0)
     commands = {"solve": _cmd_solve, "compare": _cmd_compare, "certify": _cmd_certify, "sweep": _cmd_sweep}
     try:
-        return commands[args.command](args)
+        return commands[args.command](args, _apply_overrides(ExperimentConfig.load(args.config), args))
     except (ConfigurationError, ValidationError, FeasibilityError, DomainError, GapInconsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -211,6 +204,3 @@ def cli_main(argv: Optional[list] = None) -> int:
 def main() -> None:  # pragma: no cover - console entry point
     sys.exit(cli_main(sys.argv[1:]))
 
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -136,9 +136,6 @@ class LinearOperator:
     def adjoint_apply(self, y) -> np.ndarray:
         return self._transpose @ contiguous_vector(y, self.n, "y")
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"LinearOperator(n={self.n}, p={self.p})"
-
 
 @dataclass(frozen=True)
 class GeometryConstants:

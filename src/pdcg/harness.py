@@ -1,7 +1,7 @@
 """Problem generation, reference solving, and experiment orchestration.
 
 Everything is synthetic and seeded: a config plus a seed determines the
-problem instance, the run, and the serialized trace byte-for-byte.
+instance from ``generate_problem``, the run, and the trace byte-for-byte.
 Traces are written as CSV (fixed column set, 17 significant digits) or
 JSON (same record fields plus a header with the config echo, geometry
 constants and termination reason).  A JSON trace is
@@ -38,7 +38,7 @@ from .algorithms import (
     resolve_initial_dual,
     run,
 )
-from .certificates import _dual_objective
+from .certificates import dual_objective
 from .core import (ConfigurationError, GeometryConstants, LinearOperator, ProblemInstance, TraceRecord,
                    ValidationError, clamp_gap)
 from .functions import (
@@ -181,20 +181,17 @@ class ExperimentConfig:
 # Problem generation
 
 
-def generate_problem_with_truth(config: ExperimentConfig):
-    """Seeded synthetic instance plus generator metadata.
+def generate_problem(config: ExperimentConfig) -> ProblemInstance:
+    """Deterministic synthetic instance for a config.
 
     Classification losses use rows drawn from two unit-variance Gaussian
     clusters at +-0.5/sqrt(p) with matching labels; the least-absolute-
     deviation loss uses Gaussian rows, a planted primal point and sparse
     outliers.  Features are scaled by 1/sqrt(n) so column norms are O(1).
-    The metadata dict records what was planted (labels, x_true, outlier
-    indices and mass) for oracle-style tests.
     """
     n, p = config.n, config.p
     rng = np.random.default_rng(config.seed)
     scale = config.scale if config.scale is not None else 1.0 / n
-    info: dict = {"scale": scale}
 
     if config.regularizer == "entropy":
         regularizer = NegativeEntropySimplex(p)
@@ -210,7 +207,6 @@ def generate_problem_with_truth(config: ExperimentConfig):
         center = 0.5 / np.sqrt(p)
         a = (rng.standard_normal((n, p)) + labels[:, None] * center) / np.sqrt(n)
         loss = Hinge(labels, scale) if config.loss == "hinge" else Logistic(labels, scale)
-        info["labels"] = labels
     elif config.loss == "lad":
         a = rng.standard_normal((n, p)) / np.sqrt(n)
         if config.regularizer == "entropy":
@@ -225,21 +221,11 @@ def generate_problem_with_truth(config: ExperimentConfig):
         targets = a @ x_true
         targets[outlier_idx] += amplitudes
         loss = LeastAbsoluteDeviation(targets, scale)
-        info.update(
-            x_true=x_true,
-            outlier_indices=np.sort(outlier_idx),
-            outlier_mass=scale * float(np.sum(np.abs(amplitudes))),
-        )
     else:  # gauge
         a = rng.standard_normal((n, p)) / np.sqrt(n)
         loss = DualNormGauge(n, config.gauge_omega0, config.gauge_lambda)
 
-    return ProblemInstance(LinearOperator(a), regularizer, loss), info
-
-
-def generate_problem(config: ExperimentConfig) -> ProblemInstance:
-    """Deterministic synthetic instance for a config (see _with_truth)."""
-    return generate_problem_with_truth(config)[0]
+    return ProblemInstance(LinearOperator(a), regularizer, loss)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +299,7 @@ def _polish_box_dual(problem: ProblemInstance, y: np.ndarray, tol: float, max_it
             alpha = 1.0
             for _ in range(60):
                 cand = np.clip(y + alpha * step_dir, *step)
-                if _dual_objective(problem, cand) > dual:
+                if dual_objective(problem, cand) > dual:
                     return cand
                 alpha *= 0.5
             return None

@@ -66,9 +66,16 @@ def test_solve_unwritable_path(config_path):
 
 
 def test_compare_passes(config_path, capsys):
-    code = cli_main(["compare", "--config", config_path, "--iters", "100", "--tol", "1e-9"])
+    code = cli_main(["compare", "--config", config_path, "--iters", "100"])
     assert code == 0
     assert "compare: PASS" in capsys.readouterr().out
+
+
+def test_compare_reports_the_library_tolerance(config_path, capsys):
+    # compare has no tolerance flag: it checks at verify_equivalence's default
+    assert cli_main(["compare", "--config", config_path, "--iters", "20"]) == 0
+    assert capsys.readouterr().out.rstrip().endswith(" tolerance=1.0e-09")
+    assert cli_main(["compare", "--config", config_path, "--tol", "1e-3"]) == 2
 
 
 def test_compare_line_search(config_path, capsys):
@@ -284,7 +291,7 @@ def test_sweep_bad_or_empty_seeds_exit_two(tmp_path, config_path, seeds, capsys)
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("flags", [["--iters", "-5"], ["--tol", "-1"]], ids=["iters", "tol"])
+@pytest.mark.parametrize("flags", [["--iters", "-5"]], ids=["iters"])
 def test_compare_negative_arguments_exit_two(config_path, flags, capsys):
     assert cli_main(["compare", "--config", config_path, *flags]) == 2
     captured = capsys.readouterr()

@@ -1,36 +1,51 @@
-"""Line trace: which statements under ``src/pdcg`` does the test suite never execute?
+"""Line trace: which statements under ``src/pdcg`` do the tests, or the CLI grid and benchmark, never execute?
 
 Usage, from anywhere::
 
     python3 tools/line_trace.py [PYTEST_ARGS ...]
+    python3 tools/line_trace.py --traffic
 
-The tool runs pytest in this process (on the whole repository, as the
-tier-1 suite does, unless arguments are given) under a ``sys.settrace``
+The tool runs its workload in this process under a ``sys.settrace``
 hook that records every line executed in a file under ``src/pdcg``; no
-coverage package is needed.  A statement
-counts as executed when any line of its own text (a compound
-statement's header, decorators included, not its body) emitted a line
-event.  It then prints, one per line, each statement that has
-executable code and never ran, as ``path:line: source``, and a count.
-Docstrings are skipped, and so is every statement whose header line, or
-the header of a statement enclosing it, carries ``# pragma: no cover``.
+coverage package is needed.  By default the workload is pytest (on the
+whole repository, as the tier-1 suite does, unless arguments are
+given).  With ``--traffic`` it is what the program meets outside its
+tests instead: every call of ``tools/output_grid.py``'s grid, in a
+temporary workdir, then the four benchmark workloads of ``bench/run.py``
+at their tiny sizes (``run_workload(..., tiny=True)``, one untimed
+round each), with their reports going to a temporary directory.
+Nothing under ``bench/`` is written, not even bytecode.
+
+A statement counts as executed when any line of its own text (a
+compound statement's header, decorators included, not its body)
+emitted a line event.  The tool then prints, one per line, each
+statement that has executable code and never ran, as
+``path:line: source``, and a count.  Docstrings are skipped, and so is
+every statement whose header line, or the header of a statement
+enclosing it, carries ``# pragma: no cover``.
 
 Code run only in a child process (a ``ProcessPoolExecutor`` worker, a
 ``subprocess``) is not traced, so it shows as never executed.  The exit
-code is 0 when the tests pass and nothing is listed, 1 when statements
-are listed, and pytest's own code when the tests fail.  Not part of the
-test suite: tracing roughly doubles the run, to about 45 s.
+code is 0 when the workload succeeds and nothing is listed, 1 when
+statements are listed, pytest's own code when the tests fail, and 2
+when a benchmark workload reports a failed operation.  Not part of the
+test suite: tracing roughly doubles the run, to about 45 s for the
+tests and about 30 s for the traffic.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 import os
 import sys
+import tempfile
 import threading
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
+BENCH = os.path.join(ROOT, "bench")
 PACKAGE = os.path.join(SRC, "pdcg") + os.sep
 PRAGMA = "# pragma: no cover"
 
@@ -93,13 +108,8 @@ def untraced(executed: dict) -> list:
     return missing
 
 
-def main(argv=None) -> int:
-    import pytest
-
-    pytest_args = list(sys.argv[1:] if argv is None else argv) or [ROOT]
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, "1")
-    sys.path.insert(0, SRC)
+def traced(workload) -> tuple:
+    """``workload()``'s return value and the lines it executed, by file under ``src/pdcg``."""
     executed: dict = {}
 
     def local(frame, event, arg):
@@ -117,13 +127,56 @@ def main(argv=None) -> int:
     threading.settrace(global_trace)
     sys.settrace(global_trace)
     try:
-        code = pytest.main(["-q", "-p", "no:cacheprovider", *pytest_args])
+        return workload(), executed
     finally:
         sys.settrace(None)
         threading.settrace(None)
+
+
+def run_tests(pytest_args: list) -> int:
+    """pytest's exit code on ``pytest_args``, the whole repository when empty."""
+    import pytest
+
+    code = pytest.main(["-q", "-p", "no:cacheprovider", *(pytest_args or [ROOT])])
     if code != 0:
         print(f"the tests fail (pytest exited {int(code)}); the trace is not the suite's", file=sys.stderr)
-        return int(code)
+    return int(code)
+
+
+def run_traffic() -> int:
+    """The output grid and the four tiny benchmark workloads; 2 if a workload reports a failure, else 0."""
+    sys.dont_write_bytecode = True  # importing bench/ must leave nothing there
+    spec = importlib.util.spec_from_file_location("output_grid", os.path.join(ROOT, "tools", "output_grid.py"))
+    grid = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(grid)
+    sys.path.insert(0, BENCH)
+    bench_run = importlib.import_module("run")
+    workloads = importlib.import_module("workloads")
+    failed = 0
+    with tempfile.TemporaryDirectory(prefix="pdcg-traffic-") as tmp:
+        grid.build_manifest(os.path.join(tmp, "grid"))
+        for name in workloads.WORKLOADS:
+            report = bench_run.run_workload(name, 0, 0.0, False, out_dir=tmp, tiny=True)
+            for failure in report["failures"]:
+                print(f"{name}: FAILED {failure}", file=sys.stderr)
+            failed += len(report["failures"])
+    if failed:
+        print(f"{failed} benchmark operations fail; the trace is not the traffic's", file=sys.stderr)
+        return 2
+    return 0
+
+
+def main(argv=None) -> int:
+    args = list(sys.argv[1:] if argv is None else argv)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
+    sys.path.insert(0, SRC)
+    if args == ["--traffic"]:
+        code, executed = traced(run_traffic)
+    else:
+        code, executed = traced(lambda: run_tests(args))
+    if code != 0:
+        return code
     missing = untraced(executed)
     for path, line, text in missing:
         print(f"{path}:{line}: {text}")

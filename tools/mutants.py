@@ -39,6 +39,10 @@ EQUIVALENCE = "src/pdcg/equivalence.py"
 CLI = "src/pdcg/cli.py"
 BOUND_TESTS = ("tests/test_certificates.py", "tests/test_cli.py", "tests/test_acceptance.py")
 STEP_TESTS = ("tests/test_algorithms.py",)
+# every tier-1 test file under tests/ but the one that reads this tool, the oracle tests first
+TIER1_TESTS = ("tests/test_functions.py", "tests/test_core.py", "tests/test_algorithms.py",
+               "tests/test_certificates.py", "tests/test_harness.py", "tests/test_equivalence.py",
+               "tests/test_cli.py", "tests/test_acceptance.py")
 
 
 class Mutation(NamedTuple):
@@ -174,6 +178,31 @@ MUTATIONS = (
              "out = np.where(u >= 0, e, 1.0)", ("tests/test_functions.py",)),
     Mutation("lad-conj-never-clips", FUNCTIONS, "if low < -s or high > s:", "if False:",
              ("tests/test_functions.py",)),
+    # the oracle kernels' edges: the box clamp's signed zeros, the membership
+    # tolerance bands, the logistic clip and 0*log(0), and the matvecs and
+    # finiteness scan every oracle input passes through
+    Mutation("box-clip-lower-first", FUNCTIONS, "return np.minimum(np.maximum(v, self.lower), self.upper)",
+             "return np.minimum(np.maximum(self.lower, v), self.upper)", TIER1_TESTS),
+    Mutation("box-clip-upper-first", FUNCTIONS, "return np.minimum(np.maximum(v, self.lower), self.upper)",
+             "return np.minimum(self.upper, np.maximum(v, self.lower))", TIER1_TESTS),
+    Mutation("lad-membership-upper-closed", FUNCTIONS, "outside = (hi > s + atol) | (lo < -(s + atol))",
+             "outside = (hi >= s + atol) | (lo < -(s + atol))", TIER1_TESTS),
+    Mutation("lad-membership-lower-closed", FUNCTIONS, "outside = (hi > s + atol) | (lo < -(s + atol))",
+             "outside = (hi > s + atol) | (lo <= -(s + atol))", TIER1_TESTS),
+    Mutation("logistic-membership-lower-closed", FUNCTIONS,
+             "outside = (lo < -MEMBERSHIP_TOL) | (hi > 1.0 + MEMBERSHIP_TOL)",
+             "outside = (lo <= -MEMBERSHIP_TOL) | (hi > 1.0 + MEMBERSHIP_TOL)", TIER1_TESTS),
+    Mutation("logistic-membership-upper-closed", FUNCTIONS,
+             "outside = (lo < -MEMBERSHIP_TOL) | (hi > 1.0 + MEMBERSHIP_TOL)",
+             "outside = (lo < -MEMBERSHIP_TOL) | (hi >= 1.0 + MEMBERSHIP_TOL)", TIER1_TESTS),
+    Mutation("logistic-conj-never-clips", FUNCTIONS, "if low < 0.0 or high > 1.0:", "if False:", TIER1_TESTS),
+    Mutation("xlogx-skips-at-zero", FUNCTIONS, "if v_min > 1e-300:", "if v_min >= 0.0:", TIER1_TESTS),
+    Mutation("apply-by-dot", CORE, 'return self.matrix @ contiguous_vector(x, self.p, "x")',
+             'return self.matrix.dot(contiguous_vector(x, self.p, "x"))', TIER1_TESTS),
+    Mutation("adjoint-apply-by-dot", CORE, 'return self._transpose @ contiguous_vector(y, self.n, "y")',
+             'return self._transpose.dot(contiguous_vector(y, self.n, "y"))', TIER1_TESTS),
+    Mutation("finiteness-by-self-dot", CORE, "if not math.isfinite(np.add.reduce(v)) and not np.isfinite(v).all():",
+             "if not math.isfinite(v.dot(v)) and not np.isfinite(v).all():", TIER1_TESTS),
     # an oracle error exits 2, the round-off floor scales with the pair, and a config is checked when built
     Mutation("cli-oracle-errors-escape", CLI,
              "FeasibilityError, DomainError, GapInconsistencyError) as exc:", "FeasibilityError) as exc:",
