@@ -334,15 +334,19 @@ def run(
     recursions; the compact-domain recursion starts from the interior
     point of its domain (simplex barycenter / box center), the point at
     which the instance computes delta^2 (``ProblemInstance.geometry``).
-    A NaN ``gap_tol`` could never be met, so it raises, as does a
-    schedule that is not a ``StepSchedule`` paired with ``algorithm``;
-    the schedule is checked once, here, and the loop calls its ``rho``.
+    That recursion reads neither ``y0`` nor ``reference``, so either one
+    given with it raises.  A NaN ``gap_tol`` could never be met, so it
+    raises, as does a schedule that is not a ``StepSchedule`` paired
+    with ``algorithm``; the schedule is checked once, here, and the loop
+    calls its ``rho``.
 
     The recursion steps row by row; a block of rows takes one kernel call
     per column on the stacked iterates.  Records, state and the first
     exception are those of evaluating each row after its step.
     """
     _check_algorithm(problem, algorithm)
+    if algorithm == NS_MD and (y0 is not None or reference is not None):
+        raise ConfigurationError("ns-md starts at the interior point of K and has no y0 or reference; pass neither")
     if max_iters < 0:
         raise ConfigurationError("max_iters must be nonnegative")
     if math.isnan(gap_tol):

@@ -45,12 +45,12 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_config(p):
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
+        p.add_argument("--max-iters", type=int, default=None)
 
     ps = sub.add_parser("solve", help="run one experiment and write its trace")
     add_config(ps)
     ps.add_argument("--algorithm", choices=ALGORITHMS, default=None)
     ps.add_argument("--schedule", choices=SCHEDULE_NAMES, default=None)
-    ps.add_argument("--max-iters", type=int, default=None)
     ps.add_argument("--gap-tol", type=float, default=None)
     ps.add_argument("--out", dest="output_path", metavar="OUT", default=None,
                     help="output path (overrides config)")
@@ -58,13 +58,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("compare", help="lockstep mirror descent vs conditional gradient")
     add_config(pc)
-    pc.add_argument("--iters", type=int, default=300)
     pc.add_argument("--schedule", choices=SCHEDULE_NAMES, default=None)
 
     pv = sub.add_parser("certify", help="run and check one convergence bound")
     add_config(pv)
     pv.add_argument("--prop", required=True, choices=sorted(BOUND_IDS))
-    pv.add_argument("--max-iters", type=int, default=None)
     pv.add_argument("--out", default=None, help="optional JSON report path")
 
     # no --seed: every cell takes its seed from --seeds, which --seed must
@@ -122,7 +120,7 @@ def _cmd_solve(args, config: ExperimentConfig) -> int:
 def _cmd_compare(args, config: ExperimentConfig) -> int:
     experiment = prepare(config)
     problem = experiment.problem
-    report = verify_equivalence(problem, np.zeros(problem.n), experiment.schedule, args.iters)
+    report = verify_equivalence(problem, np.zeros(problem.n), experiment.schedule, config.max_iters)
     status = "PASS" if report.passed else "FAIL"
     print(
         f"compare: {status} schedule={config.schedule} iterations={report.iterations} "

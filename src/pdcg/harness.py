@@ -171,11 +171,6 @@ class ExperimentConfig:
             raise ConfigurationError("config file must contain a JSON object")
         return cls.from_dict(data)
 
-    def dump(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 # ---------------------------------------------------------------------------
 # Problem generation

@@ -222,6 +222,47 @@ def test_ns_md_rejects_noncompact(monkeypatch):
         init_state_compact(prob)
 
 
+@pytest.mark.parametrize("given", ["y0", "y0-outside-c", "reference"])
+def test_ns_md_rejects_a_dual_start_or_reference(given, monkeypatch):
+    # ns-md starts at the interior point of K and its dual reads the support
+    # function, so a y0 or a reference would be dropped: it raises instead,
+    # before any oracle or matvec runs
+    prob = generate_problem(ExperimentConfig(loss="lad", regularizer="entropy", n=30, p=6, seed=1))
+    sched = SqrtDecay(delta=1.0, radius=1.0)
+    kwargs = {
+        "y0": {"y0": np.zeros(prob.n)},
+        "y0-outside-c": {"y0": np.full(prob.n, 1e9)},
+        "reference": {"reference": SimpleNamespace(x_star=None, primal_value=1.0)},
+    }[given]
+    free = run(prob, "ns-md", sched, max_iters=5)
+    calls = []
+    kernels = [(prob.operator, "apply"), (prob.operator, "adjoint_apply")]
+    kernels += [(kind, name) for kind in (prob.loss, prob.regularizer)
+                for name in ("_value", "_conj_value", "_subgradient", "_conj_grad") if hasattr(kind, name)]
+    for obj, name in kernels:
+        monkeypatch.setattr(obj, name, lambda *args: calls.append(1))
+    with pytest.raises(ConfigurationError, match="^ns-md starts at the interior point of K and has no y0 or "
+                       "reference; pass neither$"):
+        run(prob, "ns-md", sched, max_iters=5, **kwargs)
+    assert calls == []
+    monkeypatch.undo()
+    assert run(prob, "ns-md", sched, max_iters=5).trace == free.trace
+    # md and gcg read both: a y0 outside C raises, and a reference fills its column
+    for algorithm in ("md", "gcg"):
+        plain = run(prob, algorithm, FixedTwoOverTPlusOne(), max_iters=5)
+        if given == "y0-outside-c":
+            with pytest.raises(FeasibilityError, match="y0 lies outside the dual domain C"):
+                run(prob, algorithm, FixedTwoOverTPlusOne(), max_iters=5, **kwargs)
+            continue
+        res = run(prob, algorithm, FixedTwoOverTPlusOne(), max_iters=5, **kwargs)
+        if given == "y0":  # the default start, given explicitly
+            assert res.trace == plain.trace
+        else:  # row t's column reads the post-step dual, row t + 1's own
+            assert [rec._replace(dual_suboptimality=None) for rec in res.trace] == plain.trace
+            subopt = [rec.dual_suboptimality for rec in res.trace[:-1]]
+            assert subopt == [1.0 - rec.dual_value for rec in plain.trace[1:]]
+
+
 @pytest.mark.parametrize("bad", ["length-1", "nan"])
 @pytest.mark.parametrize("algorithm,field", [("md", "y"), ("gcg", "y"), ("md", "carried_h_sub")])
 def test_step_checks_each_vector_its_recursion_reads(algorithm, field, bad, monkeypatch):

@@ -7,6 +7,11 @@ from pdcg.cli import cli_main
 from pdcg.harness import Experiment
 
 
+def _write_config(cfg, path):
+    """Write ``cfg`` as the JSON file ``--config`` reads."""
+    path.write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
 @pytest.fixture()
 def config_path(tmp_path):
     cfg = ExperimentConfig(
@@ -14,7 +19,7 @@ def config_path(tmp_path):
         seed=3, max_iters=50,
     )
     path = tmp_path / "cfg.json"
-    cfg.dump(str(path))
+    _write_config(cfg, path)
     return str(path)
 
 
@@ -26,7 +31,7 @@ def certify_config_path(tmp_path):
         seed=11, scale=20.0 / 60, max_iters=300,
     )
     path = tmp_path / "certify.json"
-    cfg.dump(str(path))
+    _write_config(cfg, path)
     return str(path)
 
 
@@ -66,21 +71,32 @@ def test_solve_unwritable_path(config_path):
 
 
 def test_compare_passes(config_path, capsys):
-    code = cli_main(["compare", "--config", config_path, "--iters", "100"])
+    code = cli_main(["compare", "--config", config_path, "--max-iters", "100"])
     assert code == 0
     assert "compare: PASS" in capsys.readouterr().out
 
 
+def test_compare_runs_the_config_budget_unless_overridden(config_path, capsys):
+    # the budget is the config's max_iters, as for every other command
+    assert cli_main(["compare", "--config", config_path]) == 0
+    assert " iterations=50 " in capsys.readouterr().out
+    assert cli_main(["compare", "--config", config_path, "--max-iters", "7"]) == 0
+    assert " iterations=7 " in capsys.readouterr().out
+    # no private budget flag
+    assert cli_main(["compare", "--config", config_path, "--iters", "7"]) == 2
+    assert "compare:" not in capsys.readouterr().out
+
+
 def test_compare_reports_the_library_tolerance(config_path, capsys):
     # compare has no tolerance flag: it checks at verify_equivalence's default
-    assert cli_main(["compare", "--config", config_path, "--iters", "20"]) == 0
+    assert cli_main(["compare", "--config", config_path, "--max-iters", "20"]) == 0
     assert capsys.readouterr().out.rstrip().endswith(" tolerance=1.0e-09")
     assert cli_main(["compare", "--config", config_path, "--tol", "1e-3"]) == 2
 
 
 def test_compare_line_search(config_path, capsys):
     code = cli_main(
-        ["compare", "--config", config_path, "--iters", "50", "--schedule", "line-search"]
+        ["compare", "--config", config_path, "--max-iters", "50", "--schedule", "line-search"]
     )
     assert code == 0
 
@@ -166,7 +182,7 @@ def test_certify_md_distance_needs_a_certified_reference(tmp_path, capsys):
     # dual value still over-estimates the suboptimality
     cfg = ExperimentConfig(loss="gauge", regularizer="entropy", n=60, p=12, seed=3, max_iters=150)
     path, out = tmp_path / "c.json", tmp_path / "report.json"
-    cfg.dump(str(path))
+    _write_config(cfg, path)
     code = cli_main(["certify", "--config", str(path), "--prop", "md-distance", "--out", str(out)])
     assert code == 2 and not out.exists()
     captured = capsys.readouterr()
@@ -183,7 +199,7 @@ def test_certify_md_distance_refuses_the_reference_before_the_run(tmp_path, caps
     # the same exit and stderr as above, without the 150 md iterations
     cfg = ExperimentConfig(loss="gauge", regularizer="entropy", n=60, p=12, seed=3, max_iters=150)
     path = tmp_path / "c.json"
-    cfg.dump(str(path))
+    _write_config(cfg, path)
     monkeypatch.setattr(Experiment, "run", lambda self, reference=None: pytest.fail("certify ran the md run"))
     assert cli_main(["certify", "--config", str(path), "--prop", "md-distance"]) == 2
     assert capsys.readouterr().err.splitlines() == [
@@ -197,7 +213,7 @@ def test_certify_exits_two_when_an_oracle_stops_the_run(tmp_path, capsys):
     # boundary, where the Bregman column to x* is undefined
     cfg = ExperimentConfig(loss="lad", regularizer="entropy", n=30, p=6, scale=2000.0, seed=1, max_iters=50)
     path = tmp_path / "c.json"
-    cfg.dump(str(path))
+    _write_config(cfg, path)
     assert cli_main(["certify", "--config", str(path), "--prop", "md-distance"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
@@ -210,7 +226,7 @@ def test_solve_exits_two_on_a_gap_inconsistency(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(LeastAbsoluteDeviation, "_conj_value", lambda self, y: conj_value(self, y) - 1.0)
     cfg = ExperimentConfig(loss="lad", regularizer="squared_l2", n=30, p=6, seed=1, max_iters=50)
     path = tmp_path / "c.json"
-    cfg.dump(str(path))
+    _write_config(cfg, path)
     assert cli_main(["solve", "--config", str(path), "--out", str(tmp_path / "t.csv")]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
@@ -222,7 +238,7 @@ def test_certify_exit_one_on_failed_bound(tmp_path, capsys):
     # unscaled instance whose first-pair gap exceeds the t=1 bound
     cfg = ExperimentConfig(loss="hinge", regularizer="squared_l2", n=30, p=6, seed=3, max_iters=50)
     path = tmp_path / "c.json"
-    cfg.dump(str(path))
+    _write_config(cfg, path)
     code = cli_main(["certify", "--config", path.as_posix(), "--prop", "gcg-linesearch-min-gap"])
     assert code == 1
     assert "certify: FAIL" in capsys.readouterr().out
@@ -234,7 +250,7 @@ def test_certify_compact_domain_bound(tmp_path, capsys):
         seed=0, max_iters=500,
     )
     path = tmp_path / "compact.json"
-    cfg.dump(str(path))
+    _write_config(cfg, path)
     code = cli_main(["certify", "--config", str(path), "--prop", "compact-averaged-gap"])
     assert code == 0
     assert "certify: PASS" in capsys.readouterr().out
@@ -291,7 +307,7 @@ def test_sweep_bad_or_empty_seeds_exit_two(tmp_path, config_path, seeds, capsys)
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("flags", [["--iters", "-5"]], ids=["iters"])
+@pytest.mark.parametrize("flags", [["--max-iters", "-5"]], ids=["max-iters"])
 def test_compare_negative_arguments_exit_two(config_path, flags, capsys):
     assert cli_main(["compare", "--config", config_path, *flags]) == 2
     captured = capsys.readouterr()
@@ -310,7 +326,7 @@ def test_sweep_empty_schedules_exit_two(tmp_path, config_path, capsys):
 def test_compare_unpaired_schedule_exits_two(tmp_path, capsys):
     cfg = ExperimentConfig(loss="lad", regularizer="entropy", n=20, p=5, seed=4, max_iters=20)
     path = tmp_path / "entropy.json"
-    cfg.dump(str(path))
+    _write_config(cfg, path)
     assert cli_main(["compare", "--config", str(path), "--schedule", "sqrt-decay"]) == 2
     captured = capsys.readouterr()
     assert "sqrt-decay pairs with the compact-domain recursion only" in captured.err
@@ -377,7 +393,7 @@ def test_each_r2_is_computed_once_per_command(tmp_path, monkeypatch, case):
     # n = 20 keeps the lad dual box on exact vertex enumeration
     cfg = ExperimentConfig(loss="lad", regularizer="entropy", n=20, p=5, seed=1, scale=1.0, max_iters=20)
     path = tmp_path / "lad.json"
-    cfg.dump(str(path))
+    _write_config(cfg, path)
     calls = []
     box_r2 = Box.r2
 
@@ -471,7 +487,7 @@ def test_only_md_distance_reads_the_bregman_column(tmp_path, capsys):
     # at this scale x_t reaches a face of the simplex, where D(x*, x_t) is undefined;
     # the other reference-backed ids never read that column and reach a verdict
     path = tmp_path / "face.json"
-    ExperimentConfig(loss="hinge", regularizer="entropy", n=30, p=6, scale=2000.0, seed=1).dump(str(path))
+    _write_config(ExperimentConfig(loss="hinge", regularizer="entropy", n=30, p=6, scale=2000.0, seed=1), path)
     props = ("md-avg-subopt", "md-best-subopt", "gcg-fixed-dual-subopt", "gcg-linesearch-dual-subopt", "md-distance")
     codes = [cli_main(["certify", "--config", str(path), "--prop", prop]) for prop in props]
     captured = capsys.readouterr()

@@ -53,7 +53,7 @@ def test_config_round_trips_through_json(tmp_path):
         reference_budget=1234,
     )
     path = tmp_path / "cfg.json"
-    cfg.dump(str(path))
+    path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
     assert ExperimentConfig.load(str(path)) == cfg
     assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
@@ -271,6 +271,26 @@ def test_reference_polish_stops_when_no_step_ascends():
     assert ref.certified_gap == duality_gap(prob, ref.x_star, ref.y_star)
 
 
+def test_reference_polish_falls_back_to_least_squares_on_a_singular_system(monkeypatch):
+    # np.linalg.solve may reject a Newton system as singular: that pass
+    # takes the least-squares step instead, and the polish still certifies
+    prob = generate_problem(ExperimentConfig(loss="logistic", regularizer="squared_l2", n=20, p=10, seed=3))
+    solve, lstsq, failed, fallbacks = np.linalg.solve, np.linalg.lstsq, [], []
+
+    def singular_once(a, b):
+        if not failed:
+            failed.append(1)
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular_once)
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kwargs: fallbacks.append(1) or lstsq(*args, **kwargs))
+    ref = reference_solution(prob, tol=1e-9)
+    assert failed == fallbacks == [1]
+    assert ref.certified and ref.iterations > 1
+    assert ref.certified_gap == duality_gap(prob, ref.x_star, ref.y_star)
+
+
 # mixes the Newton polish cannot run on: run's line-search GCG is their
 # only engine, and a box C it leaves uncertified with budget left raises
 @pytest.mark.parametrize(
@@ -470,7 +490,7 @@ _HAND_BUILT = {
 
 
 def _trace_case(kind):
-    """(config, problem, result): a hand-built trace, or a real run with a reference."""
+    """(config, problem, result): a hand-built trace, or a real run, md/gcg with a reference."""
     if kind in _HAND_BUILT:
         cfg, res = _small_result(max_iters=0)
         return cfg, generate_problem(cfg), dataclasses.replace(res, trace=_HAND_BUILT[kind])
@@ -478,7 +498,8 @@ def _trace_case(kind):
     cfg = ExperimentConfig(loss="lad", regularizer="entropy", n=12, p=4, seed=2, max_iters=16,
                            algorithm=algorithm, schedule=schedule, output_format="json")
     exp = prepare(cfg)
-    return cfg, exp.problem, exp.run(reference=reference_solution(exp.problem))
+    reference = None if algorithm == "ns-md" else reference_solution(exp.problem)  # ns-md rejects one
+    return cfg, exp.problem, exp.run(reference=reference)
 
 
 _TRACE_KINDS = sorted(_HAND_BUILT) + ["gcg:two-over-t-plus-one", "ns-md:sqrt-decay"]

@@ -39,10 +39,11 @@ EQUIVALENCE = "src/pdcg/equivalence.py"
 CLI = "src/pdcg/cli.py"
 BOUND_TESTS = ("tests/test_certificates.py", "tests/test_cli.py", "tests/test_acceptance.py")
 STEP_TESTS = ("tests/test_algorithms.py",)
+METAMORPHIC_TESTS = ("tests/test_metamorphic.py",)
 # every tier-1 test file under tests/ but the one that reads this tool, the oracle tests first
 TIER1_TESTS = ("tests/test_functions.py", "tests/test_core.py", "tests/test_algorithms.py",
                "tests/test_certificates.py", "tests/test_harness.py", "tests/test_equivalence.py",
-               "tests/test_cli.py", "tests/test_acceptance.py")
+               "tests/test_cli.py", "tests/test_acceptance.py", "tests/test_metamorphic.py")
 
 
 class Mutation(NamedTuple):
@@ -117,6 +118,10 @@ MUTATIONS = (
     Mutation("entry-check-skips-compact", ALGORITHMS,
              "    if algorithm == NS_MD and not problem.regularizer.domain.compact:\n"
              '        raise ValidationError("algorithm requires a compact primal domain")\n', "", STEP_TESTS),
+    Mutation("ns-md-drops-y0", ALGORITHMS,
+             "    if algorithm == NS_MD and (y0 is not None or reference is not None):\n"
+             '        raise ConfigurationError("ns-md starts at the interior point of K and has no y0 or reference; '
+             'pass neither")\n', "", STEP_TESTS),
     # the block evaluation of the trace columns: each row is its own pre-step
     # pair, each averaged stack is scanned, a run cut short keeps the state of
     # its last row, and a gap on the round-off floor passes
@@ -149,6 +154,8 @@ MUTATIONS = (
     # carries mu x in place of its own subgradient is no longer gcg's twin
     Mutation("line-search-without-mu-over-r2", ALGORITHMS, "return min(self.mu / self.r2 * max(gap, 0.0), 1.0)",
              "return min(max(gap, 0.0), 1.0)", STEP_TESTS + BOUND_TESTS),
+    Mutation("line-search-drops-mu", ALGORITHMS, "return min(self.mu / self.r2 * max(gap, 0.0), 1.0)",
+             "return min(1.0 / self.r2 * max(gap, 0.0), 1.0)", STEP_TESTS + BOUND_TESTS + METAMORPHIC_TESTS),
     Mutation("weighted-average-over-t", ALGORITHMS, "norm = 2.0 / (ts * (ts + 1.0)) if weighted else ts",
              "norm = 1.0 / ts if weighted else ts", STEP_TESTS + BOUND_TESTS),
     Mutation("equivalence-tolerance-1e6", EQUIVALENCE,
@@ -203,7 +210,10 @@ MUTATIONS = (
              'return self._transpose.dot(contiguous_vector(y, self.n, "y"))', TIER1_TESTS),
     Mutation("finiteness-by-self-dot", CORE, "if not math.isfinite(np.add.reduce(v)) and not np.isfinite(v).all():",
              "if not math.isfinite(v.dot(v)) and not np.isfinite(v).all():", TIER1_TESTS),
-    # an oracle error exits 2, the round-off floor scales with the pair, and a config is checked when built
+    # compare runs the config's budget, an oracle error exits 2, the round-off
+    # floor scales with the pair, and a config is checked when built
+    Mutation("compare-ignores-max-iters", CLI, "experiment.schedule, config.max_iters)", "experiment.schedule, 300)",
+             ("tests/test_cli.py",)),
     Mutation("cli-oracle-errors-escape", CLI,
              "FeasibilityError, DomainError, GapInconsistencyError) as exc:", "FeasibilityError) as exc:",
              ("tests/test_cli.py",)),

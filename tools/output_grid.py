@@ -143,7 +143,7 @@ def grid_calls(workdir: str):
                                 "--max-iters", str(ITERS), "--out", out_path, "--format", fmt]
                 for sched in COMPARE_SCHEDULES:
                     yield setup, f"{prefix}/compare/{sched}", [
-                        "compare", "--config", cfg_path, "--iters", str(ITERS), "--schedule", sched]
+                        "compare", "--config", cfg_path, "--max-iters", str(ITERS), "--schedule", sched]
                 for prop in BOUND_IDS:
                     yield setup, f"{prefix}/certify/{prop}", [
                         "certify", "--config", cfg_path, "--prop", prop, "--max-iters", str(ITERS),
