@@ -60,15 +60,15 @@ ALGORITHMS = (MD, GCG, NS_MD)
 class StepSchedule:
     """A step rule ``rho(t, gap)`` together with what it certifies.
 
-    Each schedule declares which recursions it pairs with (``run``
-    raises ``pairing_error`` for the others), whether ``rho`` reads the
-    current duality gap, and how md/gcg iterates are averaged for the
-    ``avg_primal``/``avg_gap`` columns: ``weighted`` puts weight u on
-    x_{u-1} with normalizer 2/(t(t+1)), otherwise every iterate has
-    weight 1 and the sum is divided by t.  ``avg_dual`` names the dual
-    point of the averaged-pair gap: ``"y"`` for y_t (the weighted
-    average of the oracle outputs under 2/(t+1)), ``"oracle"`` for the
-    uniform average of the oracle outputs, None for no such gap.  The
+    Each schedule declares its ``name``, which recursions it pairs with
+    (``run`` raises ``pairing_error`` for the others), whether ``rho``
+    reads the current duality gap, and ``avg_dual``, the dual point of
+    the averaged-pair gap, which also fixes how md/gcg iterates are
+    averaged for the ``avg_primal``/``avg_gap`` columns: under ``"y"``
+    (y_t, the 2/(t+1) average of the oracle outputs) x_{u-1} takes
+    weight u and the normalizer is 2/(t(t+1)); under ``"oracle"`` (the
+    uniform average of the oracle outputs) and None (no such gap) every
+    iterate has weight 1 and the sum is divided by t.  The
     compact-domain recursion averages uniformly under every schedule.
     """
 
@@ -76,7 +76,6 @@ class StepSchedule:
     recursions: ClassVar[tuple] = ALGORITHMS
     pairing_error: ClassVar[str] = ""
     needs_gap: ClassVar[bool] = False
-    weighted: ClassVar[bool] = False
     avg_dual: ClassVar[Optional[str]] = None
 
 
@@ -85,7 +84,6 @@ class FixedTwoOverTPlusOne(StepSchedule):
     """rho_t = 2/(t+1); rho_1 = 1, so the first step forgets the start."""
 
     name: ClassVar[str] = "two-over-t-plus-one"
-    weighted: ClassVar[bool] = True
     avg_dual: ClassVar[Optional[str]] = "y"
 
     def rho(self, t: int, gap: Optional[float] = None) -> float:
@@ -369,10 +367,10 @@ def run(
         state, pair = init_state_compact(problem), None
 
     # Running sums of the averaged iterates, oracle outputs and -A^T y, each the
-    # last row of a stack.  A weighted schedule adds x_{u-1} with weight u and
-    # scales the sum by 2/(t(t+1)); otherwise each iterate enters once and the
+    # last row of a stack.  Under avg_dual "y" the sum adds x_{u-1} with weight u
+    # and is scaled by 2/(t(t+1)); otherwise each iterate enters once and the
     # sum is divided by t.  The compact-domain recursion averages uniformly.
-    weighted = strongly_convex and schedule.weighted
+    weighted = strongly_convex and schedule.avg_dual == "y"
     average = np.multiply if weighted else np.true_divide
     sums = (np.zeros((1, problem.p)), np.zeros((1, problem.n)), np.zeros((1, problem.n)), np.zeros((1, problem.p)))
 

@@ -24,11 +24,11 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .algorithms import ALGORITHMS
-from .certificates import BOUND_IDS, BOUND_PAIRING, check_bound, check_reference, geometry_constants
+from .algorithms import ALGORITHMS, GCG
+from .certificates import BOUND_IDS, BOUND_PAIRING, check_bound, check_reference
 from .core import ConfigurationError, DomainError, FeasibilityError, GapInconsistencyError, ValidationError
 from .equivalence import verify_equivalence
-from .harness import SCHEDULE_NAMES, ExperimentConfig, emit_trace, prepare, reference_solution, run_sweep
+from .harness import SCHEDULE_NAMES, SCHEDULES, ExperimentConfig, emit_trace, prepare, reference_solution, run_sweep
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--config", required=True, help="JSON experiment config")
     pw.add_argument(
         "--schedules",
-        default="two-over-t-plus-one,one-over-t,line-search",
+        default=",".join(s.name for s in SCHEDULES if GCG in s.recursions),
         help="comma-separated schedule names",
     )
     pw.add_argument("--seeds", default="0,1,2", help="comma-separated seeds or start:stop")
@@ -106,7 +106,7 @@ def _cmd_solve(args, config: ExperimentConfig) -> int:
     experiment = prepare(config)
     result = experiment.run()
     # only the JSON header records the geometry
-    geometry = geometry_constants(experiment.problem) if config.output_format == "json" else None
+    geometry = experiment.problem.geometry if config.output_format == "json" else None
     emit_trace(result, config.output_format, config.output_path, config=config, geometry=geometry)
     last = result.trace[-1] if result.trace else None
     gap = "n/a" if last is None else format(last.gap, ".6e")
@@ -119,8 +119,7 @@ def _cmd_solve(args, config: ExperimentConfig) -> int:
 
 def _cmd_compare(args, config: ExperimentConfig) -> int:
     experiment = prepare(config)
-    problem = experiment.problem
-    report = verify_equivalence(problem, np.zeros(problem.n), experiment.schedule, config.max_iters)
+    report = verify_equivalence(experiment.problem, None, experiment.schedule, config.max_iters)
     status = "PASS" if report.passed else "FAIL"
     print(
         f"compare: {status} schedule={config.schedule} iterations={report.iterations} "
@@ -145,7 +144,7 @@ def _cmd_certify(args, config: ExperimentConfig) -> int:
             reference = dataclasses.replace(reference, x_star=None)
     check_reference(args.prop, reference)  # before the run, which a reference it rejects would waste
     result = experiment.run(reference)
-    report = check_bound(result, geometry_constants(problem), problem.regularizer.mu, args.prop, reference=reference)
+    report = check_bound(result, problem.geometry, problem.regularizer.mu, args.prop, reference=reference)
     status = "PASS" if report.passed else "FAIL"
     print(
         f"certify: {status} {args.prop} iterations={report.iterations} "

@@ -204,7 +204,7 @@ class TraceRecord(NamedTuple):
     pre-step pair (x_{t-1}, y_{t-1}), so the gap consumed by the
     line-search rule appears verbatim in the row.  ``avg_primal_value``
     is the objective at the schedule's average of x_0..x_{t-1} (weight u
-    on x_{u-1} under 2/(t+1); uniform otherwise and for ns-md).
+    on x_{u-1} when its ``avg_dual`` is "y"; uniform otherwise and for ns-md).
     ``dual_suboptimality`` and ``bregman_to_ref`` describe the post-step
     pair (x_t, y_t) against a reference solution and are filled only
     when a reference is supplied.  ``avg_gap`` pairs that average with

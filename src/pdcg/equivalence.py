@@ -29,8 +29,9 @@ from .algorithms import (
     _md_step,
     _values,
     init_state,
+    resolve_initial_dual,
 )
-from .core import ConfigurationError, ProblemInstance, clamp_gap
+from .core import ConfigurationError, ProblemInstance, check_gap_floor
 
 
 @dataclass(frozen=True)
@@ -53,26 +54,26 @@ def verify_equivalence(
 ) -> EquivalenceReport:
     """Run both recursions in lockstep from a matched start and compare.
 
-    Records max_t ||x_t^MD - x_t^GCG||_inf and the dual identity
-    deviation max_t ||carried^MD_t + A^T y_t^GCG||_inf.  With a
-    line-search schedule the gap is computed once per iteration from
-    the conditional-gradient pair and fed to both steppers, which
-    removes round-off asymmetry between the two runs.  Zero iterations
-    pass vacuously; a negative count or tolerance, or a schedule that
-    ``run`` rejects for either recursion, is a usage error, checked once
-    on entry.
+    Starts and steps as ``run`` does: y0 goes through
+    ``resolve_initial_dual``, and a line search reads the raw
+    ``check_gap_floor`` gap of the gcg pair, once per iteration for
+    both steppers, so no round-off asymmetry enters.  Records
+    max_t ||x_t^MD - x_t^GCG||_inf and the dual identity deviation
+    max_t ||carried^MD_t + A^T y_t^GCG||_inf.  Zero iterations pass
+    vacuously; a negative count or tolerance, or a schedule that ``run``
+    rejects for either recursion, is a usage error, checked on entry.
     """
     if iterations < 0 or not tolerance >= 0:
         raise ConfigurationError("iterations and tolerance must be nonnegative")
     _check_schedule(schedule, MD, GCG)
     # a step never writes to the state it reads, so both start from one
-    md_state = cg_state = init_state(problem, y0)
+    md_state = cg_state = init_state(problem, resolve_initial_dual(problem, y0))
     max_x = 0.0
     max_dual = 0.0
     for t in range(1, iterations + 1):
         gap = None
         if schedule.needs_gap:
-            gap = clamp_gap(*_values(problem, cg_state))
+            gap = check_gap_floor(*_values(problem, cg_state))
         rho = _check_rho(schedule.rho(t, gap))
         md_state = _md_step(problem, md_state, rho)
         cg_state = _gcg_step(problem, cg_state, rho)

@@ -56,7 +56,9 @@ from .functions import (
 
 LOSS_KINDS = ("hinge", "lad", "logistic", "gauge")
 REGULARIZER_KINDS = ("squared_l2", "squared_l2_box", "entropy")
-SCHEDULE_NAMES = ("two-over-t-plus-one", "one-over-t", "line-search", "sqrt-decay")
+# each schedule class names itself; this order is the CLI's and the grid's
+SCHEDULES = (FixedTwoOverTPlusOne, FixedOneOverT, LineSearch, SqrtDecay)
+SCHEDULE_NAMES = tuple(schedule.name for schedule in SCHEDULES)
 
 # trace column -> TraceRecord field, in CSV and JSON order
 TRACE_COLUMNS = {
@@ -96,8 +98,8 @@ class ExperimentConfig:
     box_lower: float = 0.0
     box_upper: float = 1.0
     seed: int = 0
-    algorithm: str = "gcg"
-    schedule: str = "two-over-t-plus-one"
+    algorithm: str = GCG
+    schedule: str = FixedTwoOverTPlusOne.name
     max_iters: int = 1000
     gap_tol: float = 0.0
     output_format: str = "csv"
@@ -359,13 +361,13 @@ def reference_solution(problem: ProblemInstance, tol: float = 1e-9, cap: int = 1
 def build_schedule(config: ExperimentConfig, problem: ProblemInstance) -> StepSchedule:
     """Schedule object for a config; R^2 and delta^2 are the instance's."""
     name = config.schedule
-    if name == "two-over-t-plus-one":
+    if name == FixedTwoOverTPlusOne.name:
         return FixedTwoOverTPlusOne()
-    if name == "one-over-t":
+    if name == FixedOneOverT.name:
         return FixedOneOverT()
-    if name == "line-search":
+    if name == LineSearch.name:
         return LineSearch(mu=problem.regularizer.mu, r2=problem.geometry.r2_primal)
-    geo = problem.geometry  # sqrt-decay, the last of SCHEDULE_NAMES
+    geo = problem.geometry  # SqrtDecay, the last of SCHEDULES
     if geo.delta2 is None:  # off a compact domain, where delta2() raises
         problem.regularizer.delta2()
     return SqrtDecay(delta=float(np.sqrt(geo.delta2)), radius=float(np.sqrt(geo.r2_origin)))

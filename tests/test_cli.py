@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -92,6 +93,22 @@ def test_compare_reports_the_library_tolerance(config_path, capsys):
     assert cli_main(["compare", "--config", config_path, "--max-iters", "20"]) == 0
     assert capsys.readouterr().out.rstrip().endswith(" tolerance=1.0e-09")
     assert cli_main(["compare", "--config", config_path, "--tol", "1e-3"]) == 2
+
+
+def test_compare_runs_every_iteration_whatever_gap_tol_and_algorithm(tmp_path, capsys):
+    # a lockstep check has no stopping rule: solve stops at gap_tol, compare
+    # runs the whole max_iters and reads neither gap_tol nor algorithm
+    cfg = ExperimentConfig(loss="logistic", regularizer="squared_l2", n=30, p=6, seed=3, max_iters=500, gap_tol=1e-6)
+    path = tmp_path / "cfg.json"
+    _write_config(cfg, path)
+    assert cli_main(["solve", "--config", str(path), "--out", str(tmp_path / "trace.csv")]) == 0
+    assert " iterations=3 termination=gap_tolerance " in capsys.readouterr().out
+    lines = []
+    for changes in ({}, {"gap_tol": 0.0, "algorithm": "md"}):
+        _write_config(dataclasses.replace(cfg, **changes), path)
+        assert cli_main(["compare", "--config", str(path)]) == 0
+        lines.append(capsys.readouterr().out)
+    assert " iterations=500 " in lines[0] and lines[0] == lines[1]
 
 
 def test_compare_line_search(config_path, capsys):
@@ -267,6 +284,13 @@ def test_sweep_writes_cells(tmp_path, config_path):
     )
     assert code == 0
     assert len(list(out_dir.iterdir())) == 6
+
+
+def test_sweep_defaults_to_the_schedules_gcg_pairs_with(tmp_path, config_path):
+    out_dir = tmp_path / "cells"
+    assert cli_main(["sweep", "--config", config_path, "--out-dir", str(out_dir), "--seeds", "0", "--workers", "1"]) == 0
+    names = ("two-over-t-plus-one", "one-over-t", "line-search")
+    assert sorted(path.name for path in out_dir.iterdir()) == sorted(f"trace_{name}_0.csv" for name in names)
 
 
 def test_unknown_flag_exits_two(config_path):

@@ -17,6 +17,7 @@ from pdcg import (
     SquaredL2Box,
     generate_problem,
     init_state,
+    run,
     step,
     verify_equivalence,
 )
@@ -89,6 +90,21 @@ def test_equivalence_schedule_agnostic(make_sched):
     prob = _svm()
     rep = verify_equivalence(prob, np.zeros(prob.n), make_sched(prob), 300, 1e-9)
     assert rep.passed, rep
+
+
+def test_equivalence_starts_and_steps_as_run_does(monkeypatch):
+    # no y0 is run's start, the origin, and line search reads the raw gaps
+    # run reads: on hinge + entropy they sit at -2.2e-16 from t = 2 on
+    prob = generate_problem(ExperimentConfig(loss="hinge", regularizer="entropy", n=40, p=8, seed=3))
+    sched = LineSearch(mu=1.0, r2=prob.geometry.r2_primal)
+    assert verify_equivalence(prob, None, sched, 50) == verify_equivalence(prob, np.zeros(prob.n), sched, 50)
+    gaps = []
+    rho = LineSearch.rho
+    monkeypatch.setattr(LineSearch, "rho", lambda self, t, gap=None: gaps.append(gap) or rho(self, t, gap))
+    assert verify_equivalence(prob, None, sched, 50).passed
+    lockstep, gaps[:] = gaps[:], []
+    assert len(run(prob, "gcg", sched, 50, gap_tol=-np.inf).trace) == 50
+    assert lockstep == gaps and len(gaps) == 50 and min(gaps) < 0.0
 
 
 def test_equivalence_every_loss_and_smooth_regularizer():

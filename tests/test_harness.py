@@ -38,7 +38,8 @@ from pdcg import (
     trace_json_obj,
 )
 from pdcg import harness
-from pdcg.harness import CSV_HEADER, TRACE_COLUMNS, sweep_cells
+from pdcg.algorithms import StepSchedule
+from pdcg.harness import CSV_HEADER, SCHEDULE_NAMES, SCHEDULES, TRACE_COLUMNS, sweep_cells
 
 
 # --------------------------------------------------------------------------
@@ -408,6 +409,21 @@ def test_build_schedule_constants():
     sched2 = build_schedule(cfg2, prob)
     assert isinstance(sched2, SqrtDecay)
     assert sched2.delta == pytest.approx(np.sqrt(np.log(4.0)))
+
+
+def test_the_schedule_classes_name_the_schedules():
+    # the config default, its validation, the CLI choices and build_schedule read the class names
+    assert SCHEDULE_NAMES == ("two-over-t-plus-one", "one-over-t", "line-search", "sqrt-decay")
+    assert set(SCHEDULES) == set(StepSchedule.__subclasses__())
+    cfg = ExperimentConfig(loss="lad", regularizer="entropy", n=10, p=4, seed=1)
+    assert (cfg.algorithm, cfg.schedule) == ("gcg", "two-over-t-plus-one")
+    prob = generate_problem(cfg)
+    for cls in SCHEDULES:
+        assert type(build_schedule(dataclasses.replace(cfg, schedule=cls.name), prob)) is cls
+    # avg_dual is the one averaging fact: "y" alone weights the md/gcg iterates
+    assert {cls.name: cls.avg_dual for cls in SCHEDULES} == {
+        "two-over-t-plus-one": "y", "one-over-t": "oracle", "line-search": None, "sqrt-decay": None}
+    assert not hasattr(StepSchedule, "weighted")
 
 
 # --------------------------------------------------------------------------

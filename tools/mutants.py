@@ -162,6 +162,9 @@ MUTATIONS = (
              "passed=bool(max_x <= tolerance and max_dual <= tolerance),",
              "passed=bool(max_x <= 1e6 * tolerance and max_dual <= 1e6 * tolerance),",
              ("tests/test_equivalence.py", "tests/test_cli.py", "tests/test_acceptance.py")),
+    # the lockstep feeds line search the raw gap that run feeds it
+    Mutation("lockstep-clamps-gap", EQUIVALENCE, "gap = check_gap_floor(*_values(problem, cg_state))",
+             "gap = max(check_gap_floor(*_values(problem, cg_state)), 0.0)", ("tests/test_equivalence.py",)),
     Mutation("md-carries-mu-x", ALGORITHMS,
              'g = as_vector((1.0 - rho) * state.carried_h_sub - rho * op.adjoint_apply(ybar), name="g")',
              'g = as_vector((1.0 - rho) * problem.regularizer.mu * state.x - rho * op.adjoint_apply(ybar), name="g")',
