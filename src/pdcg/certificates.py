@@ -189,10 +189,10 @@ def check_bound(
     object exposing ``dual_value``, against which a primal objective
     column is measured, and ``certified``.  By weak duality a dual value
     is at most the optimum, so the measured suboptimality over-estimates
-    the true one and no tolerance is added to the bound.  The run
-    must have been produced by the matching algorithm and schedule, ``mu``
-    must be positive and finite, and a schedule's constants must be the
-    ones in ``constants`` and ``mu``, compared exactly: line search's
+    the true one and no tolerance is added to the bound.  The run must
+    come from the matching algorithm and schedule, ``mu`` be positive and
+    finite, the R^2 and delta^2 read finite, and a schedule's constants
+    the ones in ``constants`` and ``mu``, compared exactly: line search's
     ``r2`` and ``mu``, sqrt-decay's ``delta`` (and at most its ``R``).
     """
     if which not in BOUND_PAIRING:
@@ -214,6 +214,8 @@ def check_bound(
     r2 = constants.r2_origin if which == COMPACT_BOUND else constants.r2_primal
     if r2 is None:
         raise ConfigurationError(f"{which} requires the R^2 it reads in the constants")
+    if not math.isfinite(r2):  # an infinite bound would pass any trace
+        raise ConfigurationError(f"{which} requires a finite R^2, got {r2!r}")
     sched = result.schedule
     # a schedule takes its constants from the instance as ``constants`` do, so they compare exactly
     if row.schedule == LineSearch.name and (sched.r2 != r2 or sched.mu != mu):
@@ -221,6 +223,8 @@ def check_bound(
     if which == COMPACT_BOUND:
         if constants.delta2 is None:
             raise ConfigurationError("compact-averaged-gap requires delta^2 in the constants")
+        if not math.isfinite(constants.delta2):
+            raise ConfigurationError(f"compact-averaged-gap requires a finite delta^2, got {constants.delta2!r}")
         radius = float(np.sqrt(r2))
         delta = float(np.sqrt(constants.delta2))
         if sched.radius > radius:

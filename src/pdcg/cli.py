@@ -7,10 +7,10 @@ Subcommands:
 * ``certify`` - run the matching algorithm and check a convergence bound.
 * ``sweep``   - grid over schedules and seeds, one trace file per cell.
 
-Exit codes: 0 on success with all checks passing, 1 on a failed bound or
-equivalence check, 2 on configuration/usage errors and on a run that an
-oracle error (``DomainError``, ``GapInconsistencyError``) stops before
-its verdict.  A flag whose ``dest`` is a config key overrides that key.
+Exit codes: 0 when every check passes, 1 on a failed bound or equivalence
+check, 2 on a usage, configuration or overflow error and on a run that an
+oracle error (``DomainError``, ``GapInconsistencyError``) stops before its
+verdict.  A flag whose ``dest`` is a config key overrides that key.
 """
 
 from __future__ import annotations
@@ -190,7 +190,8 @@ def cli_main(argv: Optional[list] = None) -> int:
     commands = {"solve": _cmd_solve, "compare": _cmd_compare, "certify": _cmd_certify, "sweep": _cmd_sweep}
     try:
         return commands[args.command](args, _apply_overrides(ExperimentConfig.load(args.config), args))
-    except (ConfigurationError, ValidationError, FeasibilityError, DomainError, GapInconsistencyError) as exc:
+    except (ConfigurationError, ValidationError, OverflowError,
+            FeasibilityError, DomainError, GapInconsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

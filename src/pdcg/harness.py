@@ -42,7 +42,6 @@ from .certificates import dual_objective
 from .core import (ConfigurationError, GeometryConstants, LinearOperator, ProblemInstance, TraceRecord,
                    ValidationError, clamp_gap)
 from .functions import (
-    Box,
     DualNormGauge,
     Hinge,
     LeastAbsoluteDeviation,
@@ -50,8 +49,6 @@ from .functions import (
     NegativeEntropySimplex,
     SquaredL2,
     SquaredL2Box,
-    _check_mu,
-    _check_scale,
 )
 
 LOSS_KINDS = ("hinge", "lad", "logistic", "gauge")
@@ -129,17 +126,10 @@ class ExperimentConfig:
             raise ConfigurationError("output_format must be 'csv' or 'json'")
         if self.regularizer == "entropy" and self.mu != 1.0:
             raise ConfigurationError("the entropy regularizer has modulus 1; set mu = 1")
-        # the constructors the instance will call check mu, the box, the scale and the gauge
+        if self.regularizer == "squared_l2_box" and not self.box_lower < self.box_upper:
+            raise ConfigurationError("box_lower must be strictly below box_upper")
         try:
-            _check_mu(self.mu)
-            if self.regularizer == "squared_l2_box":
-                if not self.box_lower < self.box_upper:
-                    raise ConfigurationError("box_lower must be strictly below box_upper")
-                Box([self.box_lower], [self.box_upper])
-            if self.loss == "gauge":
-                DualNormGauge(1, self.gauge_omega0, self.gauge_lambda)
-            elif self.scale is not None:
-                _check_scale(self.scale)
+            _instance(self, 1, 1)
         except ValidationError as exc:
             raise ConfigurationError(str(exc)) from exc
         return self
@@ -186,7 +176,11 @@ def generate_problem(config: ExperimentConfig) -> ProblemInstance:
     deviation loss uses Gaussian rows, a planted primal point and sparse
     outliers.  Features are scaled by 1/sqrt(n) so column norms are O(1).
     """
-    n, p = config.n, config.p
+    return _instance(config, config.n, config.p)
+
+
+def _instance(config: ExperimentConfig, n: int, p: int) -> ProblemInstance:
+    """The config's instance at size n x p; at 1 x 1 it runs every constructor check cheaply."""
     rng = np.random.default_rng(config.seed)
     scale = config.scale if config.scale is not None else 1.0 / n
 
@@ -496,7 +490,7 @@ def run_sweep(config: ExperimentConfig, schedules, seeds, out_dir: str, workers:
     (``os.sched_getaffinity`` where the platform has it, else
     ``os.cpu_count()``) and must be at least 1.  Every argument is
     checked before ``out_dir`` is created: each schedule runs with a
-    zero budget on the instance of the last seed, generated once, which
+    zero budget on the last seed's instance built at n = p = 1, which
     makes every check ``solve`` makes and takes no step.
     """
     if workers is None:
@@ -506,7 +500,7 @@ def run_sweep(config: ExperimentConfig, schedules, seeds, out_dir: str, workers:
     cells = sweep_cells(config, schedules, seeds, out_dir)
     if cells:
         last = cells[-1][0]  # cells differ only in schedule and seed
-        problem = generate_problem(last)
+        problem = _instance(last, 1, 1)
         for sched in dict.fromkeys(cfg.schedule for cfg, _ in cells):
             cfg = dataclasses.replace(last, schedule=sched, max_iters=0)
             Experiment(cfg, problem, build_schedule(cfg, problem)).run()

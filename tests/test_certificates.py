@@ -587,3 +587,28 @@ def test_compact_bound_needs_its_constants(field, message):
     constants = dataclasses.replace(geometry_constants(prob), **{field: None})
     with pytest.raises(ConfigurationError, match=re.escape(message)):
         check_bound(res, constants, 1.0, "compact-averaged-gap")
+
+
+@pytest.mark.parametrize(
+    "which, field, value, message",
+    [("compact-averaged-gap", "r2_origin", np.inf, "compact-averaged-gap requires a finite R^2, got inf"),
+     ("compact-averaged-gap", "delta2", np.inf, "compact-averaged-gap requires a finite delta^2, got inf"),
+     ("gcg-fixed-min-gap", "r2_primal", np.inf, "gcg-fixed-min-gap requires a finite R^2, got inf"),
+     ("gcg-fixed-min-gap", "r2_primal", np.nan, "gcg-fixed-min-gap requires a finite R^2, got nan"),
+     ("md-best-subopt", "r2_primal", np.inf, "md-best-subopt requires a finite R^2, got inf")],
+)
+def test_a_non_finite_constant_is_rejected_not_passed(which, field, value, message):
+    # a box [-1e308, 1e308] overflows delta^2 to inf, and an infinite bound
+    # passed every trace (worst margin nan); the constants are built by hand so
+    # that no overflow warning is raised on the way
+    prob = generate_problem(ExperimentConfig(loss="lad", regularizer="entropy", n=10, p=4, seed=1))
+    constants = dataclasses.replace(geometry_constants(prob), **{field: value})
+    row = BOUND_PAIRING[which]
+    reference = reference_solution(prob, cap=50) if row.needs_reference else None
+    if which == "compact-averaged-gap":  # the schedule carries the same constants, so they compare equal
+        schedule = SqrtDecay(delta=float(np.sqrt(constants.delta2)), radius=float(np.sqrt(constants.r2_origin)))
+    else:
+        schedule = FixedTwoOverTPlusOne()
+    res = run(prob, row.algorithm, schedule, max_iters=3, reference=reference)
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        check_bound(res, constants, 1.0, which, reference=reference)

@@ -237,6 +237,32 @@ def test_certify_exits_two_when_an_oracle_stops_the_run(tmp_path, capsys):
     assert captured.err.splitlines() == ["error: Bregman divergence requires an interior second argument"]
 
 
+OVERFLOW_CASES = {
+    # config text, command tail, the error line
+    # Box.r2 squares a Python float, which raises where numpy gives inf
+    "hinge-scale-1e200-line-search": ('"loss": "hinge", "scale": 1e200', ["solve", "--schedule", "line-search"],
+                                      "error: (34, 'Numerical result out of range')"),
+    "hinge-scale-1e200-certify": ('"loss": "hinge", "scale": 1e200', ["certify", "--prop", "gcg-linesearch-min-gap"],
+                                  "error: (34, 'Numerical result out of range')"),
+    # the planted lad point is drawn uniformly from the box, whose width overflows
+    "lad-box-1e308": ('"loss": "lad", "regularizer": "squared_l2_box", "box_lower": -1e308, "box_upper": 1e308',
+                      ["solve"], "error: high - low range exceeds valid bounds"),
+}
+
+
+@pytest.mark.parametrize("case", list(OVERFLOW_CASES))
+def test_a_float64_overflow_in_set_up_exits_two(tmp_path, case, capsys):
+    text, command, message = OVERFLOW_CASES[case]
+    path = tmp_path / "cfg.json"
+    path.write_text('{"n": 30, "p": 6, "seed": 1, ' + text + "}")
+    out = tmp_path / "t.csv"
+    argv = [command[0], "--config", str(path), *command[1:], *(["--out", str(out)] if command[0] == "solve" else [])]
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [message]
+    assert not out.exists()
+
+
 def test_solve_exits_two_on_a_gap_inconsistency(tmp_path, capsys, monkeypatch):
     # a conjugate off by 1 makes the duality gap negative beyond round-off
     conj_value = LeastAbsoluteDeviation._conj_value

@@ -118,6 +118,15 @@ def test_config_checks_mu_and_box_bounds_when_built(overrides, message):
         dataclasses.replace(ExperimentConfig(), **overrides)
 
 
+def test_config_rules_come_before_the_constructor_checks():
+    # the strict box rule is the config's own, so it is raised before the
+    # one-by-one instance runs the regularizer's modulus check
+    with pytest.raises(ConfigurationError, match="box_lower must be strictly below box_upper"):
+        ExperimentConfig(regularizer="squared_l2_box", mu=0.0, box_lower=0.5, box_upper=0.5)
+    with pytest.raises(ConfigurationError, match="modulus mu must be positive and finite"):
+        ExperimentConfig(regularizer="squared_l2_box", loss="lad", mu=0.0, scale=-1.0)
+
+
 def test_box_bounds_are_checked_for_the_box_regularizer_only():
     assert ExperimentConfig(regularizer="squared_l2", box_lower=1.0, box_upper=0.0).box_lower == 1.0
     # the gauge reads gauge_omega0 and gauge_lambda, not scale
@@ -634,19 +643,33 @@ def test_sweep_default_workers_are_usable_cores(tmp_path, monkeypatch, affinity,
 
 
 def test_sweep_checks_every_schedule_on_one_instance(tmp_path, monkeypatch):
-    seeds_generated = []
-    generate = harness.generate_problem
+    seeds_generated, schedules_built = [], []
+    generate, build = harness.generate_problem, harness.build_schedule
 
     def counting_generate(config):
         seeds_generated.append(config.seed)
         return generate(config)
 
+    def recording_build(config, problem):
+        schedules_built.append((config.schedule, config.seed, problem.n, problem.p))
+        return build(config, problem)
+
     monkeypatch.setattr(harness, "generate_problem", counting_generate)
+    monkeypatch.setattr(harness, "build_schedule", recording_build)
     cfg = ExperimentConfig(loss="lad", regularizer="entropy", n=12, p=3, max_iters=5)
     schedules = ["two-over-t-plus-one", "one-over-t", "line-search"]
     run_sweep(cfg, schedules, [4, 7], str(tmp_path / "cells"), workers=1)
-    # one instance, of the last seed, checks the three schedules; then one per cell
-    assert seeds_generated == [7] + [4, 7] * len(schedules)
+    # the last seed's 1 x 1 instance checks the three schedules, and only the cells generate
+    assert schedules_built[:3] == [(sched, 7, 1, 1) for sched in schedules]
+    assert schedules_built[3:] == [(sched, seed, 12, 3) for sched in schedules for seed in (4, 7)]
+    assert seeds_generated == [4, 7] * len(schedules)
+    # a schedule that only the last of them rejects still stops the sweep before out_dir exists
+    out_dir = tmp_path / "rejected"
+    with pytest.raises(ConfigurationError, match="delta\\^2 is defined for compact domains only"):
+        run_sweep(dataclasses.replace(cfg, regularizer="squared_l2"), ["one-over-t", "sqrt-decay"], [4, 7],
+                  str(out_dir), workers=1)
+    assert not out_dir.exists()
+    assert seeds_generated == [4, 7] * len(schedules)
 
 
 def test_sweep_unknown_schedule_creates_no_directory(tmp_path):

@@ -108,6 +108,8 @@ MUTATIONS = (
     Mutation("mu-check-removed", CERTIFICATES,
              "    if not (mu > 0.0 and math.isfinite(mu)):\n"
              '        raise ConfigurationError(f"mu must be positive and finite, got {mu!r}")\n', ""),
+    Mutation("infinite-r2-accepted", CERTIFICATES, "if not math.isfinite(r2):", "if False:"),
+    Mutation("infinite-delta2-accepted", CERTIFICATES, "if not math.isfinite(constants.delta2):", "if False:"),
     Mutation("line-search-constants-unchecked", CERTIFICATES,
              "if row.schedule == LineSearch.name and (sched.r2 != r2 or sched.mu != mu):", "if False:"),
     Mutation("step-reads-only-ax", ALGORITHMS, 'MD: (_md_step, ("ax", "y", "carried_h_sub")),',
@@ -213,24 +215,22 @@ MUTATIONS = (
              'return self._transpose.dot(contiguous_vector(y, self.n, "y"))', TIER1_TESTS),
     Mutation("finiteness-by-self-dot", CORE, "if not math.isfinite(np.add.reduce(v)) and not np.isfinite(v).all():",
              "if not math.isfinite(v.dot(v)) and not np.isfinite(v).all():", TIER1_TESTS),
-    # compare runs the config's budget, an oracle error exits 2, the round-off
-    # floor scales with the pair, and a config is checked when built
+    # compare runs the config's budget, an oracle error or a set-up overflow
+    # exits 2, the round-off floor scales with the pair, and a config is
+    # checked when built
     Mutation("compare-ignores-max-iters", CLI, "experiment.schedule, config.max_iters)", "experiment.schedule, 300)",
              ("tests/test_cli.py",)),
     Mutation("cli-oracle-errors-escape", CLI,
              "FeasibilityError, DomainError, GapInconsistencyError) as exc:", "FeasibilityError) as exc:",
              ("tests/test_cli.py",)),
+    Mutation("cli-overflow-escapes", CLI, "ValidationError, OverflowError,", "ValidationError,", ("tests/test_cli.py",)),
     Mutation("gap-floor-absolute", CORE, "GAP_CLAMP * max(1.0, abs(primal), abs(dual))", "GAP_CLAMP",
              ("tests/test_core.py", "tests/test_algorithms.py")),
     Mutation("gap-floors-absolute", CORE,
              "floor = GAP_CLAMP * np.maximum(np.maximum(np.abs(primal), np.abs(dual)), 1.0)",
              "floor = np.full_like(gaps, GAP_CLAMP)", ("tests/test_core.py", "tests/test_algorithms.py")),
-    Mutation("config-checks-reverted", HARNESS,
-             "                Box([self.box_lower], [self.box_upper])\n"
-             '            if self.loss == "gauge":\n'
-             "                DualNormGauge(1, self.gauge_omega0, self.gauge_lambda)\n"
-             "            elif self.scale is not None:\n"
-             "                _check_scale(self.scale)\n", "", ("tests/test_harness.py",)),
+    Mutation("config-checks-reverted", HARNESS, "            _instance(self, 1, 1)\n", "            pass\n",
+             ("tests/test_harness.py",)),
     Mutation("config-check-errors-unconverted", HARNESS,
              "        except ValidationError as exc:\n"
              "            raise ConfigurationError(str(exc)) from exc\n",
