@@ -23,9 +23,9 @@ trace against one of the certified convergence bounds:
 
 Here R^2 = diam(A^T C)^2 for the strongly convex bounds and
 R^2 = max_{y in C} ||A^T y||^2 for the compact-domain bound.  Each bound's
-pairing, constants and trace column are one row of ``BOUND_PAIRING``; a
-bound needs a reference when its column is measured against the optimum,
-and ``md-distance``, measured to the reference point, needs a certified one.
+pairing, constants and trace column are one row of ``BOUND_PAIRING``, and
+``check_pairing`` owns every precondition of a bound; it needs no trace,
+so ``pdcg certify`` runs it before the run and ``check_bound`` again first.
 """
 
 from __future__ import annotations
@@ -167,13 +167,39 @@ BOUND_PAIRING = {
 BOUND_IDS = tuple(BOUND_PAIRING)
 
 
-def check_reference(which: str, reference) -> None:
-    """Raise ConfigurationError unless bound ``which`` can read ``reference``; ``pdcg certify`` asks before its run."""
+def check_pairing(which: str, algorithm: str, sched, constants: GeometryConstants, mu: float,
+                  reference=None) -> BoundPairing:
+    """Raise ConfigurationError unless bound ``which`` applies to a run of
+    ``algorithm`` under ``sched`` with these ``constants``, ``mu`` and
+    ``reference``; return its row.  A schedule takes its constants from the
+    instance as ``constants`` do, so they are compared exactly: line
+    search's ``r2`` and ``mu``, sqrt-decay's ``delta`` (and at most its ``R``).
+    """
+    if which not in BOUND_PAIRING:
+        raise ConfigurationError(f"unknown bound id {which!r}; expected one of {BOUND_IDS}")
     row = BOUND_PAIRING[which]
+    if algorithm != row.algorithm:
+        raise ConfigurationError(f"{which} applies to algorithm {row.algorithm!r}, trace came from {algorithm!r}")
+    if sched.name != row.schedule:
+        raise ConfigurationError(f"{which} applies to schedule {row.schedule!r}, trace used {sched.name!r}")
     if row.needs_reference and reference is None:
         raise ConfigurationError(f"{which} requires a reference solution")
     if row.column == "bregman_to_ref" and not reference.certified:
         raise ConfigurationError(f"{which} requires a certified reference; its distance to x* is unknown")
+    if not (mu > 0.0 and math.isfinite(mu)):
+        raise ConfigurationError(f"mu must be positive and finite, got {mu!r}")
+    r2 = constants.r2_origin if which == COMPACT_BOUND else constants.r2_primal
+    if row.schedule == LineSearch.name and (sched.r2 != r2 or sched.mu != mu):
+        raise ConfigurationError("line-search schedule r2 and mu disagree with the certified R^2 and mu")
+    if which == COMPACT_BOUND:
+        if constants.delta2 is None:
+            raise ConfigurationError("compact-averaged-gap requires delta^2 in the constants")
+        if sched.radius > float(np.sqrt(r2)):
+            raise ConfigurationError("schedule radius exceeds the certified R; the bound does not apply")
+        delta = float(np.sqrt(constants.delta2))
+        if sched.delta != delta:
+            raise ConfigurationError("schedule delta disagrees with the certified delta^2")
+    return row
 
 
 def check_bound(
@@ -183,56 +209,21 @@ def check_bound(
     which: str,
     reference=None,
 ) -> BoundReport:
-    """Compare a finished trace against one certified bound.
+    """Compare a finished trace against one certified bound, after ``check_pairing`` on its run.
 
-    ``reference`` (``check_reference`` says which bounds need one) is an
-    object exposing ``dual_value``, against which a primal objective
-    column is measured, and ``certified``.  By weak duality a dual value
-    is at most the optimum, so the measured suboptimality over-estimates
-    the true one and no tolerance is added to the bound.  The run must
-    come from the matching algorithm and schedule, ``mu`` be positive and
-    finite, the R^2 and delta^2 read finite, and a schedule's constants
-    the ones in ``constants`` and ``mu``, compared exactly: line search's
-    ``r2`` and ``mu``, sqrt-decay's ``delta`` (and at most its ``R``).
+    ``reference`` is an object exposing ``dual_value``, against which a
+    primal objective column is measured, and ``certified``.  By weak
+    duality a dual value is at most the optimum, so the measured
+    suboptimality over-estimates the true one and no tolerance is added
+    to the bound.
     """
-    if which not in BOUND_PAIRING:
-        raise ConfigurationError(f"unknown bound id {which!r}; expected one of {BOUND_IDS}")
-    row = BOUND_PAIRING[which]
-    if result.algorithm != row.algorithm:
-        raise ConfigurationError(
-            f"{which} applies to algorithm {row.algorithm!r}, trace came from {result.algorithm!r}"
-        )
-    if result.schedule.name != row.schedule:
-        raise ConfigurationError(
-            f"{which} applies to schedule {row.schedule!r}, trace used {result.schedule.name!r}"
-        )
-    check_reference(which, reference)
-    if not (mu > 0.0 and math.isfinite(mu)):
-        raise ConfigurationError(f"mu must be positive and finite, got {mu!r}")
+    row = check_pairing(which, result.algorithm, result.schedule, constants, mu, reference)
     trace = result.trace
     t = np.array([rec.t for rec in trace], dtype=np.float64)
-    r2 = constants.r2_origin if which == COMPACT_BOUND else constants.r2_primal
-    if r2 is None:
-        raise ConfigurationError(f"{which} requires the R^2 it reads in the constants")
-    if not math.isfinite(r2):  # an infinite bound would pass any trace
-        raise ConfigurationError(f"{which} requires a finite R^2, got {r2!r}")
-    sched = result.schedule
-    # a schedule takes its constants from the instance as ``constants`` do, so they compare exactly
-    if row.schedule == LineSearch.name and (sched.r2 != r2 or sched.mu != mu):
-        raise ConfigurationError("line-search schedule r2 and mu disagree with the certified R^2 and mu")
     if which == COMPACT_BOUND:
-        if constants.delta2 is None:
-            raise ConfigurationError("compact-averaged-gap requires delta^2 in the constants")
-        if not math.isfinite(constants.delta2):
-            raise ConfigurationError(f"compact-averaged-gap requires a finite delta^2, got {constants.delta2!r}")
-        radius = float(np.sqrt(r2))
-        delta = float(np.sqrt(constants.delta2))
-        if sched.radius > radius:
-            raise ConfigurationError("schedule radius exceeds the certified R; the bound does not apply")
-        if sched.delta != delta:
-            raise ConfigurationError("schedule delta disagrees with the certified delta^2")
-        bounds = row.coef * radius * delta / np.sqrt(t)
+        bounds = row.coef * float(np.sqrt(constants.r2_origin)) * float(np.sqrt(constants.delta2)) / np.sqrt(t)
     else:
+        r2 = constants.r2_primal
         bounds = row.coef * r2 / (mu * (t + row.shift))
     column = [getattr(rec, row.column) for rec in trace]
     if any(v is None for v in column):

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .algorithms import ALGORITHMS, GCG
-from .certificates import BOUND_IDS, BOUND_PAIRING, check_bound, check_reference
+from .certificates import BOUND_IDS, BOUND_PAIRING, check_bound, check_pairing
 from .core import ConfigurationError, DomainError, FeasibilityError, GapInconsistencyError, ValidationError
 from .equivalence import verify_equivalence
 from .harness import SCHEDULE_NAMES, SCHEDULES, ExperimentConfig, emit_trace, prepare, reference_solution, run_sweep
@@ -104,9 +104,9 @@ def _cmd_solve(args, config: ExperimentConfig) -> int:
     if config.output_path is None:
         raise ConfigurationError("no output path: set --out or the output_path config key")
     experiment = prepare(config)
-    result = experiment.run()
-    # only the JSON header records the geometry
+    # only the JSON header records the geometry; read before the run, so a constant it refuses costs no step
     geometry = experiment.problem.geometry if config.output_format == "json" else None
+    result = experiment.run()
     emit_trace(result, config.output_format, config.output_path, config=config, geometry=geometry)
     last = result.trace[-1] if result.trace else None
     gap = "n/a" if last is None else format(last.gap, ".6e")
@@ -142,7 +142,8 @@ def _cmd_certify(args, config: ExperimentConfig) -> int:
             print(f"certify: reference uncertified (gap={reference.certified_gap:.3e})", file=sys.stderr)
         if pairing.column != "bregman_to_ref":  # only md-distance reads D(x*, x_t); without x* the run skips it
             reference = dataclasses.replace(reference, x_star=None)
-    check_reference(args.prop, reference)  # before the run, which a reference it rejects would waste
+    # before the run, which a pairing or constant it rejects would waste
+    check_pairing(args.prop, config.algorithm, experiment.schedule, problem.geometry, problem.regularizer.mu, reference)
     result = experiment.run(reference)
     report = check_bound(result, problem.geometry, problem.regularizer.mu, args.prop, reference=reference)
     status = "PASS" if report.passed else "FAIL"

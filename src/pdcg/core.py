@@ -145,13 +145,20 @@ class GeometryConstants:
     ``r2_origin`` is max_{y in C} ||A^T y||^2 (used by the compact-domain
     bound).  ``mode`` records whether the values are exact vertex maxima
     or norm upper bounds; the bounds remain valid with any upper bound.
-    ``delta2`` is None off a compact primal domain.
+    ``delta2`` is None off a compact primal domain.  A constant that is not
+    a finite float raises OverflowError, as a bound read off it passes any trace.
     """
 
-    r2_primal: Optional[float]
-    r2_origin: Optional[float]
+    r2_primal: float
+    r2_origin: float
     mode: str
     delta2: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        for name in ("r2_primal", "r2_origin", "delta2"):
+            value = getattr(self, name)
+            if not (isinstance(value, float) and math.isfinite(value)) and (name != "delta2" or value is not None):
+                raise OverflowError(f"geometry constant {name} must be a finite float, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import pytest
 
@@ -237,27 +238,51 @@ def test_certify_exits_two_when_an_oracle_stops_the_run(tmp_path, capsys):
     assert captured.err.splitlines() == ["error: Bregman divergence requires an interior second argument"]
 
 
+_HINGE_1E200 = '"loss": "hinge", "scale": 1e200'
+# what numpy says once per line while the exact vertex path of Box.r2 (n <= 20) overflows R^2 to inf
+_EXACT_R2_OVERFLOW = ["overflow encountered in matmul", "invalid value encountered in add",
+                      "overflow encountered in matmul"]
+_R2_NOT_FINITE = "error: geometry constant r2_primal must be a finite float, got inf"
 OVERFLOW_CASES = {
-    # config text, command tail, the error line
-    # Box.r2 squares a Python float, which raises where numpy gives inf
-    "hinge-scale-1e200-line-search": ('"loss": "hinge", "scale": 1e200', ["solve", "--schedule", "line-search"],
+    # config text, command tail, numpy's RuntimeWarnings, the error line
+    # above n = 20 Box.r2 squares a Python float, which raises where numpy gives inf
+    "hinge-scale-1e200-line-search": ('"n": 30, ' + _HINGE_1E200, ["solve", "--schedule", "line-search"], [],
                                       "error: (34, 'Numerical result out of range')"),
-    "hinge-scale-1e200-certify": ('"loss": "hinge", "scale": 1e200', ["certify", "--prop", "gcg-linesearch-min-gap"],
+    "hinge-scale-1e200-certify": ('"n": 30, ' + _HINGE_1E200, ["certify", "--prop", "gcg-linesearch-min-gap"], [],
                                   "error: (34, 'Numerical result out of range')"),
     # the planted lad point is drawn uniformly from the box, whose width overflows
-    "lad-box-1e308": ('"loss": "lad", "regularizer": "squared_l2_box", "box_lower": -1e308, "box_upper": 1e308',
-                      ["solve"], "error: high - low range exceeds valid bounds"),
+    "lad-box-1e308": ('"n": 30, "loss": "lad", "regularizer": "squared_l2_box", '
+                      '"box_lower": -1e308, "box_upper": 1e308',
+                      ["solve"], [], "error: high - low range exceeds valid bounds"),
+    # at n <= 20 the constants refuse the inf R^2: a line search on it froze at rho = 0 and exited 0,
+    # a JSON header wrote Infinity, and certify ran its whole run before refusing it
+    "hinge-n20-scale-1e200-line-search": ('"n": 20, "max_iters": 20, ' + _HINGE_1E200,
+                                          ["solve", "--schedule", "line-search"], _EXACT_R2_OVERFLOW, _R2_NOT_FINITE),
+    "hinge-n20-scale-1e200-json": ('"n": 20, "max_iters": 20, ' + _HINGE_1E200, ["solve", "--format", "json"],
+                                   _EXACT_R2_OVERFLOW, _R2_NOT_FINITE),
+    "hinge-n20-scale-1e200-certify": ('"n": 20, "max_iters": 20, ' + _HINGE_1E200,
+                                      ["certify", "--prop", "gcg-fixed-min-gap"], _EXACT_R2_OVERFLOW, _R2_NOT_FINITE),
+    # the box's widths overflow delta^2 to inf, which sqrt-decay reads when it is built
+    "hinge-box-1e308-compact": ('"n": 30, "max_iters": 50, "loss": "hinge", "regularizer": "squared_l2_box", '
+                                '"box_lower": -1e308, "box_upper": 1e308, "scale": 0.6667',
+                                ["certify", "--prop", "compact-averaged-gap"], ["overflow encountered in subtract"],
+                                "error: geometry constant delta2 must be a finite float, got inf"),
 }
 
 
 @pytest.mark.parametrize("case", list(OVERFLOW_CASES))
-def test_a_float64_overflow_in_set_up_exits_two(tmp_path, case, capsys):
-    text, command, message = OVERFLOW_CASES[case]
+def test_a_float64_overflow_in_set_up_exits_two(tmp_path, case, capsys, monkeypatch):
+    # every case is refused before the first step of its run
+    text, command, overflow_warnings, message = OVERFLOW_CASES[case]
     path = tmp_path / "cfg.json"
-    path.write_text('{"n": 30, "p": 6, "seed": 1, ' + text + "}")
+    path.write_text('{"p": 6, "seed": 1, ' + text + "}")
     out = tmp_path / "t.csv"
     argv = [command[0], "--config", str(path), *command[1:], *(["--out", str(out)] if command[0] == "solve" else [])]
-    assert cli_main(argv) == 2
+    monkeypatch.setattr(Experiment, "run", lambda self, reference=None: pytest.fail("the run started"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")  # once per line, as the command line prints them
+        assert cli_main(argv) == 2
+    assert [(w.category, str(w.message)) for w in caught] == [(RuntimeWarning, m) for m in overflow_warnings]
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.splitlines() == [message]
     assert not out.exists()

@@ -84,6 +84,10 @@ _PAIRING = (
      'NS_MD, SqrtDecay.name, 1.0, 0.0, "avg_gap"'),
 )
 
+_PRE_RUN_CHECK = ("    check_pairing(args.prop, config.algorithm, experiment.schedule, problem.geometry, "
+                  "problem.regularizer.mu, reference)\n")
+_CERTIFY_RUN = "    result = experiment.run(reference)\n"
+
 MUTATIONS = (
     Mutation("verdict-slack", CERTIFICATES, "return bool(np.all(self.observed <= self.bounds))",
              "return bool(np.all(self.margins >= -1e-9 * (1.0 + np.abs(self.bounds))))"),
@@ -108,8 +112,10 @@ MUTATIONS = (
     Mutation("mu-check-removed", CERTIFICATES,
              "    if not (mu > 0.0 and math.isfinite(mu)):\n"
              '        raise ConfigurationError(f"mu must be positive and finite, got {mu!r}")\n', ""),
-    Mutation("infinite-r2-accepted", CERTIFICATES, "if not math.isfinite(r2):", "if False:"),
-    Mutation("infinite-delta2-accepted", CERTIFICATES, "if not math.isfinite(constants.delta2):", "if False:"),
+    Mutation("infinite-r2-accepted", CORE, 'for name in ("r2_primal", "r2_origin", "delta2"):',
+             'for name in ("delta2",):'),
+    Mutation("infinite-delta2-accepted", CORE, 'for name in ("r2_primal", "r2_origin", "delta2"):',
+             'for name in ("r2_primal", "r2_origin"):'),
     Mutation("line-search-constants-unchecked", CERTIFICATES,
              "if row.schedule == LineSearch.name and (sched.r2 != r2 or sched.mu != mu):", "if False:"),
     Mutation("step-reads-only-ax", ALGORITHMS, 'MD: (_md_step, ("ax", "y", "carried_h_sub")),',
@@ -216,14 +222,16 @@ MUTATIONS = (
     Mutation("finiteness-by-self-dot", CORE, "if not math.isfinite(np.add.reduce(v)) and not np.isfinite(v).all():",
              "if not math.isfinite(v.dot(v)) and not np.isfinite(v).all():", TIER1_TESTS),
     # compare runs the config's budget, an oracle error or a set-up overflow
-    # exits 2, the round-off floor scales with the pair, and a config is
-    # checked when built
+    # exits 2, certify checks its pairing before its run, the round-off floor
+    # scales with the pair, and a config is checked when built
     Mutation("compare-ignores-max-iters", CLI, "experiment.schedule, config.max_iters)", "experiment.schedule, 300)",
              ("tests/test_cli.py",)),
     Mutation("cli-oracle-errors-escape", CLI,
              "FeasibilityError, DomainError, GapInconsistencyError) as exc:", "FeasibilityError) as exc:",
              ("tests/test_cli.py",)),
     Mutation("cli-overflow-escapes", CLI, "ValidationError, OverflowError,", "ValidationError,", ("tests/test_cli.py",)),
+    Mutation("certify-checks-after-the-run", CLI, _PRE_RUN_CHECK + _CERTIFY_RUN, _CERTIFY_RUN + _PRE_RUN_CHECK,
+             ("tests/test_cli.py",)),
     Mutation("gap-floor-absolute", CORE, "GAP_CLAMP * max(1.0, abs(primal), abs(dual))", "GAP_CLAMP",
              ("tests/test_core.py", "tests/test_algorithms.py")),
     Mutation("gap-floors-absolute", CORE,
