@@ -135,6 +135,7 @@ def _cmd_certify(args, config: ExperimentConfig) -> int:
     config = dataclasses.replace(config, algorithm=pairing.algorithm, schedule=pairing.schedule)
     experiment = prepare(config)
     problem = experiment.problem
+    geometry = problem.geometry  # first: a constant it refuses costs no reference solve and no step
     reference = None
     if pairing.needs_reference:
         reference = reference_solution(problem, cap=config.reference_budget)
@@ -142,10 +143,10 @@ def _cmd_certify(args, config: ExperimentConfig) -> int:
             print(f"certify: reference uncertified (gap={reference.certified_gap:.3e})", file=sys.stderr)
         if pairing.column != "bregman_to_ref":  # only md-distance reads D(x*, x_t); without x* the run skips it
             reference = dataclasses.replace(reference, x_star=None)
-    # before the run, which a pairing or constant it rejects would waste
-    check_pairing(args.prop, config.algorithm, experiment.schedule, problem.geometry, problem.regularizer.mu, reference)
+    # before the run, which a pairing it rejects would waste
+    check_pairing(args.prop, config.algorithm, experiment.schedule, geometry, problem.regularizer.mu, reference)
     result = experiment.run(reference)
-    report = check_bound(result, problem.geometry, problem.regularizer.mu, args.prop, reference=reference)
+    report = check_bound(result, geometry, problem.regularizer.mu, args.prop, reference=reference)
     status = "PASS" if report.passed else "FAIL"
     print(
         f"certify: {status} {args.prop} iterations={report.iterations} "

@@ -113,6 +113,11 @@ class LinearOperator:
     deterministic and the pair satisfies <A x, y> = <x, A^T y> to
     round-off.  The transposed view and the row norms (for the norm
     bound on R^2 over a large dual box) are kept with the matrix.
+
+    The operator keeps its own read-only copy of the caller's matrix, and
+    a build holds no matrix-sized buffer beyond that copy and the
+    caller's matrix: the row norms are taken over row blocks of 2^14
+    floats, each row with the bits of the whole-matrix call.
     """
 
     def __init__(self, matrix) -> None:
@@ -128,7 +133,10 @@ class LinearOperator:
         self.matrix = m
         self._transpose = m.T
         self.n, self.p = m.shape
-        self.row_norms = np.linalg.norm(m, axis=1)
+        self.row_norms = np.empty(self.n)
+        k = max(1, 2**14 // self.p)  # rows per block
+        for i in range(0, self.n, k):
+            self.row_norms[i:i + k] = np.linalg.norm(m[i:i + k], axis=1)
 
     def apply(self, x) -> np.ndarray:
         return self.matrix @ contiguous_vector(x, self.p, "x")

@@ -175,6 +175,8 @@ def generate_problem(config: ExperimentConfig) -> ProblemInstance:
     clusters at +-0.5/sqrt(p) with matching labels; the least-absolute-
     deviation loss uses Gaussian rows, a planted primal point and sparse
     outliers.  Features are scaled by 1/sqrt(n) so column norms are O(1).
+    The matrix is drawn and scaled in place: a build holds it and the
+    operator's own copy, and no other matrix-sized buffer.
     """
     return _instance(config, config.n, config.p)
 
@@ -196,10 +198,13 @@ def _instance(config: ExperimentConfig, n: int, p: int) -> ProblemInstance:
     if config.loss in ("hinge", "logistic"):
         labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
         center = 0.5 / np.sqrt(p)
-        a = (rng.standard_normal((n, p)) + labels[:, None] * center) / np.sqrt(n)
+        a = rng.standard_normal((n, p))
+        a += labels[:, None] * center
+        a /= np.sqrt(n)
         loss = Hinge(labels, scale) if config.loss == "hinge" else Logistic(labels, scale)
     elif config.loss == "lad":
-        a = rng.standard_normal((n, p)) / np.sqrt(n)
+        a = rng.standard_normal((n, p))
+        a /= np.sqrt(n)
         if config.regularizer == "entropy":
             x_true = rng.dirichlet(np.ones(p))
         elif config.regularizer == "squared_l2_box":
@@ -213,7 +218,8 @@ def _instance(config: ExperimentConfig, n: int, p: int) -> ProblemInstance:
         targets[outlier_idx] += amplitudes
         loss = LeastAbsoluteDeviation(targets, scale)
     else:  # gauge
-        a = rng.standard_normal((n, p)) / np.sqrt(n)
+        a = rng.standard_normal((n, p))
+        a /= np.sqrt(n)
         loss = DualNormGauge(n, config.gauge_omega0, config.gauge_lambda)
 
     return ProblemInstance(LinearOperator(a), regularizer, loss)

@@ -5,6 +5,7 @@ import warnings
 import pytest
 
 from pdcg import Box, ExperimentConfig, LeastAbsoluteDeviation
+from pdcg import cli
 from pdcg.cli import cli_main
 from pdcg.harness import Experiment
 
@@ -262,6 +263,9 @@ OVERFLOW_CASES = {
                                    _EXACT_R2_OVERFLOW, _R2_NOT_FINITE),
     "hinge-n20-scale-1e200-certify": ('"n": 20, "max_iters": 20, ' + _HINGE_1E200,
                                       ["certify", "--prop", "gcg-fixed-min-gap"], _EXACT_R2_OVERFLOW, _R2_NOT_FINITE),
+    # a bound that needs a reference ran the whole Newton polish before refusing the inf R^2
+    "lad-n20-scale-1e200-certify": ('"n": 20, "loss": "lad", "scale": 1e200', ["certify", "--prop", "md-avg-subopt"],
+                                    _EXACT_R2_OVERFLOW, _R2_NOT_FINITE),
     # the box's widths overflow delta^2 to inf, which sqrt-decay reads when it is built
     "hinge-box-1e308-compact": ('"n": 30, "max_iters": 50, "loss": "hinge", "regularizer": "squared_l2_box", '
                                 '"box_lower": -1e308, "box_upper": 1e308, "scale": 0.6667',
@@ -272,13 +276,14 @@ OVERFLOW_CASES = {
 
 @pytest.mark.parametrize("case", list(OVERFLOW_CASES))
 def test_a_float64_overflow_in_set_up_exits_two(tmp_path, case, capsys, monkeypatch):
-    # every case is refused before the first step of its run
+    # every case is refused before the reference solve and the first step of its run
     text, command, overflow_warnings, message = OVERFLOW_CASES[case]
     path = tmp_path / "cfg.json"
     path.write_text('{"p": 6, "seed": 1, ' + text + "}")
     out = tmp_path / "t.csv"
     argv = [command[0], "--config", str(path), *command[1:], *(["--out", str(out)] if command[0] == "solve" else [])]
     monkeypatch.setattr(Experiment, "run", lambda self, reference=None: pytest.fail("the run started"))
+    monkeypatch.setattr(cli, "reference_solution", lambda *args, **kwargs: pytest.fail("the reference solve started"))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("default")  # once per line, as the command line prints them
         assert cli_main(argv) == 2

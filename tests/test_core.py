@@ -87,6 +87,26 @@ def test_operator_rejects_nonfinite():
         LinearOperator([[np.nan, 1.0]])
 
 
+@pytest.mark.parametrize("n, p", [(300, 200), (37, 3), (3, 2**14 + 5), (1, 50)],
+                         ids=["several-blocks", "one-block", "one-row-blocks", "one-row"])
+def test_row_norms_have_the_bits_of_the_whole_matrix_norm(n, p):
+    m = np.random.default_rng(n + p).standard_normal((n, p))
+    norms = LinearOperator(m).row_norms
+    assert norms.view(np.int64).tolist() == np.linalg.norm(m, axis=1).view(np.int64).tolist()
+
+
+def test_row_norms_overflow_to_inf_with_one_warning():
+    m = np.random.default_rng(4).standard_normal((300, 200))
+    m[150] = 1e200
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        norms = LinearOperator(m).row_norms
+    assert [(w.category, "overflow" in str(w.message)) for w in caught] == [(RuntimeWarning, True)]
+    with np.errstate(over="ignore"):
+        whole = np.linalg.norm(m, axis=1)
+    assert norms[150] == np.inf and norms.view(np.int64).tolist() == whole.view(np.int64).tolist()
+
+
 @pytest.mark.parametrize(
     "matrix, error, message",
     [

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -179,6 +180,27 @@ def test_generate_gauge_instance():
     cfg = ExperimentConfig(loss="gauge", n=14, p=4, seed=2, gauge_omega0=1.5, gauge_lambda=0.2)
     prob = generate_problem(cfg)
     assert prob.loss.dual_domain.radius == 1.5
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("loss", ["hinge", "logistic", "lad", "gauge"])
+def test_generate_holds_one_matrix_beyond_the_operators_copy(loss):
+    # the drawn matrix and the operator's copy; a whole-matrix row norm held a third
+    cfg = ExperimentConfig(loss=loss, n=2000, p=500, seed=0)
+    assert _peak_bytes(generate_problem, cfg) <= 2 * 2000 * 500 * 8 + 2**20
+
+
+def test_operator_build_holds_nothing_matrix_sized_beyond_its_copy():
+    m = np.random.default_rng(0).standard_normal((2000, 500))
+    assert _peak_bytes(LinearOperator, m) <= m.nbytes + 2**20
 
 
 # --------------------------------------------------------------------------

@@ -84,9 +84,19 @@ _PAIRING = (
      'NS_MD, SqrtDecay.name, 1.0, 0.0, "avg_gap"'),
 )
 
-_PRE_RUN_CHECK = ("    check_pairing(args.prop, config.algorithm, experiment.schedule, problem.geometry, "
+_PRE_RUN_CHECK = ("    check_pairing(args.prop, config.algorithm, experiment.schedule, geometry, "
                   "problem.regularizer.mu, reference)\n")
 _CERTIFY_RUN = "    result = experiment.run(reference)\n"
+_CERTIFY_GEOMETRY = "    geometry = problem.geometry  # first: a constant it refuses costs no reference solve and no step\n"
+_CERTIFY_REFERENCE = (
+    "    reference = None\n"
+    "    if pairing.needs_reference:\n"
+    "        reference = reference_solution(problem, cap=config.reference_budget)\n"
+    "        if not reference.certified:\n"
+    '            print(f"certify: reference uncertified (gap={reference.certified_gap:.3e})", file=sys.stderr)\n'
+    '        if pairing.column != "bregman_to_ref":  # only md-distance reads D(x*, x_t); without x* the run skips it\n'
+    "            reference = dataclasses.replace(reference, x_star=None)\n"
+)
 
 MUTATIONS = (
     Mutation("verdict-slack", CERTIFICATES, "return bool(np.all(self.observed <= self.bounds))",
@@ -222,8 +232,9 @@ MUTATIONS = (
     Mutation("finiteness-by-self-dot", CORE, "if not math.isfinite(np.add.reduce(v)) and not np.isfinite(v).all():",
              "if not math.isfinite(v.dot(v)) and not np.isfinite(v).all():", TIER1_TESTS),
     # compare runs the config's budget, an oracle error or a set-up overflow
-    # exits 2, certify checks its pairing before its run, the round-off floor
-    # scales with the pair, and a config is checked when built
+    # exits 2, certify reads its geometry before its reference solve and checks
+    # its pairing before its run, the round-off floor scales with the pair,
+    # and a config is checked when built
     Mutation("compare-ignores-max-iters", CLI, "experiment.schedule, config.max_iters)", "experiment.schedule, 300)",
              ("tests/test_cli.py",)),
     Mutation("cli-oracle-errors-escape", CLI,
@@ -232,6 +243,8 @@ MUTATIONS = (
     Mutation("cli-overflow-escapes", CLI, "ValidationError, OverflowError,", "ValidationError,", ("tests/test_cli.py",)),
     Mutation("certify-checks-after-the-run", CLI, _PRE_RUN_CHECK + _CERTIFY_RUN, _CERTIFY_RUN + _PRE_RUN_CHECK,
              ("tests/test_cli.py",)),
+    Mutation("certify-geometry-after-reference", CLI, _CERTIFY_GEOMETRY + _CERTIFY_REFERENCE,
+             _CERTIFY_REFERENCE + _CERTIFY_GEOMETRY, ("tests/test_cli.py",)),
     Mutation("gap-floor-absolute", CORE, "GAP_CLAMP * max(1.0, abs(primal), abs(dual))", "GAP_CLAMP",
              ("tests/test_core.py", "tests/test_algorithms.py")),
     Mutation("gap-floors-absolute", CORE,
@@ -244,6 +257,11 @@ MUTATIONS = (
              "            raise ConfigurationError(str(exc)) from exc\n",
              "        except ValidationError:\n"
              "            raise\n", ("tests/test_harness.py",)),
+    # an operator build holds no matrix-sized temporary beside its copy
+    Mutation("row-norms-whole-matrix", CORE,
+             "        for i in range(0, self.n, k):\n"
+             "            self.row_norms[i:i + k] = np.linalg.norm(m[i:i + k], axis=1)\n",
+             "        self.row_norms = np.linalg.norm(m, axis=1)\n", ("tests/test_harness.py",)),
 )
 
 
