@@ -22,7 +22,6 @@ from .algorithms import (
     SqrtDecay,
     init_state,
     init_state_compact,
-    resolve_initial_dual,
     run,
     step,
 )

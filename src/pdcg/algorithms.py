@@ -175,18 +175,14 @@ class SolverState:
     y_bar: Optional[np.ndarray] = None
 
 
-def resolve_initial_dual(problem: ProblemInstance, y0=None):
-    """Dual start: y0 as given, else 0, which every built-in C contains; ``init_state`` checks either."""
-    return np.zeros(problem.n) if y0 is None else y0
-
-
-def init_state(problem: ProblemInstance, y0) -> SolverState:
+def init_state(problem: ProblemInstance, y0=None) -> SolverState:
     """Matched start for both strongly convex recursions.
 
     x_0 = (h*)'(-A^T y_0) and the carried subgradient is -A^T y_0, so the
-    primal and dual recursions trace identical trajectories.
+    primal and dual recursions trace identical trajectories.  y_0 is
+    ``y0``, else 0; either is checked to be a finite length-n point of C.
     """
-    y0 = contiguous_vector(y0, problem.n, "y0")
+    y0 = contiguous_vector(np.zeros(problem.n) if y0 is None else y0, problem.n, "y0")
     if not problem.loss.dual_domain.contains(y0, 1e-10):
         raise FeasibilityError("y0 lies outside the dual domain C")
     carried = -as_vector(problem.operator.adjoint_apply(y0), name="aty")
@@ -327,7 +323,7 @@ def run(
     ``x_star`` and ``primal_value`` attributes) enables the
     reference-relative columns; an ``x_star`` of None leaves the Bregman
     column empty.  Initialization follows the matched
-    rule: the dual start y_0 (default per ``resolve_initial_dual``)
+    rule: the dual start y_0 (``y0``, or 0 by ``init_state``'s default)
     determines x_0 = (h*)'(-A^T y_0) for both strongly convex
     recursions; the compact-domain recursion starts from the interior
     point of its domain (simplex barycenter / box center), the point at
@@ -357,7 +353,7 @@ def run(
     in_loop = strongly_convex and schedule.needs_gap
     x_star = None
     if strongly_convex:
-        state = init_state(problem, resolve_initial_dual(problem, y0=y0))
+        state = init_state(problem, y0)
         # the post-step pair of one iteration is the pre-step pair of the next
         pair = _values(problem, state)
         # x* enters every row's Bregman column, so it is checked once

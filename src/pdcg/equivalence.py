@@ -29,7 +29,6 @@ from .algorithms import (
     _md_step,
     _values,
     init_state,
-    resolve_initial_dual,
 )
 from .core import ConfigurationError, ProblemInstance, check_gap_floor
 
@@ -54,8 +53,8 @@ def verify_equivalence(
 ) -> EquivalenceReport:
     """Run both recursions in lockstep from a matched start and compare.
 
-    Starts and steps as ``run`` does: y0 goes through
-    ``resolve_initial_dual``, and a line search reads the raw
+    Starts and steps as ``run`` does: the start is ``init_state(problem,
+    y0)``, so y0 None means 0, and a line search reads the raw
     ``check_gap_floor`` gap of the gcg pair, once per iteration for
     both steppers, so no round-off asymmetry enters.  Records
     max_t ||x_t^MD - x_t^GCG||_inf and the dual identity deviation
@@ -67,7 +66,7 @@ def verify_equivalence(
         raise ConfigurationError("iterations and tolerance must be nonnegative")
     _check_schedule(schedule, MD, GCG)
     # a step never writes to the state it reads, so both start from one
-    md_state = cg_state = init_state(problem, resolve_initial_dual(problem, y0))
+    md_state = cg_state = init_state(problem, y0)
     max_x = 0.0
     max_dual = 0.0
     for t in range(1, iterations + 1):

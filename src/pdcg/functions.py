@@ -141,9 +141,9 @@ def _max_sq_norm_over_vertices(matrix: np.ndarray, lower: np.ndarray, upper: np.
     A vertex is a pair of vertices of the two half-boxes (first n//2
     coordinates, the rest), so A^T y = u1 + u2 and
     ||u1 + u2||^2 = ||u1||^2 + ||u2||^2 + 2 <u1, u2>.  One product of the
-    two image tables, taken in blocks of 64 rows, scores all 2^n vertices
-    in O(2^(n/2) p) memory.  The winner is rescored as ||u1 + u2||^2, so the
-    value returned is the norm of a real vertex image.
+    two image tables, in 64-row blocks written to one buffer, scores all
+    2^n vertices in O(2^(n/2) p) memory.  The winner is rescored as
+    ||u1 + u2||^2, so the value returned is a real vertex image's norm.
     """
     k = matrix.shape[0] // 2
     u1 = _vertex_images(matrix[:k], lower[:k], upper[:k])
@@ -151,8 +151,9 @@ def _max_sq_norm_over_vertices(matrix: np.ndarray, lower: np.ndarray, upper: np.
     sq1 = np.einsum("ij,ij->i", u1, u1)
     sq2 = np.einsum("ij,ij->i", u2, u2)
     best, best_i, best_j = -np.inf, 0, 0
+    buf = np.empty((min(64, u1.shape[0]), u2.shape[0]))
     for start in range(0, u1.shape[0], 64):
-        s = u1[start : start + 64] @ u2.T
+        s = np.matmul(u1[start : start + 64], u2.T, out=buf[: u1.shape[0] - start])
         s *= 2.0
         s += sq1[start : start + 64, None]
         s += sq2

@@ -35,7 +35,6 @@ from .algorithms import (
     StepSchedule,
     _values,
     init_state,
-    resolve_initial_dual,
     run,
 )
 from .certificates import dual_objective
@@ -247,12 +246,13 @@ class ReferenceSolution:
     dual_value: float
 
 
-def _polish_box_dual(problem: ProblemInstance, y: np.ndarray, tol: float, max_iter: int):
+def _polish_box_dual(problem: ProblemInstance, tol: float, max_iter: int):
     """Active-set projected Newton ascent on the dual over a box C, under a smooth h*.
 
     Each pass identifies the active face at y and takes a backtracked
     Newton step on the remaining smooth concave program, until the gap
-    is <= tol.  Returns the best dual point of its passes and their count.
+    is <= tol.  Returns the state of the best of its passes (at least one,
+    ``max_iter`` >= 1) and their count.
     The reference engine from the dual start when h* has ``_conj_hess``;
     the pair is certified by its gap, not by this procedure.
     """
@@ -262,16 +262,14 @@ def _polish_box_dual(problem: ProblemInstance, y: np.ndarray, tol: float, max_it
     widths = np.maximum(box.widths, 1e-300)
     # each point is clipped once; an open C keeps the start 1e-12, a step 1e-15 of the widths inside
     start, step = ((lo + m * widths, hi - m * widths) if loss.open_domain else (lo, hi) for m in (1e-12, 1e-15))
-    y = np.clip(y, *start)
-    best_y, best_gap = y, float("inf")
-    used = 0
-    for k in range(max_iter):
-        used = k + 1
+    y = np.clip(np.zeros(problem.n), *start)
+    best, best_gap = None, float("inf")
+    for used in range(1, max_iter + 1):
         state = init_state(problem, y)
         primal, dual = _values(problem, state)
         gap = clamp_gap(primal, dual)
-        if gap < best_gap:
-            best_gap, best_y = gap, state.y
+        if best is None or gap < best_gap:
+            best_gap, best = gap, state
         if gap <= tol:
             break
         conj_grad, conj_hess_diag = loss._conj_newton(y)
@@ -307,7 +305,7 @@ def _polish_box_dual(problem: ProblemInstance, y: np.ndarray, tol: float, max_it
         if nxt is None:
             break
         y = nxt
-    return best_y, used
+    return best, used
 
 
 def reference_solution(problem: ProblemInstance, tol: float = 1e-9, cap: int = 10**6) -> ReferenceSolution:
@@ -317,28 +315,27 @@ def reference_solution(problem: ProblemInstance, tol: float = 1e-9, cap: int = 1
     a loss with ``_conj_newton`` under an h* with ``_conj_hess`` is solved
     by the active-set Newton polish of its dual from the dual start, every
     other instance by ``run``'s line-search conditional gradient alone,
-    for up to 500 steps (stopping at gap ``tol``).  x_star is always
-    recomputed as (h*)'(-A^T y_star).  A gap above ``tol`` gives a result
-    marked uncertified, except that a ``_conj_newton`` loss under an h*
-    without ``_conj_hess`` raises "no smooth dual model" when budget is
-    left.  A ``tol`` that is not >= 0 (NaN included) or a negative ``cap``
-    raises ConfigurationError.
+    for up to 500 steps (stopping at gap ``tol``).  The pair is the state
+    the engine ends in (the start at a zero budget), so x_star is
+    (h*)'(-A^T y_star).  A gap above ``tol`` gives a result marked
+    uncertified, except that a ``_conj_newton`` loss under an h* without
+    ``_conj_hess`` raises "no smooth dual model" when budget is left.
+    A ``tol`` that is not >= 0 (NaN included) or a negative ``cap`` raises
+    ConfigurationError.
     """
     if not tol >= 0:
         raise ConfigurationError(f"reference tolerance must be >= 0, got {tol!r}")
     if cap < 0:
         raise ConfigurationError(f"reference budget must be >= 0, got {cap!r}")
     reg, loss = problem.regularizer, problem.loss
-    y, iters = resolve_initial_dual(problem), 0
     newton_loss = hasattr(loss, "_conj_newton")
     newton = newton_loss and hasattr(reg, "_conj_hess")
     if not newton:
         schedule = LineSearch(mu=reg.mu, r2=problem.geometry.r2_primal)
         result = run(problem, GCG, schedule, min(cap, 500), gap_tol=tol)
-        y, iters = result.state.y, len(result.trace)
-    elif cap > 0:
-        y, iters = _polish_box_dual(problem, y, tol, max_iter=min(200, cap))
-    final = init_state(problem, y)
+        final, iters = result.state, len(result.trace)
+    else:
+        final, iters = _polish_box_dual(problem, tol, min(200, cap)) if cap else (init_state(problem), 0)
     primal, dual = _values(problem, final)
     certified_gap = clamp_gap(primal, dual)
     if newton_loss and not newton and certified_gap > tol and iters < cap:

@@ -33,7 +33,6 @@ from pdcg import (
     init_state,
     init_state_compact,
     reference_solution,
-    resolve_initial_dual,
     run,
     step,
     verify_equivalence,
@@ -291,7 +290,7 @@ def test_step_rejects_an_unknown_algorithm():
 # --------------------------------------------------------------------------
 # run loop
 
-# rows run() evaluates together: as many as fit 2^15 floats of n + p, at most
+# rows run() evaluates together: as many as fit 2^14 floats of n + p, at most
 # 64, which every instance here reaches
 BLOCK = 64
 
@@ -338,16 +337,15 @@ def test_run_deterministic_traces():
 
 def test_dual_start_is_zero_and_a_c_without_it_needs_y0():
     prob = generate_problem(ExperimentConfig(loss="lad", n=8, p=3, seed=1))
-    assert resolve_initial_dual(prob).tobytes() == np.zeros(8).tobytes()
-    y0 = np.full(8, 0.25)
-    assert resolve_initial_dual(prob, y0) is y0
+    assert init_state(prob).y.tobytes() == np.zeros(8).tobytes()
+    assert _same_state(init_state(prob), init_state(prob, np.zeros(8)))
+    assert init_state(prob, np.full(8, 0.0625)).y.tolist() == [0.0625] * 8  # inside C = [-1/8, 1/8]^8
     # a loss whose C leaves out 0: no fallback start, so the caller passes y0
     loss = LeastAbsoluteDeviation(prob.loss.targets)
     loss.dual_domain = Box(np.full(8, 0.5), np.ones(8))
     shifted = ProblemInstance(prob.operator, prob.regularizer, loss)
-    assert resolve_initial_dual(shifted).tobytes() == np.zeros(8).tobytes()
     with pytest.raises(FeasibilityError, match="y0 lies outside the dual domain C"):
-        init_state(shifted, resolve_initial_dual(shifted))
+        init_state(shifted)
     assert init_state(shifted, np.full(8, 0.75)).y.tolist() == [0.75] * 8
 
 
@@ -639,7 +637,7 @@ def test_run_averaged_columns_match_a_replay(algorithm, schedule):
             avg_primal.append(primal)
             avg_gap.append(primal + reg.domain.support(-sum_aty / t) + loss.conj_value(sum_y / t))
     else:
-        state = init_state(prob, resolve_initial_dual(prob))
+        state = init_state(prob)
         sum_x, sum_ax, sum_ybar = np.zeros(prob.p), np.zeros(prob.n), np.zeros(prob.n)
         for rec in res.trace:
             t = rec.t
@@ -683,7 +681,7 @@ def _logistic_run(regularizer, algorithm, schedule, iters=2 * BLOCK + 22):
 
 def _replayed_state(prob, algorithm, trace):
     """The state after the recorded steps, taken one at a time."""
-    state = init_state_compact(prob) if algorithm == "ns-md" else init_state(prob, resolve_initial_dual(prob))
+    state = init_state_compact(prob) if algorithm == "ns-md" else init_state(prob)
     for rec in trace:
         state = step(prob, algorithm, state, rec.rho)
     return state

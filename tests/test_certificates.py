@@ -37,7 +37,7 @@ from pdcg import (
     verify_equivalence,
 )
 from pdcg.certificates import BOUND_PAIRING
-from pdcg.functions import MEMBERSHIP_TOL
+from pdcg.functions import MEMBERSHIP_TOL, _max_sq_norm_over_vertices, _vertex_images
 
 
 def _svm_identity():
@@ -220,6 +220,38 @@ def test_estimate_r2_exact_matches_chunked_enumeration(n, kind):
     assert mode == "exact-vertex"
     for value, lower, upper in zip(values, (-dom.widths, dom.lower), (dom.widths, dom.upper)):
         assert value == pytest.approx(_chunked_vertex_max(op.matrix, lower, upper), rel=1e-12)
+
+
+def _per_block_vertex_max(matrix, lower, upper):
+    # reference: the meet-in-the-middle scan with a fresh product per 64-row block
+    k = matrix.shape[0] // 2
+    u1 = _vertex_images(matrix[:k], lower[:k], upper[:k])
+    u2 = _vertex_images(matrix[k:], lower[k:], upper[k:])
+    sq1, sq2 = np.einsum("ij,ij->i", u1, u1), np.einsum("ij,ij->i", u2, u2)
+    best, best_i, best_j = -np.inf, 0, 0
+    for start in range(0, u1.shape[0], 64):
+        s = u1[start : start + 64] @ u2.T
+        s *= 2.0
+        s += sq1[start : start + 64, None]
+        s += sq2
+        i, j = divmod(int(s.argmax()), s.shape[1])
+        if s[i, j] > best:
+            best, best_i, best_j = s[i, j], start + i, j
+    v = u1[best_i] + u2[best_j]
+    return float(v @ v)
+
+
+def test_exact_r2_buffered_product_keeps_every_bit():
+    # n <= 11 gives a first half-table of fewer than 64 rows, so its one block is short
+    rng = np.random.default_rng(480)
+    for n in range(1, 21):
+        for p in (1, 3, 10, 40):
+            matrix = rng.standard_normal((n, p))
+            upper = rng.random(n) + 0.1
+            for lower in (-upper, upper - 2.0 * rng.random(n) - 0.1):
+                got = np.float64(_max_sq_norm_over_vertices(matrix, lower, upper))
+                want = np.float64(_per_block_vertex_max(matrix, lower, upper))
+                assert got.view(np.int64) == want.view(np.int64), (n, p)
 
 
 @pytest.mark.parametrize("p, limit_mb", [(10, 2), (500, 16)])

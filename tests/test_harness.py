@@ -267,6 +267,45 @@ def test_reference_zero_budget_uncertified(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "cfg, engine, cap, final",
+    [
+        (ExperimentConfig(loss="lad", n=20, p=5, seed=3, scale=0.4), "_polish_box_dual", 10**6, lambda out: out[0]),
+        (ExperimentConfig(loss="gauge", regularizer="entropy", n=20, p=5, seed=3, scale=0.4), "run", 10**6,
+         lambda out: out.state),
+        (ExperimentConfig(loss="logistic", n=20, p=5, seed=6, scale=0.5), "init_state", 0, lambda out: out),
+    ],
+    ids=["newton", "line-search", "zero-budget"],
+)
+def test_reference_returns_its_engines_own_state(monkeypatch, cfg, engine, cap, final):
+    prob = generate_problem(cfg)
+    init_state, starts, returns = harness.init_state, [], []
+
+    def counted_start(*args):
+        starts.append(args)
+        return init_state(*args)
+
+    monkeypatch.setattr(harness, "init_state", counted_start)
+    solve = getattr(harness, engine)
+
+    def traced_engine(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        returns.append((len(starts), out))
+        return out
+
+    monkeypatch.setattr(harness, engine, traced_engine)
+    ref = reference_solution(prob, cap=cap)
+    [(starts_at_return, out)] = returns
+    # the engine's state is the pair: nothing rebuilds it from y* afterwards
+    assert len(starts) == starts_at_return
+    state = final(out)
+    assert ref.y_star.tobytes() == state.y.tobytes()
+    assert ref.x_star.tobytes() == init_state(prob, ref.y_star).x.tobytes()
+    values = np.array(harness._values(prob, state))
+    assert np.array([ref.primal_value, ref.dual_value]).tobytes() == values.tobytes()
+    assert (ref.iterations > 1 and np.any(ref.y_star != 0.0)) if cap else ref.iterations == 0
+
+
+@pytest.mark.parametrize(
     "kwargs", [{"tol": float("nan")}, {"tol": -1.0}, {"cap": -1}], ids=["nan-tol", "negative-tol", "negative-cap"]
 )
 def test_reference_rejects_bad_tolerance_or_budget(kwargs):

@@ -195,6 +195,9 @@ MUTATIONS = (
     # the Newton polish: where it runs, and its kernels
     Mutation("polish-ignores-regularizer-kernel", HARNESS, 'newton = newton_loss and hasattr(reg, "_conj_hess")',
              "newton = newton_loss", ("tests/test_harness.py",)),
+    # the reference pair is the state its engine ends in, not a restart
+    Mutation("reference-restarts-from-y0", HARNESS, "final, iters = result.state, len(result.trace)",
+             "final, iters = init_state(problem), len(result.trace)", ("tests/test_harness.py",)),
     Mutation("logistic-conj-hess-doubled", FUNCTIONS, "1.0 / (self.scale * g * (1.0 - g))",
              "2.0 / (self.scale * g * (1.0 - g))", ("tests/test_functions.py",)),
     Mutation("lad-conj-grad-negated", FUNCTIONS, "return self.targets.copy(), np.zeros(self.dim)",
