@@ -25,10 +25,10 @@ import numpy as np
 
 from . import __version__
 from .algorithms import ALGORITHMS, GCG
-from .certificates import BOUND_IDS, BOUND_PAIRING, check_bound, check_pairing
+from .certificates import BOUND_IDS, BOUND_PAIRING
 from .core import ConfigurationError, DomainError, FeasibilityError, GapInconsistencyError, ValidationError
 from .equivalence import verify_equivalence
-from .harness import SCHEDULE_NAMES, SCHEDULES, ExperimentConfig, emit_trace, prepare, reference_solution, run_sweep
+from .harness import SCHEDULE_NAMES, SCHEDULES, ExperimentConfig, emit_trace, prepare, run_sweep
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -131,22 +131,12 @@ def _cmd_compare(args, config: ExperimentConfig) -> int:
 
 
 def _cmd_certify(args, config: ExperimentConfig) -> int:
+    """Certify ``--prop`` under its own algorithm and schedule (``Experiment.certify``) and print the verdict."""
     pairing = BOUND_PAIRING[args.prop]
     config = dataclasses.replace(config, algorithm=pairing.algorithm, schedule=pairing.schedule)
-    experiment = prepare(config)
-    problem = experiment.problem
-    geometry = problem.geometry  # first: a constant it refuses costs no reference solve and no step
-    reference = None
-    if pairing.needs_reference:
-        reference = reference_solution(problem, cap=config.reference_budget)
-        if not reference.certified:
-            print(f"certify: reference uncertified (gap={reference.certified_gap:.3e})", file=sys.stderr)
-        if pairing.column != "bregman_to_ref":  # only md-distance reads D(x*, x_t); without x* the run skips it
-            reference = dataclasses.replace(reference, x_star=None)
-    # before the run, which a pairing it rejects would waste
-    check_pairing(args.prop, config.algorithm, experiment.schedule, geometry, problem.regularizer.mu, reference)
-    result = experiment.run(reference)
-    report = check_bound(result, geometry, problem.regularizer.mu, args.prop, reference=reference)
+    reference, _, report = prepare(config).certify(args.prop)
+    if reference is not None and not reference.certified:
+        print(f"certify: reference uncertified (gap={reference.certified_gap:.3e})", file=sys.stderr)
     status = "PASS" if report.passed else "FAIL"
     print(
         f"certify: {status} {args.prop} iterations={report.iterations} "

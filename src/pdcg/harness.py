@@ -37,7 +37,7 @@ from .algorithms import (
     init_state,
     run,
 )
-from .certificates import dual_objective
+from .certificates import BOUND_PAIRING, check_bound, check_pairing, dual_objective
 from .core import (ConfigurationError, GeometryConstants, LinearOperator, ProblemInstance, TraceRecord,
                    ValidationError, clamp_gap)
 from .functions import (
@@ -372,7 +372,7 @@ def build_schedule(config: ExperimentConfig, problem: ProblemInstance) -> StepSc
 
 @dataclass(frozen=True)
 class Experiment:
-    """A config with its generated instance and schedule, ready to run."""
+    """A config with its generated instance and schedule, ready to run or to certify a bound on."""
 
     config: ExperimentConfig
     problem: ProblemInstance
@@ -382,6 +382,21 @@ class Experiment:
         """Run the config's algorithm within its iteration budget and gap tolerance."""
         cfg = self.config
         return run(self.problem, cfg.algorithm, self.schedule, cfg.max_iters, cfg.gap_tol, reference=reference)
+
+    def certify(self, which: str) -> tuple:
+        """``pdcg certify``'s procedure for bound ``which``: return ``(reference, result, report)``.
+
+        ``reference`` is None when the bound needs none and keeps x* for ``md-distance`` only.  The config must
+        name the bound's algorithm and schedule, else ``check_pairing`` raises ConfigurationError before its run."""
+        geometry = self.problem.geometry  # first: a constant it refuses costs no reference solve and no step
+        pairing, reference = BOUND_PAIRING.get(which), None
+        if pairing is not None and pairing.needs_reference:
+            reference = reference_solution(self.problem, cap=self.config.reference_budget)
+            if pairing.column != "bregman_to_ref":  # only md-distance reads D(x*, x_t); without x* the run skips it
+                reference = dataclasses.replace(reference, x_star=None)
+        check_pairing(which, self.config.algorithm, self.schedule, geometry, self.problem.regularizer.mu, reference)
+        result = self.run(reference)
+        return reference, result, check_bound(result, geometry, self.problem.regularizer.mu, which, reference=reference)
 
 
 def prepare(config: ExperimentConfig) -> Experiment:

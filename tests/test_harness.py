@@ -38,9 +38,11 @@ from pdcg import (
     trace_csv,
     trace_json_obj,
 )
-from pdcg import harness
+from pdcg import BOUND_IDS, harness
 from pdcg.algorithms import StepSchedule
-from pdcg.harness import CSV_HEADER, SCHEDULE_NAMES, SCHEDULES, TRACE_COLUMNS, sweep_cells
+from pdcg.certificates import BOUND_PAIRING, COMPACT_BOUND
+from pdcg.cli import cli_main
+from pdcg.harness import CSV_HEADER, SCHEDULE_NAMES, SCHEDULES, TRACE_COLUMNS, Experiment, sweep_cells
 
 
 # --------------------------------------------------------------------------
@@ -494,6 +496,109 @@ def test_the_schedule_classes_name_the_schedules():
     assert {cls.name: cls.avg_dual for cls in SCHEDULES} == {
         "two-over-t-plus-one": "y", "one-over-t": "oracle", "line-search": None, "sqrt-decay": None}
     assert not hasattr(StepSchedule, "weighted")
+
+
+# --------------------------------------------------------------------------
+# certify
+
+
+def _certify_experiment(cfg, which):
+    """``cfg`` under bound ``which``'s algorithm and schedule, as ``pdcg certify`` sets them; the compact
+    bound takes the instance's box twin, since its sqrt-decay schedule needs a compact domain."""
+    row = BOUND_PAIRING[which]
+    if which == COMPACT_BOUND:
+        cfg = dataclasses.replace(cfg, regularizer="squared_l2_box")
+    return prepare(dataclasses.replace(cfg, algorithm=row.algorithm, schedule=row.schedule))
+
+
+@pytest.mark.parametrize("which", BOUND_IDS)
+def test_certify_reports_what_the_cli_writes(tmp_path, certify_config, which):
+    experiment = _certify_experiment(certify_config, which)
+    path, out = tmp_path / "c.json", tmp_path / "report.json"
+    path.write_text(json.dumps(experiment.config.to_dict()), encoding="utf-8")
+    code = cli_main(["certify", "--config", str(path), "--prop", which, "--out", str(out)])
+    _, result, report = experiment.certify(which)
+    assert code == (0 if report.passed else 1) and len(result.trace) == report.iterations > 0
+    payload = json.loads(out.read_text())
+    for key in ("bounds", "observed", "margins"):  # bit for bit: JSON keeps each double's repr
+        assert np.array(payload[key], dtype=np.float64).tobytes() == getattr(report, key).tobytes()
+
+
+def _record_certify_steps(monkeypatch, geometry=None):
+    """The names of the steps ``certify`` itself takes, in order, appended as each one starts.
+
+    A step's own calls are not listed: a line-search reference engine reads the geometry too.
+    """
+    steps, depth = [], 0
+
+    def recorded(name, call):
+        def wrapper(*args, **kwargs):
+            nonlocal depth
+            if depth == 0:
+                steps.append(name)
+            depth += 1
+            try:
+                return call(*args, **kwargs)
+            finally:
+                depth -= 1
+        return wrapper
+
+    # a property is called on every read, where the cached geometry would be read from the instance
+    read = geometry or ProblemInstance.geometry.func
+    monkeypatch.setattr(ProblemInstance, "geometry", property(recorded("geometry", read)))
+    for name in ("reference_solution", "check_pairing", "check_bound"):
+        monkeypatch.setattr(harness, name, recorded(name, getattr(harness, name)))
+    monkeypatch.setattr(Experiment, "run", recorded("run", Experiment.run))
+    return steps
+
+
+@pytest.mark.parametrize("which, steps", [
+    ("md-avg-subopt", ["geometry", "reference_solution", "check_pairing", "run", "check_bound"]),
+    ("gcg-fixed-min-gap", ["geometry", "check_pairing", "run", "check_bound"]),
+])
+def test_certify_steps_in_order(monkeypatch, certify_config, which, steps):
+    experiment = _certify_experiment(certify_config, which)
+    taken = _record_certify_steps(monkeypatch)
+    assert experiment.certify(which)[2].passed
+    assert taken == steps
+
+
+def test_certify_refused_geometry_makes_no_reference_solve(monkeypatch, certify_config):
+    experiment = _certify_experiment(certify_config, "md-avg-subopt")
+
+    def refused(problem):
+        raise OverflowError("geometry constant r2_primal must be a finite float, got inf")
+
+    taken = _record_certify_steps(monkeypatch, geometry=refused)
+    with pytest.raises(OverflowError, match="r2_primal"):
+        experiment.certify("md-avg-subopt")
+    assert taken == ["geometry"]
+
+
+@pytest.mark.parametrize("changes, which, message, steps", [
+    # gauge + entropy leaves its reference uncertified (gap 3.5e-3)
+    ({"loss": "gauge", "regularizer": "entropy", "scale": None, "seed": 3, "algorithm": "md"}, "md-distance",
+     "md-distance requires a certified reference", ["geometry", "reference_solution", "check_pairing"]),
+    # the config's gcg cannot certify an md bound
+    ({}, "md-avg-subopt", "md-avg-subopt applies to algorithm 'md', trace came from 'gcg'",
+     ["geometry", "reference_solution", "check_pairing"]),
+    ({}, "md-lucky", "unknown bound id 'md-lucky'", ["geometry", "check_pairing"]),
+], ids=["uncertified-md-distance", "gcg-config-md-bound", "unknown-bound"])
+def test_certify_refuses_before_any_step(monkeypatch, certify_config, changes, which, message, steps):
+    experiment = prepare(dataclasses.replace(certify_config, **changes))
+    taken = _record_certify_steps(monkeypatch)
+    with pytest.raises(ConfigurationError, match=message):
+        experiment.certify(which)
+    assert taken == steps
+
+
+def test_only_md_distance_reads_the_bregman_column(certify_config):
+    # every other bound's run gets its reference without x*, so run leaves D(x*, x_t) empty
+    for which in BOUND_IDS:
+        reference, result, _ = _certify_experiment(certify_config, which).certify(which)
+        filled = {rec.bregman_to_ref is not None for rec in result.trace}
+        assert filled == {which == "md-distance"}, which
+        assert reference is None or (reference.x_star is not None) == (which == "md-distance")
 
 
 # --------------------------------------------------------------------------

@@ -84,19 +84,24 @@ _PAIRING = (
      'NS_MD, SqrtDecay.name, 1.0, 0.0, "avg_gap"'),
 )
 
-_PRE_RUN_CHECK = ("    check_pairing(args.prop, config.algorithm, experiment.schedule, geometry, "
-                  "problem.regularizer.mu, reference)\n")
-_CERTIFY_RUN = "    result = experiment.run(reference)\n"
-_CERTIFY_GEOMETRY = "    geometry = problem.geometry  # first: a constant it refuses costs no reference solve and no step\n"
-_CERTIFY_REFERENCE = (
-    "    reference = None\n"
-    "    if pairing.needs_reference:\n"
-    "        reference = reference_solution(problem, cap=config.reference_budget)\n"
-    "        if not reference.certified:\n"
-    '            print(f"certify: reference uncertified (gap={reference.certified_gap:.3e})", file=sys.stderr)\n'
-    '        if pairing.column != "bregman_to_ref":  # only md-distance reads D(x*, x_t); without x* the run skips it\n'
-    "            reference = dataclasses.replace(reference, x_star=None)\n"
+_PRE_RUN_CHECK = ("        check_pairing(which, self.config.algorithm, self.schedule, geometry, "
+                  "self.problem.regularizer.mu, reference)\n")
+_CERTIFY_RUN = "        result = self.run(reference)\n"
+_CERTIFY_GEOMETRY = ("        geometry = self.problem.geometry  "
+                     "# first: a constant it refuses costs no reference solve and no step\n")
+_CERTIFY_DROPS_X_STAR = (
+    '            if pairing.column != "bregman_to_ref":  '
+    "# only md-distance reads D(x*, x_t); without x* the run skips it\n"
+    "                reference = dataclasses.replace(reference, x_star=None)\n"
 )
+_CERTIFY_REFERENCE = (
+    "        pairing, reference = BOUND_PAIRING.get(which), None\n"
+    "        if pairing is not None and pairing.needs_reference:\n"
+    "            reference = reference_solution(self.problem, cap=self.config.reference_budget)\n"
+    + _CERTIFY_DROPS_X_STAR
+)
+# the certify procedure's owner, and the tests of its order and of the command that prints it
+CERTIFY_TESTS = ("tests/test_harness.py", "tests/test_cli.py")
 
 MUTATIONS = (
     Mutation("verdict-slack", CERTIFICATES, "return bool(np.all(self.observed <= self.bounds))",
@@ -235,19 +240,20 @@ MUTATIONS = (
     Mutation("finiteness-by-self-dot", CORE, "if not math.isfinite(np.add.reduce(v)) and not np.isfinite(v).all():",
              "if not math.isfinite(v.dot(v)) and not np.isfinite(v).all():", TIER1_TESTS),
     # compare runs the config's budget, an oracle error or a set-up overflow
-    # exits 2, certify reads its geometry before its reference solve and checks
-    # its pairing before its run, the round-off floor scales with the pair,
-    # and a config is checked when built
+    # exits 2, certify reads its geometry before its reference solve, checks
+    # its pairing before its run and hands x* to md-distance's run alone, the
+    # round-off floor scales with the pair, and a config is checked when built
     Mutation("compare-ignores-max-iters", CLI, "experiment.schedule, config.max_iters)", "experiment.schedule, 300)",
              ("tests/test_cli.py",)),
     Mutation("cli-oracle-errors-escape", CLI,
              "FeasibilityError, DomainError, GapInconsistencyError) as exc:", "FeasibilityError) as exc:",
              ("tests/test_cli.py",)),
     Mutation("cli-overflow-escapes", CLI, "ValidationError, OverflowError,", "ValidationError,", ("tests/test_cli.py",)),
-    Mutation("certify-checks-after-the-run", CLI, _PRE_RUN_CHECK + _CERTIFY_RUN, _CERTIFY_RUN + _PRE_RUN_CHECK,
-             ("tests/test_cli.py",)),
-    Mutation("certify-geometry-after-reference", CLI, _CERTIFY_GEOMETRY + _CERTIFY_REFERENCE,
-             _CERTIFY_REFERENCE + _CERTIFY_GEOMETRY, ("tests/test_cli.py",)),
+    Mutation("certify-checks-after-the-run", HARNESS, _PRE_RUN_CHECK + _CERTIFY_RUN, _CERTIFY_RUN + _PRE_RUN_CHECK,
+             CERTIFY_TESTS),
+    Mutation("certify-geometry-after-reference", HARNESS, _CERTIFY_GEOMETRY + _CERTIFY_REFERENCE,
+             _CERTIFY_REFERENCE + _CERTIFY_GEOMETRY, CERTIFY_TESTS),
+    Mutation("certify-keeps-x-star", HARNESS, _CERTIFY_DROPS_X_STAR, "", ("tests/test_harness.py",)),
     Mutation("gap-floor-absolute", CORE, "GAP_CLAMP * max(1.0, abs(primal), abs(dual))", "GAP_CLAMP",
              ("tests/test_core.py", "tests/test_algorithms.py")),
     Mutation("gap-floors-absolute", CORE,
