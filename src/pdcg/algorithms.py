@@ -121,7 +121,10 @@ class LineSearch(StepSchedule):
             raise ValueError("line-search schedule requires the current duality gap")
         if self.r2 <= 0.0:
             return 1.0
-        return min(self.mu / self.r2 * max(gap, 0.0), 1.0)
+        if gap > 0.0:
+            return min(self.mu / self.r2 * gap, 1.0)
+        # zero, its sign kept, or NaN: mu/R^2 is inf on a subnormal R^2, and inf * 0 would be NaN
+        return max(gap, 0.0)
 
 
 @dataclass(frozen=True)

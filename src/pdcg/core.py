@@ -106,6 +106,18 @@ def check_gap_floors(gaps: np.ndarray, primal: np.ndarray, dual: np.ndarray) -> 
     return gaps.tolist()
 
 
+def _checked_matrix(matrix) -> np.ndarray:
+    """``matrix`` as float64 (no copy when it already is), refused unless 2-D, non-empty and finite."""
+    m = np.asarray(matrix, dtype=np.float64)
+    if m.ndim != 2:
+        raise DimensionMismatch(f"operator matrix must be 2-D, got shape {m.shape}")
+    if m.shape[0] < 1 or m.shape[1] < 1:
+        raise ValidationError("operator matrix must be non-empty")
+    if not np.all(np.isfinite(m)):
+        raise ValidationError("operator matrix contains non-finite entries")
+    return m
+
+
 class LinearOperator:
     """Dense matrix A of shape (n, p) with exact transpose action.
 
@@ -114,21 +126,27 @@ class LinearOperator:
     round-off.  The transposed view and the row norms (for the norm
     bound on R^2 over a large dual box) are kept with the matrix.
 
-    The operator keeps its own read-only copy of the caller's matrix, and
-    a build holds no matrix-sized buffer beyond that copy and the
-    caller's matrix: the row norms are taken over row blocks of 2^14
-    floats, each row with the bits of the whole-matrix call.
+    ``LinearOperator(matrix)`` keeps a read-only copy of the caller's
+    matrix, which the caller may go on writing.  The generator's fresh
+    matrix, which nothing else refers to, is adopted instead: ``_adopt``
+    runs the same checks and marks it read-only, with no copy.  Beyond
+    the operator's matrix (and the caller's), a build holds only the
+    finiteness scan's bools: the row norms are taken over row blocks of
+    2^14 floats, each row with the bits of the whole-matrix call.
     """
 
     def __init__(self, matrix) -> None:
-        m = np.asarray(matrix, dtype=np.float64)
-        if m.ndim != 2:
-            raise DimensionMismatch(f"operator matrix must be 2-D, got shape {m.shape}")
-        if m.shape[0] < 1 or m.shape[1] < 1:
-            raise ValidationError("operator matrix must be non-empty")
-        if not np.all(np.isfinite(m)):
-            raise ValidationError("operator matrix contains non-finite entries")
-        m = m.copy()
+        self._own(_checked_matrix(matrix).copy())
+
+    @classmethod
+    def _adopt(cls, matrix: np.ndarray) -> "LinearOperator":
+        """The operator on the generator's fresh, owning, C-ordered float64 ``matrix``, made read-only, not copied."""
+        assert matrix.dtype == _FLOAT64 and matrix.flags.c_contiguous and matrix.flags.owndata
+        op = cls.__new__(cls)
+        op._own(_checked_matrix(matrix))
+        return op
+
+    def _own(self, m: np.ndarray) -> None:
         m.setflags(write=False)
         self.matrix = m
         self._transpose = m.T

@@ -174,8 +174,9 @@ def generate_problem(config: ExperimentConfig) -> ProblemInstance:
     clusters at +-0.5/sqrt(p) with matching labels; the least-absolute-
     deviation loss uses Gaussian rows, a planted primal point and sparse
     outliers.  Features are scaled by 1/sqrt(n) so column norms are O(1).
-    The matrix is drawn and scaled in place: a build holds it and the
-    operator's own copy, and no other matrix-sized buffer.
+    The matrix is drawn and scaled in place and the operator adopts it
+    without a copy: a build holds that one matrix, and no other
+    matrix-sized buffer.
     """
     return _instance(config, config.n, config.p)
 
@@ -221,7 +222,7 @@ def _instance(config: ExperimentConfig, n: int, p: int) -> ProblemInstance:
         a /= np.sqrt(n)
         loss = DualNormGauge(n, config.gauge_omega0, config.gauge_lambda)
 
-    return ProblemInstance(LinearOperator(a), regularizer, loss)
+    return ProblemInstance(LinearOperator._adopt(a), regularizer, loss)
 
 
 # ---------------------------------------------------------------------------

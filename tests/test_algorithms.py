@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 import sys
 import warnings
@@ -59,6 +60,17 @@ def test_rho_line_search():
     assert LineSearch(mu=2.0, r2=1.0).rho(5, 3.0) == 1.0
     with pytest.raises(ValueError):
         LineSearch(mu=1.0, r2=4.0).rho(5)
+
+
+def test_rho_line_search_on_a_zero_gap_keeps_its_sign_where_mu_over_r2_overflows():
+    # mu / R^2 is inf on a subnormal R^2, where inf * 0 made rho NaN
+    subnormal = LineSearch(mu=1.3e6, r2=1e-313)
+    assert math.copysign(1.0, subnormal.rho(2, 0.0)) == 1.0 and subnormal.rho(2, 0.0) == 0.0
+    assert math.copysign(1.0, subnormal.rho(2, -0.0)) == -1.0 and subnormal.rho(2, -0.0) == 0.0
+    assert subnormal.rho(2, -1.0) == 0.0 and subnormal.rho(2, 1e-300) == 1.0
+    # under a finite mu / R^2, a zero rho has the sign of mu/R^2 * max(gap, 0)
+    finite = LineSearch(mu=1.0, r2=4.0)
+    assert [math.copysign(1.0, finite.rho(2, gap)) for gap in (0.0, -0.0, -1.0)] == [1.0, -1.0, 1.0]
 
 
 def test_rho_sqrt_decay():

@@ -241,11 +241,16 @@ _EXACT_R2_OVERFLOW = ["overflow encountered in matmul", "invalid value encounter
 _R2_NOT_FINITE = "error: geometry constant r2_primal must be a finite float, got inf"
 OVERFLOW_CASES = {
     # config text, command tail, numpy's RuntimeWarnings, the error line
-    # above n = 20 Box.r2 squares a Python float, which raises where numpy gives inf
+    # above n = 20 Box.r2's norm bound squares to inf, and the constants refuse it; Python's **
+    # raised an errno OverflowError there, whose "(34, 'Numerical result out of range')" was the message
     "hinge-scale-1e200-line-search": ('"n": 30, ' + _HINGE_1E200, ["solve", "--schedule", "line-search"], [],
-                                      "error: (34, 'Numerical result out of range')"),
+                                      _R2_NOT_FINITE),
     "hinge-scale-1e200-certify": ('"n": 30, ' + _HINGE_1E200, ["certify", "--prop", "gcg-linesearch-min-gap"], [],
-                                  "error: (34, 'Numerical result out of range')"),
+                                  _R2_NOT_FINITE),
+    # L1Ball.r2 squares the ball's radius times the largest row norm, as Box.r2 does above n = 20
+    "gauge-omega0-1e200-line-search": ('"n": 30, "loss": "gauge", "gauge_omega0": 1e200',
+                                       ["solve", "--algorithm", "gcg", "--schedule", "line-search"], [],
+                                       _R2_NOT_FINITE),
     # the planted lad point is drawn uniformly from the box, whose width overflows
     "lad-box-1e308": ('"n": 30, "loss": "lad", "regularizer": "squared_l2_box", '
                       '"box_lower": -1e308, "box_upper": 1e308',
@@ -287,6 +292,20 @@ def test_a_float64_overflow_in_set_up_exits_two(tmp_path, case, capsys, monkeypa
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.splitlines() == [message]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_line_search_on_a_subnormal_r2_steps_to_a_zero_gap(tmp_path, fmt, capsys):
+    # mu / R^2 overflows to inf here; rho = inf * 0 at the zero gap of t = 2 was NaN,
+    # and its ValueError escaped cli_main, which exited 1 with a traceback
+    path = tmp_path / "cfg.json"
+    path.write_text('{"loss": "hinge", "regularizer": "squared_l2", "n": 21, "p": 8, "seed": 66, '
+                    '"mu": 1.3e6, "scale": 1.7e-157}')
+    out = tmp_path / f"t.{fmt}"
+    argv = ["solve", "--config", str(path), "--algorithm", "gcg", "--schedule", "line-search", "--format", fmt]
+    assert cli_main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert "nan" not in out.read_text().lower()
 
 
 def test_solve_exits_two_on_a_gap_inconsistency(tmp_path, capsys, monkeypatch):

@@ -87,6 +87,25 @@ def test_operator_rejects_nonfinite():
         LinearOperator([[np.nan, 1.0]])
 
 
+def test_operator_keeps_its_own_copy_of_the_callers_matrix():
+    a = np.random.default_rng(3).standard_normal((5, 3))
+    op = LinearOperator(a)
+    x = np.arange(3.0)
+    before = op.apply(x)
+    a[:] = 7.0
+    assert not np.shares_memory(a, op.matrix)
+    assert op.apply(x).tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("matrix", [np.ones(3), np.ones((0, 3)), np.array([[np.nan, 1.0]])],
+                         ids=["1-d", "no-rows", "non-finite"])
+def test_an_adopted_matrix_gets_the_checks_of_a_copied_one(matrix):
+    with pytest.raises(ValueError) as copied:
+        LinearOperator(matrix)
+    with pytest.raises(type(copied.value), match=re.escape(str(copied.value))):
+        LinearOperator._adopt(matrix)
+
+
 @pytest.mark.parametrize("n, p", [(300, 200), (37, 3), (3, 2**14 + 5), (1, 50)],
                          ids=["several-blocks", "one-block", "one-row-blocks", "one-row"])
 def test_row_norms_have_the_bits_of_the_whole_matrix_norm(n, p):

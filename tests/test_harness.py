@@ -194,10 +194,19 @@ def _peak_bytes(fn, *args):
 
 
 @pytest.mark.parametrize("loss", ["hinge", "logistic", "lad", "gauge"])
-def test_generate_holds_one_matrix_beyond_the_operators_copy(loss):
-    # the drawn matrix and the operator's copy; a whole-matrix row norm held a third
-    cfg = ExperimentConfig(loss=loss, n=2000, p=500, seed=0)
-    assert _peak_bytes(generate_problem, cfg) <= 2 * 2000 * 500 * 8 + 2**20
+def test_generate_holds_the_matrix_it_draws_and_its_finiteness_scan(loss):
+    # the operator adopts the drawn matrix; beside it only the finiteness scan's bools
+    # (np bytes) are matrix-sized.  A copy into the operator held a second matrix
+    n, p = 2000, 500
+    cfg = ExperimentConfig(loss=loss, n=n, p=p, seed=0)
+    assert _peak_bytes(generate_problem, cfg) <= 8 * n * p + n * p + 2**20
+
+
+def test_a_generated_operator_matrix_is_read_only():
+    matrix = generate_problem(ExperimentConfig(loss="lad", n=20, p=4, seed=0)).operator.matrix
+    assert not matrix.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        matrix[0, 0] = 1.0
 
 
 def test_operator_build_holds_nothing_matrix_sized_beyond_its_copy():

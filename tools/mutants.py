@@ -161,10 +161,10 @@ MUTATIONS = (
              "return diameter, _max_sq_norm_over_vertices(op.matrix, self.lower, self.upper), MODE_EXACT",
              "return _max_sq_norm_over_vertices(op.matrix, self.lower, self.upper), diameter, MODE_EXACT"),
     Mutation("column-norm-r2-swapped", FUNCTIONS,
-             "return diameter, float(np.sum(self.max_abs() * op.row_norms)) ** 2, MODE_BOUND",
-             "return float(np.sum(self.max_abs() * op.row_norms)) ** 2, diameter, MODE_BOUND"),
-    Mutation("l1-ball-diameter-as-radius", FUNCTIONS, "return (2.0 * r) ** 2, r**2, MODE_EXACT",
-             "return r**2, r**2, MODE_EXACT"),
+             "return diameter, _square(float(np.sum(self.max_abs() * op.row_norms))), MODE_BOUND",
+             "return _square(float(np.sum(self.max_abs() * op.row_norms))), diameter, MODE_BOUND"),
+    Mutation("l1-ball-diameter-as-radius", FUNCTIONS, "return _square(2.0 * r), _square(r), MODE_EXACT",
+             "return _square(r), _square(r), MODE_EXACT"),
     Mutation("geometry-drops-delta2", CORE, "reg.delta2() if reg.domain.compact else None", "None"),
     # each strongly convex bound one step tighter, and the md bounds reading each other's primal column
     *(Mutation(f"shift-plus-one/{bid}", CERTIFICATES, _pairing_row(bid, old), _pairing_row(bid, _shifted(old)))
@@ -175,10 +175,10 @@ MUTATIONS = (
              _pairing_row(_PAIRING[1][0], _PAIRING[1][1].replace('"primal_value"', '"avg_primal_value"'))),
     # the step rules, the lockstep verdict, and a positive control: md that
     # carries mu x in place of its own subgradient is no longer gcg's twin
-    Mutation("line-search-without-mu-over-r2", ALGORITHMS, "return min(self.mu / self.r2 * max(gap, 0.0), 1.0)",
-             "return min(max(gap, 0.0), 1.0)", STEP_TESTS + BOUND_TESTS),
-    Mutation("line-search-drops-mu", ALGORITHMS, "return min(self.mu / self.r2 * max(gap, 0.0), 1.0)",
-             "return min(1.0 / self.r2 * max(gap, 0.0), 1.0)", STEP_TESTS + BOUND_TESTS + METAMORPHIC_TESTS),
+    Mutation("line-search-without-mu-over-r2", ALGORITHMS, "return min(self.mu / self.r2 * gap, 1.0)",
+             "return min(gap, 1.0)", STEP_TESTS + BOUND_TESTS),
+    Mutation("line-search-drops-mu", ALGORITHMS, "return min(self.mu / self.r2 * gap, 1.0)",
+             "return min(1.0 / self.r2 * gap, 1.0)", STEP_TESTS + BOUND_TESTS + METAMORPHIC_TESTS),
     Mutation("weighted-average-over-t", ALGORITHMS, "norm = 2.0 / (ts * (ts + 1.0)) if weighted else ts",
              "norm = 1.0 / ts if weighted else ts", STEP_TESTS + BOUND_TESTS),
     Mutation("equivalence-tolerance-1e6", EQUIVALENCE,
@@ -266,11 +266,16 @@ MUTATIONS = (
              "            raise ConfigurationError(str(exc)) from exc\n",
              "        except ValidationError:\n"
              "            raise\n", ("tests/test_harness.py",)),
-    # an operator build holds no matrix-sized temporary beside its copy
+    # an operator build holds no matrix-sized temporary beside its copy, the
+    # public constructor copies the caller's matrix, and the generator's is adopted
     Mutation("row-norms-whole-matrix", CORE,
              "        for i in range(0, self.n, k):\n"
              "            self.row_norms[i:i + k] = np.linalg.norm(m[i:i + k], axis=1)\n",
              "        self.row_norms = np.linalg.norm(m, axis=1)\n", ("tests/test_harness.py",)),
+    Mutation("operator-keeps-caller-matrix", CORE, "self._own(_checked_matrix(matrix).copy())",
+             "self._own(_checked_matrix(matrix))", ("tests/test_core.py",)),
+    Mutation("generator-copies-matrix", CORE, "op._own(_checked_matrix(matrix))",
+             "op._own(_checked_matrix(matrix).copy())", ("tests/test_harness.py",)),
 )
 
 
